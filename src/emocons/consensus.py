@@ -197,14 +197,6 @@ def backward_consensus(acn: Acn, grad: np.ndarray) -> np.ndarray:
     return backward(acn.net, g[:, None])
 
 
-def acn_forward(acn: Acn, annotations: AnnotationMatrix) -> ConsensusTrace:
-    return ConsensusTrace(forward_consensus(acn, annotations.data), source="acn")
-
-
-def acn_backward(acn: Acn, upstream: np.ndarray) -> np.ndarray:
-    return backward_consensus(acn, upstream)
-
-
 # output activations for which negating the last layer negates the output
 _ODD_ACTIVATIONS = ("linear", "tanh")
 

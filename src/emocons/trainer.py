@@ -289,6 +289,8 @@ def make_batches(segments, batch_size: int, seed: int, shuffle: bool = True) -> 
 class JointModel:
     predictor: Predictor
     acns: dict[str, Acn]
+    # per dimension: whether orient_acn negated the freshly initialised net
+    acn_flipped: dict[str, bool] = field(default_factory=dict)
 
 
 def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
@@ -310,6 +312,7 @@ def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
         )
     predictor = init_predictor(pcfg, substream(cfg.seed, "init/predictor"))
     acns: dict[str, Acn] = {}
+    flipped: dict[str, bool] = {}
     if cfg.mode == "acn":
         for dim in dims:
             widths = {
@@ -331,9 +334,9 @@ def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
                 )
             acn = init_acn(acfg, substream(cfg.seed, f"init/acn/{dim}"))
             probe = [it.annotations[dim] for it in data.train if dim in it.annotations]
-            orient_acn(acn, np.vstack(probe[:32]))
+            flipped[dim] = orient_acn(acn, np.vstack(probe[:32]))
             acns[dim] = acn
-    return JointModel(predictor=predictor, acns=acns)
+    return JointModel(predictor=predictor, acns=acns, acn_flipped=flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -348,36 +351,14 @@ class StepStats:
     degenerate: int
 
 
-def _masked_batch(xs, ys, valid, pooling, want_x, want_y):
-    """ccc_batch_loss over the valid subset, rescaled so skipped windows
-    contribute exactly zero loss and zero gradient without changing the
-    per-window-mean divisor."""
-    idx = [i for i, ok in enumerate(valid) if ok]
-    gx = [np.zeros_like(x) for x in xs] if want_x else None
-    gy = [np.zeros_like(y) for y in ys] if want_y else None
-    if not idx:
-        return 0.0, gx, gy
-    res = ccc_batch_loss(
-        [xs[i] for i in idx],
-        [ys[i] for i in idx],
-        pooling,
-        want_grad_x=want_x,
-        want_grad_y=want_y,
-    )
-    scale = len(idx) / len(xs) if pooling == "per_window_mean" else 1.0
-    for j, i in enumerate(idx):
-        if want_x:
-            gx[i] = res.grad_xs[j] * scale
-        if want_y:
-            gy[i] = res.grad_ys[j] * scale
-    return res.loss * scale, gx, gy
-
-
 def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepStats:
     """Forward/backward for one batch; gradients accumulate into the nets.
 
-    All windows are concatenated into single forward passes; CCC terms and
-    their gradients are then taken per window and scattered back.
+    All windows go through single forward passes and are scored as
+    (windows, frames) arrays.  Both modes share one path: the predictor is
+    fitted to a target per window, the gold trace in baseline mode and the
+    consensus in acn mode, where the consensus is also fitted to the gold
+    trace (term 1).  A window whose gold or consensus is constant is masked.
     """
     dims = resolve_dimensions(cfg)
     items = batch.segments
@@ -386,71 +367,50 @@ def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepStat
     ctx = model.predictor.config.context_frames
     x = np.vstack([build_inputs(np.asarray(it.features, dtype=np.float64), ctx) for it in items])
     preds = forward(model.predictor.net, x)
-    sl = [slice(i * w, (i + 1) * w) for i in range(k)]
-    degenerate = 0
-
-    if cfg.mode == "baseline":
-        parts = []
-        grad_pred = np.zeros_like(preds)
-        for dim in dims:
-            col = output_index(model.predictor.config, dim)
-            gold_w = [np.asarray(it.gold[dim], dtype=np.float64) for it in items]
-            pred_w = [preds[s, col] for s in sl]
-            valid = [float(np.var(g)) >= DEGENERATE_VAR for g in gold_w]
-            degenerate += valid.count(False)
-            loss, _, gy = _masked_batch(gold_w, pred_w, valid, cfg.pooling, False, True)
-            parts.append(loss)
-            for i, s in enumerate(sl):
-                grad_pred[s, col] += gy[i]
-        backward(model.predictor.net, grad_pred)
-        return StepStats(term1=None, term2=None, total=math.fsum(parts), degenerate=degenerate)
-
-    term1_parts, term2_parts = [], []
     grad_pred = np.zeros_like(preds)
+    joint = cfg.mode == "acn"
+    beta = cfg.beta if joint else 1.0
+    learn_cons_from_term2 = not cfg.detach_consensus_in_second_term
+    degenerate = 0
+    term1_parts, term2_parts = [], []
     for dim in dims:
         col = output_index(model.predictor.config, dim)
-        gold_w = [np.asarray(it.gold[dim], dtype=np.float64) for it in items]
-        m = np.vstack([np.asarray(it.annotations[dim], dtype=np.float64) for it in items])
-        cons = forward_consensus(model.acns[dim], m)
-        cons_w = [cons[s] for s in sl]
-        pred_w = [preds[s, col] for s in sl]
-        valid = [
-            float(np.var(g)) >= DEGENERATE_VAR and float(np.var(c)) >= DEGENERATE_VAR
-            for g, c in zip(gold_w, cons_w)
-        ]
-        degenerate += valid.count(False)
-        t1, _, g1_cons = _masked_batch(gold_w, cons_w, valid, cfg.pooling, False, True)
-        t2, g2_cons, g2_pred = _masked_batch(cons_w, pred_w, valid, cfg.pooling, True, True)
-        term1_parts.append(t1)
+        gold = np.array([it.gold[dim] for it in items], dtype=np.float64)
+        valid = gold.var(axis=1) >= DEGENERATE_VAR
+        target = gold
+        if joint:
+            m = np.vstack([np.asarray(it.annotations[dim], dtype=np.float64) for it in items])
+            target = forward_consensus(model.acns[dim], m).reshape(k, w)
+            valid &= target.var(axis=1) >= DEGENERATE_VAR
+        degenerate += k - int(np.count_nonzero(valid))
+        t2, g2_target, g2_pred = ccc_batch_loss(
+            target,
+            preds[:, col].reshape(k, w),
+            valid,
+            cfg.pooling,
+            want_grad_x=joint and learn_cons_from_term2,
+            want_grad_y=True,
+        )
         term2_parts.append(t2)
-        grad_cons = np.empty_like(cons)
-        for i, s in enumerate(sl):
-            g = cfg.alpha * g1_cons[i]
-            if not cfg.detach_consensus_in_second_term:
-                g = g + cfg.beta * g2_cons[i]
-            grad_cons[s] = g
-            grad_pred[s, col] += cfg.beta * g2_pred[i]
-        backward_consensus(model.acns[dim], grad_cons)
+        grad_pred[:, col] += beta * g2_pred.ravel()
+        if joint:
+            t1, _, g1_cons = ccc_batch_loss(gold, target, valid, cfg.pooling, want_grad_y=True)
+            term1_parts.append(t1)
+            grad_cons = cfg.alpha * g1_cons
+            if learn_cons_from_term2:
+                grad_cons = grad_cons + beta * g2_target
+            backward_consensus(model.acns[dim], grad_cons.ravel())
     backward(model.predictor.net, grad_pred)
-    term1 = math.fsum(term1_parts)
     term2 = math.fsum(term2_parts)
+    if not joint:
+        return StepStats(term1=None, term2=None, total=term2, degenerate=degenerate)
+    term1 = math.fsum(term1_parts)
     return StepStats(
         term1=term1,
         term2=term2,
-        total=cfg.alpha * term1 + cfg.beta * term2,
+        total=cfg.alpha * term1 + beta * term2,
         degenerate=degenerate,
     )
-
-
-def joint_dimension_loss(per_dimension: Mapping[str, float], heads: str) -> float:
-    """Total loss over dimensions: their unweighted sum.
-
-    A dimension trained with zero weights contributes zero, reducing the
-    total to single-dimension training.
-    """
-    if heads == "single" and len(per_dimension) > 1:
-        raise ConfigError("a single-head predictor cannot train multiple dimensions")
-    return math.fsum(per_dimension.values())
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +581,7 @@ def train_joint(
                     f"data has {model.acns[dim].annotators}"
                 )
             model.acns[dim] = copy.deepcopy(acn)
+            model.acn_flipped[dim] = False
     if freeze_acn:
         for acn in model.acns.values():
             for layer in acn.net.layers:
@@ -675,6 +636,7 @@ def save_run(run_dir, run: TrainRun, cfg: TrainConfig) -> None:
         "config_hash": run.config_hash,
         "predictor_config": dataclasses.asdict(run.model.predictor.config),
         "degenerate_windows": run.degenerate_windows,
+        "acn_flipped": run.model.acn_flipped,
         "wall_clock_s": run.wall_clock_s,
     }
     save_checkpoint(run_dir / "checkpoint.json", nets, meta)
@@ -692,4 +654,5 @@ def load_run_model(run_dir) -> tuple[JointModel, dict]:
     for name, net in nets.items():
         if name.startswith("acn/"):
             acns[name[len("acn/"):]] = Acn(net=net, annotators=net.in_dim)
-    return JointModel(predictor=predictor, acns=acns), meta
+    flipped = meta.get("acn_flipped", {})
+    return JointModel(predictor=predictor, acns=acns, acn_flipped=flipped), meta

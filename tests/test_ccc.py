@@ -161,54 +161,135 @@ def test_shift_penalty_strictly_decreasing():
         prev = ccc
 
 
+def batch_oracle(x, y, valid, pooling):
+    """Masked batch loss and gradients built from the fsum ``ccc_loss``."""
+    k, w = x.shape
+    gx, gy = np.zeros_like(x), np.zeros_like(y)
+    idx = np.flatnonzero(valid)
+    if idx.size == 0:
+        return 0.0, gx, gy
+    if pooling == "pooled":
+        r = ccc_loss(x[idx].ravel(), y[idx].ravel(), want_grad_x=True, want_grad_y=True)
+        gx[idx] = r.grad_x.reshape(idx.size, w)
+        gy[idx] = r.grad_y.reshape(idx.size, w)
+        return r.loss, gx, gy
+    losses = []
+    for i in idx:
+        r = ccc_loss(x[i], y[i], want_grad_x=True, want_grad_y=True)
+        losses.append(r.loss)
+        gx[i] = r.grad_x / k
+        gy[i] = r.grad_y / k
+    return math.fsum(losses) / k, gx, gy
+
+
+def batch(xs, ys, pooling, valid=None, **grads):
+    x = np.asarray(xs, dtype=float)
+    valid = np.ones(x.shape[0], dtype=bool) if valid is None else valid
+    return ccc_batch_loss(x, ys, valid, pooling, **grads)
+
+
 class TestBatch:
     def test_singleton_matches_single_pair(self):
         x = [0.1, 0.5, -0.2, 0.4]
         y = [0.2, 0.4, -0.1, 0.6]
-        single = ccc_loss(x, y)
+        single = ccc_loss(x, y, want_grad_x=True, want_grad_y=True)
         for pooling in ("pooled", "per_window_mean"):
-            agg = ccc_batch_loss([x], [y], pooling=pooling)
-            assert agg.loss == pytest.approx(single.loss, abs=1e-12)
+            loss, gx, gy = batch([x], [y], pooling, want_grad_x=True, want_grad_y=True)
+            assert loss == pytest.approx(single.loss, abs=1e-12)
+            np.testing.assert_allclose(gx[0], single.grad_x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gy[0], single.grad_y, rtol=0, atol=1e-12)
 
     def test_duplicated_pair_pooled_invariance(self):
         x = [0.1, 0.5, -0.2, 0.4]
         y = [0.2, 0.4, -0.1, 0.6]
         single = ccc_loss(x, y)
-        agg = ccc_batch_loss([x, x], [y, y], pooling="pooled")
-        assert agg.ccc == pytest.approx(single.ccc, abs=1e-12)
+        loss, _, _ = batch([x, x], [y, y], "pooled")
+        assert 1.0 - loss == pytest.approx(single.ccc, abs=1e-12)
 
     def test_per_window_mean_hand_value(self):
         # pair 1 is an identity (loss ~ 0), pair 2 perfectly anti-correlated (loss ~ 2)
-        agg = ccc_batch_loss(
-            [[1, 2], [1, 2]], [[1, 2], [2, 1]], pooling="per_window_mean"
-        )
-        assert agg.loss == pytest.approx(1.0, abs=1e-6)
+        loss, _, _ = batch([[1, 2], [1, 2]], [[1, 2], [2, 1]], "per_window_mean")
+        assert loss == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
-            ccc_batch_loss([], [], pooling="pooled")
+            ccc_batch_loss(np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0, bool), "pooled")
+
+    def test_shape_mismatch_rejected(self):
+        x = np.zeros((3, 4))
+        ok = np.ones(3, dtype=bool)
+        for y, valid in [
+            (np.zeros((3, 5)), ok),
+            (np.zeros((2, 4)), ok),
+            (np.zeros(12), ok),
+            (x, np.ones(2, dtype=bool)),
+        ]:
+            with pytest.raises(ContractError):
+                ccc_batch_loss(x, y, valid, "pooled")
+        with pytest.raises(ContractError):
+            ccc_batch_loss(x.ravel(), x.ravel(), ok, "pooled")
+        with pytest.raises(ContractError):
+            ccc_batch_loss(np.zeros((3, 1)), np.zeros((3, 1)), ok, "pooled")
+
+    def test_all_masked_is_zero(self):
+        rng = np.random.default_rng(2)
+        x, y = rng.uniform(-1, 1, (2, 2, 9))
+        for pooling in ("pooled", "per_window_mean"):
+            loss, gx, gy = batch(
+                x, y, pooling, np.zeros(2, bool), want_grad_x=True, want_grad_y=True
+            )
+            assert loss == 0.0
+            assert not gx.any() and not gy.any()
 
     def test_batch_grads_match_reduction(self):
         rng = np.random.default_rng(11)
-        xs = [rng.uniform(-1, 1, 12) for _ in range(3)]
-        ys = [rng.uniform(-1, 1, 12) for _ in range(3)]
+        xs = rng.uniform(-1, 1, (3, 12))
+        ys = rng.uniform(-1, 1, (3, 12))
+        valid = np.array([True, False, True])
 
         for pooling in ("pooled", "per_window_mean"):
-            agg = ccc_batch_loss(xs, ys, pooling=pooling, want_grad_x=True, want_grad_y=True)
+            _, gx, gy = batch(xs, ys, pooling, valid, want_grad_x=True, want_grad_y=True)
 
-            def batch_loss_wrt(k, v, pooling=pooling):
-                xs2 = [np.array(s) for s in xs]
-                xs2[k] = v
-                return ccc_batch_loss(xs2, ys, pooling=pooling).loss
+            def loss_with(k, v, wrt_x, pooling=pooling):
+                a, b = xs.copy(), ys.copy()
+                (a if wrt_x else b)[k] = v
+                return batch(a, b, pooling, valid)[0]
 
             for k in range(3):
-                num = central_diff_grad(lambda v: batch_loss_wrt(k, v), np.array(xs[k]))
-                assert rel_grad_error(agg.grad_xs[k], num) < 1e-5
+                num_x = central_diff_grad(lambda v: loss_with(k, v, True), xs[k])
+                num_y = central_diff_grad(lambda v: loss_with(k, v, False), ys[k])
+                if valid[k]:
+                    assert rel_grad_error(gx[k], num_x) < 1e-5
+                    assert rel_grad_error(gy[k], num_y) < 1e-5
+                else:
+                    assert not gx[k].any() and not gy[k].any()
+                    assert not num_x.any() and not num_y.any()
 
     def test_pooled_matches_concatenated_reference(self):
         rng = np.random.default_rng(5)
-        xs = [rng.uniform(-1, 1, 20) for _ in range(4)]
-        ys = [rng.uniform(-1, 1, 20) for _ in range(4)]
-        agg = ccc_batch_loss(xs, ys, pooling="pooled")
-        ref = reference_ccc(np.concatenate(xs), np.concatenate(ys))
-        assert agg.ccc == pytest.approx(ref, abs=1e-12)
+        xs = rng.uniform(-1, 1, (4, 20))
+        ys = rng.uniform(-1, 1, (4, 20))
+        loss, _, _ = batch(xs, ys, "pooled")
+        ref = reference_ccc(xs.ravel().tolist(), ys.ravel().tolist())
+        assert 1.0 - loss == pytest.approx(ref, abs=1e-12)
+
+
+@given(
+    k=st.integers(1, 6),
+    w=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    mix=st.floats(-1.0, 1.0),
+    shift=st.floats(-0.5, 0.5),
+    pooling=st.sampled_from(["pooled", "per_window_mean"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_batch_kernel_matches_fsum_oracle(k, w, seed, mix, shift, pooling):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (k, w))
+    y = mix * x + (1 - abs(mix)) * rng.uniform(-1, 1, (k, w)) + shift
+    valid = rng.random(k) < 0.7
+    loss, gx, gy = ccc_batch_loss(x, y, valid, pooling, want_grad_x=True, want_grad_y=True)
+    ref_loss, ref_gx, ref_gy = batch_oracle(x, y, valid, pooling)
+    assert abs(loss - ref_loss) <= 1e-12
+    np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gy, ref_gy, rtol=0, atol=1e-12)

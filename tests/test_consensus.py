@@ -10,7 +10,6 @@ from emocons.consensus import (
     Acn,
     AcnConfig,
     ConsensusTrace,
-    acn_forward,
     aggregate,
     aggregate_baseline,
     backward_consensus,
@@ -173,11 +172,11 @@ class TestAcn:
         m = substream(44, "m").uniform(-1, 1, size=(64, 5))
         np.testing.assert_array_equal(forward_consensus(acn, m), aggregate(m, "mean"))
 
-    def test_acn_forward_wraps_annotation_matrix(self):
+    def test_consensus_trace_wraps_acn_output(self):
         ann = AnnotationMatrix(
             np.array([[0.1, 0.3], [-0.2, 0.2]]), ("a", "b"), "valence", 25.0
         )
-        trace = acn_forward(make_mean_acn(2), ann)
+        trace = ConsensusTrace(forward_consensus(make_mean_acn(2), ann.data), "acn")
         assert trace.source == "acn"
         np.testing.assert_allclose(trace.values, [0.2, 0.0])
 

@@ -24,6 +24,7 @@ from emocons.synth import (
     generate_corpus,
     sample_profiles,
 )
+import emocons.trainer as trainer
 from emocons.trainer import (
     DIMENSION_CHOICES,
     TRAIN_MODES,
@@ -35,7 +36,6 @@ from emocons.trainer import (
     compute_batch,
     config_hash,
     init_models,
-    joint_dimension_loss,
     load_run_model,
     make_batches,
     prepare_data,
@@ -647,18 +647,6 @@ class TestMeanAcnEquivalence:
         )
 
 
-class TestJointDimensionLoss:
-    def test_sums_dimensions(self):
-        assert joint_dimension_loss({"arousal": 0.25, "valence": 0.5}, "dual") == 0.75
-
-    def test_zero_weighted_dimension_reduces(self):
-        assert joint_dimension_loss({"arousal": 0.4, "valence": 0.0}, "dual") == 0.4
-
-    def test_single_head_cannot_train_both(self):
-        with pytest.raises(ConfigError):
-            joint_dimension_loss({"arousal": 0.1, "valence": 0.2}, "single")
-
-
 class TestBothDimensions:
     def test_dual_head_trains_both(self):
         corpus = small_corpus()
@@ -677,6 +665,24 @@ class TestBothDimensions:
         head, head0 = run.model.predictor.net.layers[-1], fresh.net.layers[-1]
         assert not np.array_equal(head.weights[0], head0.weights[0])
         assert not np.array_equal(head.weights[1], head0.weights[1])
+
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_total_sums_dimensions(self, mode):
+        corpus = small_corpus()
+        cfg = small_train_config(
+            mode=mode,
+            dimensions="both",
+            predictor=PredictorConfig(encoder_dims=(8,), heads="dual"),
+        )
+        data = prepare_data(*split(corpus), cfg)
+        model = init_models(data, cfg)
+        batch = make_batches(data.train, cfg.batch_size, seed=0)[0]
+        both = compute_batch(model, batch, cfg).total
+        per_dim = [
+            compute_batch(model, batch, dataclasses.replace(cfg, dimensions=dim)).total
+            for dim in ("arousal", "valence")
+        ]
+        assert both == pytest.approx(math.fsum(per_dim), abs=1e-12)
 
 
 class TestRunTraining:
@@ -736,6 +742,24 @@ class TestArtifacts:
 
 
 class TestAcnOrientation:
+    @pytest.mark.parametrize("sign, flipped", [(1.0, False), (-1.0, True)])
+    def test_flip_recorded_in_checkpoint_meta(self, sign, flipped, tmp_path, monkeypatch):
+        # a mean (or negated mean) consensus: concordant (or anti-) at init
+        def signed_mean_acn(config, rng):
+            acn = make_mean_acn(config.annotators)
+            acn.net.layers[0].weights *= sign
+            return acn
+
+        monkeypatch.setattr(trainer, "init_acn", signed_mean_acn)
+        cfg = small_train_config(epochs=1)
+        data = prepare_data(*split(small_corpus()), cfg)
+        run = train_joint(data, cfg)
+        assert run.model.acn_flipped == {"valence": flipped}
+        save_run(tmp_path / "run", run, cfg)
+        model, meta = load_run_model(tmp_path / "run")
+        assert meta["acn_flipped"] == {"valence": flipped}
+        assert model.acn_flipped == {"valence": flipped}
+
     def test_initial_consensus_never_anti_correlated(self):
         corpus = small_corpus(seed=21)
         data = prepare_data(*split(corpus), small_train_config())
