@@ -685,6 +685,19 @@ class TestBothDimensions:
         assert both == pytest.approx(math.fsum(per_dim), abs=1e-12)
 
 
+class TestJointDimensionLoss:
+    def test_single_head_cannot_train_both(self):
+        # the two-dimension loss needs one output per dimension: a single-head
+        # predictor is refused at the training entry, in either mode
+        corpus = small_corpus()
+        for mode in TRAIN_MODES:
+            cfg = small_train_config(mode=mode, dimensions="both")
+            assert cfg.predictor.heads == "single"
+            data = prepare_data(*split(corpus), cfg)
+            with pytest.raises(ConfigError, match="dual-head"):
+                run_training(data, cfg)
+
+
 class TestRunTraining:
     def test_dispatch(self):
         corpus = small_corpus()
