@@ -15,13 +15,16 @@ same matrix regardless of file layout.
 A dataset directory groups several recording sources: a ``manifest.json``
 plus one subdirectory per source holding ``features.csv`` and, for each
 affect dimension, ``gold_<dim>.csv`` and ``annotations_<dim>.csv``.
+
+``window_bounds`` is the one place that cuts a source into fixed-length
+windows; training and per-window scoring both slice by its bounds.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,8 +43,9 @@ DATASET_VERSION = 1
 VALUE_MIN = -1.0
 VALUE_MAX = 1.0
 
-# Guard against 2.9999999999 -> 2 when converting durations to sample counts.
-_GRID_EPS = 1e-9
+# Streams cut into windows together must share one rate to this relative
+# tolerance, or their windows would cover different spans of time.
+RATE_RTOL = 1e-9
 
 
 class ClampWarning(UserWarning):
@@ -209,17 +213,6 @@ class WindowSpec:
         return w, s
 
 
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """One training window: aligned feature, annotation and gold slices."""
-
-    source_id: str
-    start_frame: int
-    features: FeatureSequence
-    annotations: AnnotationMatrix | None
-    gold: GoldStandardTrack | None
-
-
 # ---------------------------------------------------------------------------
 # CSV parsing
 
@@ -331,6 +324,13 @@ def load_annotation_csv(path: str | Path, dimension: str) -> AnnotationTrack | A
     return AnnotationMatrix(values, tuple(ids), dimension, rate)
 
 
+def as_annotation_matrix(ann: AnnotationTrack | AnnotationMatrix) -> AnnotationMatrix:
+    """A single annotator's track as a one-column matrix; matrices pass through."""
+    if isinstance(ann, AnnotationMatrix):
+        return ann
+    return AnnotationMatrix(ann.values[:, None], (ann.annotator_id,), ann.dimension, ann.rate_hz)
+
+
 def load_gold_csv(
     path: str | Path, dimension: str, provenance: str = "external_gold"
 ) -> GoldStandardTrack:
@@ -372,8 +372,13 @@ def write_annotation_csv(path: str | Path, ann: AnnotationTrack | AnnotationMatr
         _write_table(path, ["time", *ann.annotator_ids], ann.rate_hz, ann.data)
 
 
+def write_trace_csv(path: str | Path, values: np.ndarray, rate_hz: float) -> None:
+    """Write one trace in the ``time,value`` layout that load_gold_csv reads."""
+    _write_table(Path(path), ["time", "value"], rate_hz, np.asarray(values)[:, None])
+
+
 def write_gold_csv(path: str | Path, gold: GoldStandardTrack) -> None:
-    _write_table(Path(path), ["time", "value"], gold.rate_hz, gold.values[:, None])
+    write_trace_csv(path, gold.values, gold.rate_hz)
 
 
 def write_features_csv(path: str | Path, feats: FeatureSequence) -> None:
@@ -403,9 +408,16 @@ class SourceData:
                 f"annotation dimensions {sorted(self.annotations)}"
             )
         t = self.features.frames
+        rate = self.features.rate_hz
         for dim in self.gold:
             if self.gold[dim].frames != t or self.annotations[dim].frames != t:
                 raise ContractError(f"{self.source_id}/{dim}: streams are not frame-aligned")
+            for name, stream in (("gold", self.gold[dim]), ("annotations", self.annotations[dim])):
+                if not math.isclose(stream.rate_hz, rate, rel_tol=RATE_RTOL):
+                    raise ContractError(
+                        f"{self.source_id}/{dim}: {name} rate {stream.rate_hz} Hz "
+                        f"differs from the feature rate {rate} Hz"
+                    )
 
     @property
     def dimensions(self) -> tuple[str, ...]:
@@ -431,6 +443,11 @@ class Dataset:
                 raise ContractError("all sources must cover the same dimensions")
             if s.features.dim != first.features.dim:
                 raise ContractError("feature width must be constant across sources")
+            if not math.isclose(s.features.rate_hz, first.features.rate_hz, rel_tol=RATE_RTOL):
+                raise ContractError(
+                    f"source {s.source_id!r} is sampled at {s.features.rate_hz} Hz, "
+                    f"source {first.source_id!r} at {first.features.rate_hz} Hz"
+                )
 
     @property
     def source_ids(self) -> tuple[str, ...]:
@@ -505,42 +522,15 @@ def load_dataset(root: str | Path) -> Dataset:
         provenance = manifest.get("gold_provenance", "external_gold")
         for dim in dims:
             gold[dim] = load_gold_csv(d / f"gold_{dim}.csv", dim, provenance)
-            m = load_annotation_csv(d / f"annotations_{dim}.csv", dim)
-            if isinstance(m, AnnotationTrack):
-                m = AnnotationMatrix(
-                    m.values[:, None], (m.annotator_id,), dim, m.rate_hz
-                )
-            ann[dim] = m
+            ann[dim] = as_annotation_matrix(
+                load_annotation_csv(d / f"annotations_{dim}.csv", dim)
+            )
         sources.append(SourceData(source_id=sid, features=feats, gold=gold, annotations=ann))
     return Dataset(sources=sources, meta=manifest)
 
 
 # ---------------------------------------------------------------------------
-# Resampling and windowing
-
-
-def resample(track, target_hz: float):
-    """Linearly resample a container onto a new uniform grid.
-
-    The output grid starts at t=0 and covers the same duration; endpoints are
-    held, and resampling at the original rate reproduces the input exactly.
-    """
-    _check_rate(target_hz)
-    values = track.values if hasattr(track, "values") else track.data
-    n = values.shape[0]
-    if n < 2:
-        raise ContractError(f"need at least 2 samples to resample, got {n}")
-    duration = (n - 1) / track.rate_hz
-    out_len = int(np.floor(duration * target_hz + _GRID_EPS)) + 1
-    # Positions of the new grid expressed in source sample indices.
-    pos = np.arange(out_len) * (track.rate_hz / target_hz)
-    pos = np.clip(pos, 0.0, n - 1)
-    idx = np.arange(n, dtype=np.float64)
-    if values.ndim == 1:
-        out = np.interp(pos, idx, values)
-        return dataclasses.replace(track, values=out, rate_hz=target_hz)
-    out = np.column_stack([np.interp(pos, idx, values[:, j]) for j in range(values.shape[1])])
-    return dataclasses.replace(track, data=out, rate_hz=target_hz)
+# Windowing
 
 
 def window_count(total_frames: int, window_frames: int, shift_frames: int) -> int:
@@ -552,60 +542,7 @@ def window_count(total_frames: int, window_frames: int, shift_frames: int) -> in
     return (total_frames - window_frames) // shift_frames + 1
 
 
-def windowize(
-    features: FeatureSequence,
-    annotations: AnnotationMatrix | None,
-    gold: GoldStandardTrack | None,
-    spec: WindowSpec,
-    source_id: str,
-) -> list[Segment]:
-    """Cut aligned streams into fixed-length windows.
-
-    All provided streams must share the feature grid (same rate and frame
-    count).  A recording shorter than one window yields no segments and a
-    warning rather than an error.
-    """
-    rate = features.rate_hz
-    t = features.frames
-    for name, other in (("annotations", annotations), ("gold", gold)):
-        if other is None:
-            continue
-        if abs(other.rate_hz - rate) > _GRID_EPS * max(rate, 1.0):
-            raise ContractError(
-                f"{name} rate {other.rate_hz} does not match feature rate {rate}"
-            )
-        if other.frames != t:
-            raise ContractError(
-                f"{name} has {other.frames} frames, features have {t}"
-            )
-    w, s = spec.frames(rate)
-    count = window_count(t, w, s)
-    if count == 0:
-        warnings.warn(
-            f"source {source_id!r}: {t} frames is shorter than one "
-            f"{w}-frame window; no segments produced",
-            UserWarning,
-            stacklevel=2,
-        )
-        return []
-    segments = []
-    for k in range(count):
-        a = k * s
-        b = a + w
-        segments.append(
-            Segment(
-                source_id=source_id,
-                start_frame=a,
-                features=FeatureSequence(features.data[a:b], rate),
-                annotations=None
-                if annotations is None
-                else AnnotationMatrix(
-                    annotations.data[a:b], annotations.annotator_ids,
-                    annotations.dimension, rate,
-                ),
-                gold=None
-                if gold is None
-                else GoldStandardTrack(gold.dimension, rate, gold.values[a:b], gold.provenance),
-            )
-        )
-    return segments
+def window_bounds(frames: int, spec: WindowSpec, rate_hz: float) -> list[tuple[int, int]]:
+    """(start, stop) frame indices of every full window over ``frames`` frames."""
+    w, s = spec.frames(rate_hz)
+    return [(a, a + w) for a in range(0, window_count(frames, w, s) * s, s)]

@@ -5,34 +5,37 @@ corpus, train a run, evaluate or predict from its checkpoint, aggregate
 annotations into a consensus trace, compare two traces, and run the paired
 baseline-vs-consensus experiment.  Configuration is a single JSON document;
 any leaf can be overridden on the command line with its dotted path
-(``--train.alpha 0.7``), and flags win over the file with a warning.
+(``--train.alpha 0.7``), and flags win over the file with a warning.  The
+flags and their parse rules are derived from the config dataclasses' fields
+and types, and the JSON document is read and written by ``codec``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
 import os
 import sys
+import typing
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from .annotations import (
-    AnnotationMatrix,
-    AnnotationTrack,
     GoldStandardTrack,
+    as_annotation_matrix,
     load_annotation_csv,
     load_dataset,
     load_features_csv,
     load_gold_csv,
     write_dataset,
     write_gold_csv,
+    write_trace_csv,
 )
 from .ccc import ccc_loss
+from .codec import from_dict, to_dict
 from .consensus import AGGREGATORS, aggregate, compute_reliability_weights, forward_consensus
 from .errors import ConfigError, ContractError, EmoconsError
 from .evalharness import (
@@ -44,16 +47,8 @@ from .evalharness import (
     make_loso_plan,
 )
 from .predictor import forward_predictor, output_index
-from .synth import AnnotatorProfile, SynthConfig, default_synth_config, generate_corpus
-from .trainer import (
-    TrainConfig,
-    load_run_model,
-    prepare_data,
-    run_training,
-    save_run,
-    train_config_from_dict,
-    train_config_to_dict,
-)
+from .synth import SynthConfig, generate_corpus
+from .trainer import TrainConfig, load_run_model, prepare_data, run_training, save_run
 
 CLI_SCHEMA_VERSION = 1
 
@@ -92,155 +87,54 @@ class CliConfig:
     dataset_dir: str = ""
     run_dir: str = ""
     train: TrainConfig = field(default_factory=TrainConfig)
-    synth: SynthConfig = field(default_factory=lambda: default_synth_config(0))
+    synth: SynthConfig = field(default_factory=SynthConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
 
-def synth_config_to_dict(cfg: SynthConfig) -> dict:
-    return {
-        "sources": cfg.sources,
-        "frames_per_source": cfg.frames_per_source,
-        "feature_dim": cfg.feature_dim,
-        "annotators": cfg.annotators,
-        "profiles": {
-            dim: [dataclasses.asdict(p) for p in profs]
-            for dim, profs in sorted(cfg.profiles.items())
-        },
-        "feature_snr": {k: float(v) for k, v in sorted(cfg.feature_snr.items())},
-        "seed": cfg.seed,
-        "rate_hz": cfg.rate_hz,
-    }
-
-
-def synth_config_from_dict(d: Mapping) -> SynthConfig:
-    if not isinstance(d, Mapping):
-        raise ConfigError(f"synth section must be a mapping, got {type(d).__name__}")
-    known = {f.name for f in dataclasses.fields(SynthConfig)}
-    unknown = sorted(set(d) - known)
-    if unknown:
-        raise ConfigError(f"unknown synth config keys: {unknown}")
-    kwargs = dict(d)
-    profiles = kwargs.pop("profiles", None)
-    if profiles is not None:
-        try:
-            kwargs["profiles"] = {
-                dim: tuple(AnnotatorProfile(**p) for p in plist)
-                for dim, plist in profiles.items()
-            }
-        except TypeError as exc:
-            raise ConfigError(f"bad annotator profile: {exc}") from exc
-    seed = kwargs.pop("seed", 0)
-    return default_synth_config(seed, **kwargs)
-
-
-def eval_config_from_dict(d: Mapping) -> EvalConfig:
-    if not isinstance(d, Mapping):
-        raise ConfigError(f"eval section must be a mapping, got {type(d).__name__}")
-    known = {f.name for f in dataclasses.fields(EvalConfig)}
-    unknown = sorted(set(d) - known)
-    if unknown:
-        raise ConfigError(f"unknown eval config keys: {unknown}")
-    return EvalConfig(**d)
-
-
-_CLI_KEYS = ("version", "dataset_dir", "run_dir", "train", "synth", "eval")
-
-
-def cli_config_to_dict(cfg: CliConfig) -> dict:
-    return {
-        "version": cfg.version,
-        "dataset_dir": cfg.dataset_dir,
-        "run_dir": cfg.run_dir,
-        "train": train_config_to_dict(cfg.train),
-        "synth": synth_config_to_dict(cfg.synth),
-        "eval": dataclasses.asdict(cfg.eval),
-    }
-
-
 def cli_config_from_dict(d: Mapping) -> CliConfig:
-    if not isinstance(d, Mapping):
-        raise ConfigError(f"cli config must be a mapping, got {type(d).__name__}")
-    unknown = sorted(set(d) - set(_CLI_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown cli config keys: {unknown}")
-    if "version" not in d:
-        raise ConfigError("cli config requires a schema version field")
-    if d["version"] != CLI_SCHEMA_VERSION:
+    if isinstance(d, Mapping) and d.get("version") != CLI_SCHEMA_VERSION:
         raise ConfigError(
-            f"unsupported cli config version {d['version']!r}, expected {CLI_SCHEMA_VERSION}"
+            f"cli config needs schema version {CLI_SCHEMA_VERSION}, got {d.get('version')!r}"
         )
-    return CliConfig(
-        version=CLI_SCHEMA_VERSION,
-        dataset_dir=str(d.get("dataset_dir", "")),
-        run_dir=str(d.get("run_dir", "")),
-        train=train_config_from_dict(d.get("train", {})),
-        synth=synth_config_from_dict(d.get("synth", {})),
-        eval=eval_config_from_dict(d.get("eval", {})),
-    )
+    return from_dict(CliConfig, d)
 
 
 # ---------------------------------------------------------------------------
-# Flag registry: every overridable config leaf, with its parse kind
+# Flags: one per config leaf, derived from the dataclass fields and types
 
 
-@dataclass(frozen=True)
-class Flag:
-    name: str  # dotted config path
-    kind: str
-    help: str
+def _is_numeric_mapping(tp) -> bool:
+    return typing.get_origin(tp) is Mapping and typing.get_args(tp)[1] in (int, float)
 
 
-FLAG_REGISTRY: tuple[Flag, ...] = (
-    Flag("dataset_dir", "str", "dataset directory"),
-    Flag("run_dir", "str", "run output directory"),
-    Flag("train.mode", "str", "training mode: baseline or acn"),
-    Flag("train.dimensions", "str", "dimensions to train: arousal, valence, or both"),
-    Flag("train.alpha", "float", "weight of the gold-vs-consensus loss term"),
-    Flag("train.beta", "float", "weight of the consensus-vs-prediction loss term"),
-    Flag("train.epochs", "int", "training epochs"),
-    Flag("train.batch_size", "int", "windows per batch"),
-    Flag("train.pooling", "str", "loss pooling: per_window_mean or pooled"),
-    Flag("train.seed", "int", "root seed for init and shuffling"),
-    Flag(
-        "train.detach_consensus_in_second_term",
-        "bool",
-        "stop consensus gradients from the prediction term",
-    ),
-    Flag("train.window.window_s", "float", "window length in seconds"),
-    Flag("train.window.shift_s", "float", "window shift in seconds"),
-    Flag("train.optim.learning_rate", "float", "Adam learning rate"),
-    Flag("train.optim.beta1", "float", "Adam first-moment decay"),
-    Flag("train.optim.beta2", "float", "Adam second-moment decay"),
-    Flag("train.optim.eps", "float", "Adam denominator epsilon"),
-    Flag("train.optim.grad_clip_norm", "opt_float", "global-norm clip, or 'none'"),
-    Flag("train.predictor.feature_dim", "int", "input feature width (0 = from data)"),
-    Flag("train.predictor.frontend", "str", "identity or fixed_random_projection"),
-    Flag("train.predictor.frontend_dim", "int", "frozen projection width"),
-    Flag("train.predictor.encoder_dims", "int_tuple", "encoder widths, e.g. 64,64"),
-    Flag("train.predictor.activation", "str", "encoder activation"),
-    Flag("train.predictor.heads", "str", "single or dual output heads"),
-    Flag("train.predictor.head_activation", "str", "output activation: tanh or linear"),
-    Flag("train.predictor.context_frames", "int", "stacked context frames per side"),
-    Flag("train.acn.annotators", "int", "annotator count (0 = from data)"),
-    Flag("train.acn.hidden_dims", "int_tuple", "consensus net hidden widths"),
-    Flag("train.acn.activation", "str", "consensus net hidden activation"),
-    Flag("train.acn.output_activation", "str", "consensus net output activation"),
-    Flag("synth.sources", "int", "number of simulated sources"),
-    Flag("synth.frames_per_source", "int", "frames per source"),
-    Flag("synth.feature_dim", "int", "feature columns"),
-    Flag("synth.annotators", "int", "annotators per dimension"),
-    Flag("synth.profiles", "json", "JSON annotator profiles per dimension"),
-    Flag("synth.feature_snr.arousal", "float", "feature SNR for arousal"),
-    Flag("synth.feature_snr.valence", "float", "feature SNR for valence"),
-    Flag("synth.seed", "int", "corpus seed"),
-    Flag("synth.rate_hz", "float", "frame rate"),
-    Flag("eval.scheme", "str", "fold scheme: leave_one_source_out or fixed_split"),
-    Flag("eval.seeds", "int_tuple", "seeds for the paired comparison, e.g. 1,2,3"),
-    Flag("eval.train_sources", "str_tuple", "fixed-split training sources"),
-    Flag("eval.test_sources", "str_tuple", "fixed-split test sources"),
-)
+def _leaves(cfg, prefix: str = ""):
+    """(dotted path, type, default) of every overridable leaf of a config.
 
-_FLAG_BY_NAME = {f.name: f for f in FLAG_REGISTRY}
+    A leaf's default is its field's own default where it declares one (an
+    empty ``synth.profiles`` means "sample from the seed"), else the value
+    in the enclosing default.
+    """
+    hints = typing.get_type_hints(type(cfg))
+    for f in dataclasses.fields(cfg):
+        path, tp, value = prefix + f.name, hints[f.name], getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, path + ".")
+            continue
+        if f.default is not dataclasses.MISSING:
+            value = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            value = f.default_factory()
+        if _is_numeric_mapping(tp):
+            for key, v in value.items():
+                yield f"{path}.{key}", typing.get_args(tp)[1], v
+        elif path != "version":
+            yield path, tp, value
+
+
+# dotted path -> (field type, default)
+FLAG_REGISTRY: dict[str, tuple[object, object]] = {
+    path: (tp, default) for path, tp, default in _leaves(CliConfig())
+}
 
 _BOOL_WORDS = {
     "true": True, "1": True, "yes": True, "on": True,
@@ -248,32 +142,53 @@ _BOOL_WORDS = {
 }
 
 
-def _parse_value(flag: Flag, raw: str):
+def _tuple_item(tp):
+    """Element type of ``tuple[int, ...]`` or ``tuple[str, ...]``, else None."""
+    if typing.get_origin(tp) is tuple and typing.get_args(tp)[0] in (int, str):
+        return typing.get_args(tp)[0]
+    return None
+
+
+def _type_name(tp) -> str:
+    if tp in (bool, int, float, str):
+        return tp.__name__.upper()
+    if tp == float | None:
+        return "FLOAT|none"
+    if item := _tuple_item(tp):
+        return f"{item.__name__.upper()},..."
+    return "JSON"
+
+
+def _parse_value(name: str, raw: str):
+    tp = FLAG_REGISTRY[name][0]
     text = raw.strip()
     try:
-        if flag.kind == "int":
-            return int(text)
-        if flag.kind == "float":
-            return float(text)
-        if flag.kind == "str":
-            return text
-        if flag.kind == "bool":
-            if text.lower() not in _BOOL_WORDS:
-                raise ValueError
+        if tp is bool:
             return _BOOL_WORDS[text.lower()]
-        if flag.kind == "opt_float":
+        if tp == float | None:
             return None if text.lower() in ("none", "null", "") else float(text)
-        if flag.kind == "int_tuple":
-            return [int(t) for t in text.split(",")] if text else []
-        if flag.kind == "str_tuple":
-            return [t.strip() for t in text.split(",") if t.strip()]
-        if flag.kind == "json":
-            return json.loads(text)
-    except (ValueError, json.JSONDecodeError):
+        if tp in (int, float, str):
+            return tp(text)
+        if item := _tuple_item(tp):
+            return [item(t.strip()) for t in text.split(",") if t.strip()]
+        return json.loads(text)
+    except (KeyError, ValueError):
         raise ConfigError(
-            f"invalid value for --{flag.name}: {raw!r} is not {flag.kind}"
+            f"invalid value for --{name}: {raw!r} is not {_type_name(tp)}"
         ) from None
-    raise ConfigError(f"flag --{flag.name} has unknown kind {flag.kind!r}")
+
+
+def _format_value(value) -> str:
+    """A default in the form its flag parses back."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, Mapping):
+        return json.dumps(value)
+    return str(value)
 
 
 def resolve_config(
@@ -298,7 +213,7 @@ def resolve_config(
         base = cli_config_from_dict(explicit)
     else:
         base = CliConfig()
-    tree = cli_config_to_dict(base)
+    tree = to_dict(base)
     # profiles not given explicitly stay derived, so overriding the seed or
     # annotator count re-samples them instead of clashing with stale panels
     explicit_synth = explicit.get("synth", {})
@@ -307,10 +222,9 @@ def resolve_config(
 
     warnings: list[str] = []
     for name, raw in overrides.items():
-        flag = _FLAG_BY_NAME.get(name)
-        if flag is None:
+        if name not in FLAG_REGISTRY:
             raise ConfigError(f"unknown override flag --{name}")
-        value = _parse_value(flag, raw)
+        value = _parse_value(name, raw)
         parts = name.split(".")
         node, seen = tree, explicit
         for p in parts[:-1]:
@@ -352,12 +266,12 @@ def _build_parser() -> _Parser:
     overrides = _Parser(add_help=False)
     group = overrides.add_argument_group("configuration")
     group.add_argument("--config", metavar="JSON", help="cli config file")
-    for flag in FLAG_REGISTRY:
+    for name, (tp, default) in FLAG_REGISTRY.items():
         group.add_argument(
-            f"--{flag.name}",
-            dest=flag.name,
-            metavar=flag.kind.upper(),
-            help=flag.help,
+            f"--{name}",
+            dest=name,
+            metavar=_type_name(tp),
+            help=f"default: {_format_value(default) or 'empty'}",
         )
 
     parser = _Parser(
@@ -366,35 +280,27 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser(
-        "simulate", parents=[overrides],
-        help="generate a synthetic multi-annotator dataset",
-    )
-    p.add_argument("--seed", metavar="INT", help="alias for --synth.seed")
-    p.add_argument("--out", metavar="DIR", help="alias for --dataset_dir")
+    def command(name: str, summary: str) -> _Parser:
+        p = sub.add_parser(name, parents=[overrides], help=summary)
+        for alias, path in _ALIASES.get(name, {}).items():
+            p.add_argument(
+                f"--{alias}", metavar=_type_name(FLAG_REGISTRY[path][0]),
+                help=f"alias for --{path}",
+            )
+        return p
 
-    p = sub.add_parser("train", parents=[overrides], help="train one run")
-    p.add_argument("--mode", metavar="MODE", help="alias for --train.mode")
-    p.add_argument("--dimension", metavar="DIM", help="alias for --train.dimensions")
-    p.add_argument("--dataset", metavar="DIR", help="alias for --dataset_dir")
-    p.add_argument("--out", metavar="DIR", help="alias for --run_dir")
+    command("simulate", "generate a synthetic multi-annotator dataset")
+    command("train", "train one run")
 
-    p = sub.add_parser(
-        "evaluate", parents=[overrides],
-        help="score a trained run against gold on a dataset",
-    )
+    p = command("evaluate", "score a trained run against gold on a dataset")
     p.add_argument("--run", metavar="DIR", help="run directory (default: run_dir)")
-    p.add_argument("--dataset", metavar="DIR", help="alias for --dataset_dir")
     p.add_argument(
         "--pooling", choices=("pooled", "per_window_mean"), default="pooled",
         help="score whole traces or average window scores",
     )
     p.add_argument("--sources", metavar="IDS", help="comma-separated source filter")
 
-    p = sub.add_parser(
-        "aggregate", parents=[overrides],
-        help="collapse an annotation matrix into one consensus trace",
-    )
+    p = command("aggregate", "collapse an annotation matrix into one consensus trace")
     p.add_argument("--in", dest="input", metavar="CSV", required=True,
                    help="wide annotation csv")
     p.add_argument("--out", dest="output", metavar="CSV", required=True,
@@ -404,32 +310,19 @@ def _build_parser() -> _Parser:
                    help="trained run directory (required for --method acn)")
     p.add_argument("--dimension", default="arousal", metavar="DIM")
 
-    p = sub.add_parser(
-        "predict", parents=[overrides],
-        help="run a trained predictor over a feature csv",
-    )
+    p = command("predict", "run a trained predictor over a feature csv")
     p.add_argument("--run", metavar="DIR", required=True, help="run directory")
     p.add_argument("--features", metavar="CSV", required=True)
     p.add_argument("--out", dest="output", metavar="CSV", required=True)
     p.add_argument("--dimension", metavar="DIM",
                    help="which trained dimension to emit (default: first)")
 
-    p = sub.add_parser(
-        "metrics", parents=[overrides],
-        help="concordance between two traces",
-    )
+    p = command("metrics", "concordance between two traces")
     p.add_argument("--x", metavar="CSV", required=True)
     p.add_argument("--y", metavar="CSV", required=True)
     p.add_argument("--dimension", default="arousal", metavar="DIM")
 
-    p = sub.add_parser(
-        "ab", parents=[overrides],
-        help="paired baseline-vs-consensus cross-validation over seeds",
-    )
-    p.add_argument("--dataset", metavar="DIR", help="alias for --dataset_dir")
-    p.add_argument("--out", metavar="DIR", help="alias for --run_dir")
-    p.add_argument("--seeds", metavar="INTS", help="alias for --eval.seeds")
-
+    command("ab", "paired baseline-vs-consensus cross-validation over seeds")
     return parser
 
 
@@ -446,27 +339,8 @@ def _require(value: str, what: str, hint: str) -> str:
 def _write_cli_config(dirpath: Path, cfg: CliConfig) -> None:
     dirpath.mkdir(parents=True, exist_ok=True)
     with open(dirpath / "cli_config.json", "w") as fh:
-        json.dump(cli_config_to_dict(cfg), fh, indent=2)
+        json.dump(to_dict(cfg), fh, indent=2)
         fh.write("\n")
-
-
-def _write_trace_csv(path, rate_hz: float, values) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "value"])
-        for k, v in enumerate(values):
-            w.writerow([f"{k / rate_hz:.6f}", f"{float(v):.6f}"])
-
-
-def _as_annotation_matrix(ann) -> AnnotationMatrix:
-    if isinstance(ann, AnnotationTrack):
-        return AnnotationMatrix(
-            data=ann.values[:, None],
-            annotator_ids=(ann.annotator_id,),
-            dimension=ann.dimension,
-            rate_hz=ann.rate_hz,
-        )
-    return ann
 
 
 def _cmd_simulate(cfg: CliConfig, ns) -> int:
@@ -525,7 +399,7 @@ def _cmd_evaluate(cfg: CliConfig, ns) -> int:
     if ns.pooling == "per_window_mean":
         cfg_path = Path(run_dir) / "config.json"
         if cfg_path.exists():
-            window = train_config_from_dict(json.loads(cfg_path.read_text())).window
+            window = from_dict(TrainConfig, json.loads(cfg_path.read_text())).window
         else:
             window = cfg.train.window
     scores = evaluate(model.predictor, sources, dims, pooling=ns.pooling, window=window)
@@ -535,7 +409,7 @@ def _cmd_evaluate(cfg: CliConfig, ns) -> int:
 
 
 def _cmd_aggregate(cfg: CliConfig, ns) -> int:
-    matrix = _as_annotation_matrix(load_annotation_csv(ns.input, ns.dimension))
+    matrix = as_annotation_matrix(load_annotation_csv(ns.input, ns.dimension))
     if ns.method == "acn":
         if not ns.checkpoint:
             raise ConfigError("--checkpoint is required for --method acn")
@@ -571,7 +445,7 @@ def _cmd_predict(cfg: CliConfig, ns) -> int:
     dim = ns.dimension or (dims[0] if dims else "arousal")
     out = forward_predictor(model.predictor, feats.data)
     col = output_index(model.predictor.config, dim)
-    _write_trace_csv(ns.output, feats.rate_hz, out[:, col])
+    write_trace_csv(ns.output, out[:, col], feats.rate_hz)
     print(f"wrote {out.shape[0]} frames of {dim} predictions to {ns.output}")
     return 0
 
@@ -669,10 +543,10 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
         if ns.command is None:
             raise ConfigError("a subcommand is required; see --help")
         overrides: dict[str, str] = {}
-        for flag in FLAG_REGISTRY:
-            raw = vars(ns).get(flag.name)
+        for name in FLAG_REGISTRY:
+            raw = vars(ns).get(name)
             if raw is not None:
-                overrides[flag.name] = raw
+                overrides[name] = raw
         for alias, path in _ALIASES.get(ns.command, {}).items():
             raw = getattr(ns, alias, None)
             if raw is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .annotations import Dataset, SourceData, WindowSpec, load_dataset, window_count
+from .annotations import Dataset, SourceData, WindowSpec, load_dataset, window_bounds
 from .ccc import ccc_from_stats, ccc_stats
 from .errors import ContractError, StructuralError
 from .predictor import Predictor, forward_predictor, output_index
@@ -141,10 +141,15 @@ def evaluate(
             if pooling == "pooled":
                 vals.append(ccc_from_stats(ccc_stats(gold, yhat)))
             else:
-                w, s = window.frames(src.features.rate_hz)
-                for k in range(window_count(gold.size, w, s)):
-                    a, b = k * s, k * s + w
+                for a, b in window_bounds(gold.size, window, src.features.rate_hz):
                     vals.append(ccc_from_stats(ccc_stats(gold[a:b], yhat[a:b])))
+        if not vals:
+            longest = max(sources, key=lambda src: src.features.frames)
+            w, _ = window.frames(longest.features.rate_hz)
+            raise ContractError(
+                f"no source holds one full {w}-frame window; the longest, "
+                f"{longest.source_id!r}, has {longest.features.frames} frames"
+            )
         scores[dim] = math.fsum(vals) / len(vals)
     return scores
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -104,13 +104,24 @@ def sample_profiles(count, rng, *, noise_sd, scale, bias, lag_frames, drift_sd):
 
 @dataclass(frozen=True)
 class SynthConfig:
-    sources: int
-    frames_per_source: int
-    feature_dim: int
-    annotators: int
-    profiles: Mapping[str, Sequence[AnnotatorProfile]]
-    feature_snr: Mapping[str, float]
-    seed: int
+    """Corpus recipe; the defaults are the two-dimension benchmark corpus.
+
+    An empty ``profiles`` samples a mild arousal panel and a noisy valence
+    panel of ``annotators`` profiles from the seed.
+    """
+
+    sources: int = 7
+    frames_per_source: int = 11250
+    feature_dim: int = 10
+    annotators: int = 6
+    profiles: Mapping[str, Sequence[AnnotatorProfile]] = field(default_factory=dict)
+    # valence is deliberately feature-poor: its per-column snr is tuned so
+    # a plain predictor lands near CCC 0.45, the hard regime where
+    # consensus-guided training separates from single-gold training
+    feature_snr: Mapping[str, float] = field(
+        default_factory=lambda: {"arousal": 8.0, "valence": 0.1}
+    )
+    seed: int = 0
     rate_hz: float = 25.0
 
     def __post_init__(self):
@@ -124,9 +135,20 @@ class SynthConfig:
             raise ContractError(f"rate_hz must be positive, got {self.rate_hz}")
         if self.annotators < 2:
             raise ContractError(f"annotators must be >= 2, got {self.annotators}")
-        dims = sorted(self.profiles)
-        if not dims:
-            raise ContractError("profiles must cover at least one dimension")
+        profiles = self.profiles or {
+            "arousal": sample_profiles(
+                self.annotators, substream(self.seed, "profiles/arousal"), **MILD_ANNOTATORS
+            ),
+            "valence": sample_profiles(
+                self.annotators, substream(self.seed, "profiles/valence"), **NOISY_ANNOTATORS
+            ),
+        }
+        # kept sorted, as tuples and floats, so equal recipes have one dict form
+        dims = sorted(profiles)
+        object.__setattr__(self, "profiles", {d: tuple(profiles[d]) for d in dims})
+        object.__setattr__(
+            self, "feature_snr", {d: float(v) for d, v in sorted(self.feature_snr.items())}
+        )
         if sorted(self.feature_snr) != dims:
             raise ContractError(
                 f"feature_snr dimensions {sorted(self.feature_snr)} "
@@ -154,32 +176,7 @@ class SynthConfig:
 
 def default_synth_config(seed, **overrides):
     """Two-dimension benchmark corpus: mild arousal panel, noisy valence panel."""
-    annotators = overrides.pop("annotators", 6)
-    profiles = overrides.pop(
-        "profiles",
-        {
-            "arousal": sample_profiles(
-                annotators, substream(seed, "profiles/arousal"), **MILD_ANNOTATORS
-            ),
-            "valence": sample_profiles(
-                annotators, substream(seed, "profiles/valence"), **NOISY_ANNOTATORS
-            ),
-        },
-    )
-    cfg = dict(
-        sources=7,
-        frames_per_source=11250,
-        feature_dim=10,
-        annotators=annotators,
-        profiles=profiles,
-        # valence is deliberately feature-poor: its per-column snr is tuned so
-        # a plain predictor lands near CCC 0.45, the hard regime where
-        # consensus-guided training separates from single-gold training
-        feature_snr={"arousal": 8.0, "valence": 0.1},
-        seed=seed,
-    )
-    cfg.update(overrides)
-    return SynthConfig(**cfg)
+    return SynthConfig(seed=seed, **overrides)
 
 
 def generate_truth(cfg, dimension, source_index):

@@ -32,8 +32,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .annotations import SourceData, WindowSpec, window_count
+from .annotations import SourceData, WindowSpec, window_bounds
 from .ccc import POOLINGS, ccc_batch_loss, ccc_from_stats, ccc_stats
+from .codec import from_dict, to_dict
 from .consensus import (
     Acn,
     AcnConfig,
@@ -126,55 +127,11 @@ def resolve_dimensions(cfg: TrainConfig) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Config serialization
-
-
-_SUB_CONFIGS = {
-    "window": (WindowSpec, ()),
-    "optim": (OptimConfig, ()),
-    "predictor": (PredictorConfig, ("encoder_dims",)),
-    "acn": (AcnConfig, ("hidden_dims",)),
-}
-
-
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    """Plain-dict form of a config; JSON round-trips back via from_dict."""
-    return dataclasses.asdict(cfg)
-
-
-def _build_sub(cls, value, tuple_fields):
-    if dataclasses.is_dataclass(value):
-        return value
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{cls.__name__} section must be a mapping, got {value!r}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(value) - known
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    kwargs = dict(value)
-    for name in tuple_fields:
-        if name in kwargs and kwargs[name] is not None:
-            kwargs[name] = tuple(kwargs[name])
-    return cls(**kwargs)
-
-
-def train_config_from_dict(d: Mapping) -> TrainConfig:
-    """Rebuild a TrainConfig from its dict form; unknown keys are errors."""
-    if not isinstance(d, Mapping):
-        raise ConfigError(f"train config must be a mapping, got {type(d).__name__}")
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    kwargs = dict(d)
-    for name, (cls, tuple_fields) in _SUB_CONFIGS.items():
-        if name in kwargs:
-            kwargs[name] = _build_sub(cls, kwargs[name], tuple_fields)
-    return TrainConfig(**kwargs)
+# Config hash
 
 
 def config_hash(cfg: TrainConfig) -> str:
-    blob = json.dumps(train_config_to_dict(cfg), sort_keys=True)
+    blob = json.dumps(to_dict(cfg), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -246,11 +203,7 @@ def prepare_data(
                 raise ContractError(
                     f"source {src.source_id!r} has no annotations for {dim!r}"
                 )
-        rate = src.features.rate_hz
-        w, s = cfg.window.frames(rate)
-        count = window_count(src.features.frames, w, s)
-        for k in range(count):
-            a, b = k * s, k * s + w
+        for a, b in window_bounds(src.features.frames, cfg.window, src.features.rate_hz):
             gold = {dim: src.gold[dim].values[a:b] for dim in dims}
             ann = {}
             if cfg.mode == "acn":
@@ -625,7 +578,7 @@ def save_run(run_dir, run: TrainRun, cfg: TrainConfig) -> None:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "config.json", "w") as fh:
-        json.dump(train_config_to_dict(cfg), fh, indent=2)
+        json.dump(to_dict(cfg), fh, indent=2)
     write_epochs_csv(run_dir / "epochs.csv", run.epochs)
     nets = {"predictor": run.model.predictor.net}
     for dim, acn in run.model.acns.items():
@@ -634,7 +587,7 @@ def save_run(run_dir, run: TrainRun, cfg: TrainConfig) -> None:
         "mode": run.mode,
         "dimensions": list(run.dimensions),
         "config_hash": run.config_hash,
-        "predictor_config": dataclasses.asdict(run.model.predictor.config),
+        "predictor_config": to_dict(run.model.predictor.config),
         "degenerate_windows": run.degenerate_windows,
         "acn_flipped": run.model.acn_flipped,
         "wall_clock_s": run.wall_clock_s,
@@ -648,7 +601,7 @@ def load_run_model(run_dir) -> tuple[JointModel, dict]:
     nets, meta = load_checkpoint(run_dir / "checkpoint.json")
     if "predictor" not in nets:
         raise StructuralError(f"{run_dir}: checkpoint has no predictor network")
-    pcfg = _build_sub(PredictorConfig, meta.get("predictor_config", {}), ("encoder_dims",))
+    pcfg = from_dict(PredictorConfig, meta.get("predictor_config", {}), "predictor_config")
     predictor = Predictor(net=nets["predictor"], config=pcfg)
     acns = {}
     for name, net in nets.items():

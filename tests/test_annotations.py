@@ -7,15 +7,16 @@ from emocons.annotations import (
     AnnotationMatrix,
     AnnotationTrack,
     ClampWarning,
+    Dataset,
     FeatureSequence,
     GoldStandardTrack,
+    SourceData,
     WindowSpec,
     load_annotation_csv,
     load_features_csv,
     load_gold_csv,
-    resample,
+    window_bounds,
     window_count,
-    windowize,
     write_annotation_csv,
 )
 from emocons.errors import ContractError, ParseError, StructuralError
@@ -142,31 +143,6 @@ class TestGoldAndFeatures:
         np.testing.assert_allclose(f.data, [[1.5, -2.0], [0.5, 3.0]])
 
 
-class TestResample:
-    def test_linear_midpoint(self):
-        t = AnnotationTrack("a", "arousal", 1.0, np.array([0.0, 1.0]))
-        r = resample(t, 2.0)
-        np.testing.assert_allclose(r.values, [0.0, 0.5, 1.0])
-        assert r.rate_hz == 2.0
-
-    def test_identity_at_own_rate(self):
-        vals = np.array([0.1, -0.2, 0.4, 0.9, -0.5])
-        t = AnnotationTrack("a", "arousal", 25.0, vals)
-        r = resample(t, 25.0)
-        np.testing.assert_array_equal(r.values, vals)
-
-    def test_downsample_hand_interpolation(self):
-        # [0, 1, 0] at 25 Hz covers 0.08 s; the 12.5 Hz grid hits t=0 and t=0.08
-        t = AnnotationTrack("a", "arousal", 25.0, np.array([0.0, 1.0, 0.0]))
-        r = resample(t, 12.5)
-        np.testing.assert_allclose(r.values, [0.0, 0.0])
-
-    def test_single_sample_rejected(self):
-        t = AnnotationTrack("a", "arousal", 25.0, np.array([0.5]))
-        with pytest.raises(ContractError):
-            resample(t, 50.0)
-
-
 def make_aligned(frames, rate=25.0, dim=4, annotators=2):
     rng = np.random.default_rng(1)
     feats = FeatureSequence(rng.normal(size=(frames, dim)), rate)
@@ -180,38 +156,46 @@ def make_aligned(frames, rate=25.0, dim=4, annotators=2):
     return feats, ann, gold
 
 
+def make_source(frames, rate=25.0, gold_rate=None, source_id="s"):
+    feats, ann, gold = make_aligned(frames, rate)
+    if gold_rate is not None:
+        gold = GoldStandardTrack("arousal", gold_rate, gold.values, "external_gold")
+    return SourceData(source_id, feats, {"arousal": gold}, {"arousal": ann})
+
+
 class TestWindowize:
     def test_count_formula_300_75_10(self):
-        feats, ann, gold = make_aligned(300)
-        segs = windowize(feats, ann, gold, WindowSpec(3.0, 0.4), source_id="s")
-        assert len(segs) == 23
-        assert all(s.features.frames == 75 for s in segs)
-        assert segs[1].start_frame == 10
+        bounds = window_bounds(300, WindowSpec(3.0, 0.4), 25.0)
+        assert len(bounds) == 23
+        assert all(b - a == 75 for a, b in bounds)
+        assert [a for a, _ in bounds] == list(range(0, 230, 10))
 
     def test_exact_fit_one_window(self):
-        feats, ann, gold = make_aligned(75)
-        segs = windowize(feats, ann, gold, WindowSpec(3.0, 0.4), source_id="s")
-        assert len(segs) == 1
+        assert window_bounds(75, WindowSpec(3.0, 0.4), 25.0) == [(0, 75)]
 
-    def test_too_short_warns_empty(self):
-        feats, ann, gold = make_aligned(74)
-        with pytest.warns(UserWarning):
-            segs = windowize(feats, ann, gold, WindowSpec(3.0, 0.4), source_id="s")
-        assert segs == []
+    def test_too_short_gives_none(self):
+        assert window_bounds(74, WindowSpec(3.0, 0.4), 25.0) == []
 
     def test_slices_are_aligned(self):
-        feats, ann, gold = make_aligned(100)
-        segs = windowize(feats, ann, gold, WindowSpec(1.0, 1.0), source_id="s")
-        s = segs[2]
-        assert s.start_frame == 50
-        np.testing.assert_array_equal(s.gold.values, gold.values[50:75])
-        np.testing.assert_array_equal(s.annotations.data, ann.data[50:75])
+        # one frame grid for every stream: the third 1 s window at 25 Hz
+        assert window_bounds(100, WindowSpec(1.0, 1.0), 25.0)[2] == (50, 75)
 
     def test_misaligned_lengths_rejected(self):
         feats, ann, gold = make_aligned(100)
         bad_gold = GoldStandardTrack("arousal", 25.0, gold.values[:-1], "external_gold")
-        with pytest.raises(ContractError):
-            windowize(feats, ann, bad_gold, WindowSpec(1.0, 1.0), source_id="s")
+        with pytest.raises(ContractError, match="frame-aligned"):
+            SourceData("s", feats, {"arousal": bad_gold}, {"arousal": ann})
+
+    def test_mixed_stream_rates_rejected(self):
+        # 12.5 Hz features next to 25 Hz gold used to load and fail only at batch time
+        with pytest.raises(ContractError, match=r"s/arousal: gold rate 25.0 Hz .* 12.5 Hz"):
+            make_source(100, rate=12.5, gold_rate=25.0)
+        make_source(100, rate=25.0, gold_rate=25.0 * (1 + 1e-12))
+
+    def test_mixed_source_rates_rejected(self):
+        slow, fast = make_source(100, 12.5, source_id="slow"), make_source(100, source_id="fast")
+        with pytest.raises(ContractError, match=r"'slow' .* 12.5 Hz.*'fast' at 25.0 Hz"):
+            Dataset([fast, slow])
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ContractError):

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emocons import cli
 from emocons.annotations import (
@@ -21,17 +23,17 @@ from emocons.cli import (
     EvalConfig,
     FLAG_REGISTRY,
     cli_config_from_dict,
-    cli_config_to_dict,
     parse_and_dispatch,
     resolve_config,
 )
+from emocons.codec import from_dict, to_dict
 from emocons.consensus import AcnConfig
 from emocons.errors import ConfigError
 from emocons.evalharness import load_report
 from emocons.nn import OptimConfig
 from emocons.predictor import PredictorConfig
-from emocons.synth import SynthConfig, default_synth_config
-from emocons.trainer import TrainConfig, load_run_model, train_config_from_dict
+from emocons.synth import SynthConfig
+from emocons.trainer import TrainConfig, load_run_model
 
 
 def make_dataset(tmp_path, name="data", sources=2, frames=400, seed=7):
@@ -75,15 +77,39 @@ def write_config(tmp_path, name="c.json", **sections):
 
 
 class TestCliConfig:
-    def test_round_trip(self):
+    @given(
+        run_dir=st.text(max_size=8),
+        alpha=st.floats(0.0, 1.0),
+        clip=st.none() | st.floats(0.1, 10.0),
+        encoder=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+        detach=st.booleans(),
+        synth_seed=st.integers(0, 2**31),
+        annotators=st.integers(2, 5),
+        snr=st.floats(0.0, 50.0),
+        seeds=st.lists(st.integers(0, 99), min_size=1, max_size=5),
+        train_sources=st.lists(st.text(min_size=1, max_size=5), max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip(
+        self, run_dir, alpha, clip, encoder, detach, synth_seed, annotators, snr, seeds,
+        train_sources,
+    ):
         cfg = CliConfig(
-            dataset_dir="/tmp/x",
-            run_dir="/tmp/y",
-            train=TrainConfig(alpha=0.25, beta=0.75),
-            synth=default_synth_config(3, sources=2, frames_per_source=100),
-            eval=EvalConfig(seeds=(1, 2, 3)),
+            run_dir=run_dir,
+            train=TrainConfig(
+                alpha=alpha,
+                beta=0.5,
+                optim=OptimConfig(grad_clip_norm=clip),
+                predictor=PredictorConfig(encoder_dims=tuple(encoder)),
+                detach_consensus_in_second_term=detach,
+            ),
+            synth=SynthConfig(
+                seed=synth_seed, annotators=annotators,
+                feature_snr={"arousal": snr, "valence": 0.1},
+            ),
+            eval=EvalConfig(seeds=tuple(seeds), train_sources=tuple(train_sources)),
         )
-        d = json.loads(json.dumps(cli_config_to_dict(cfg)))
+        d = json.loads(json.dumps(to_dict(cfg)))
         assert cli_config_from_dict(d) == cfg
 
     def test_version_required(self):
@@ -99,6 +125,33 @@ class TestCliConfig:
             cli_config_from_dict({"version": 1, "eval": {"pooling": "x"}})
         with pytest.raises(ConfigError, match="snr"):
             cli_config_from_dict({"version": 1, "synth": {"snr": 3}})
+        with pytest.raises(ConfigError, match=r"synth.profiles.arousal\[0\] .*'tilt'"):
+            cli_config_from_dict(
+                {"version": 1, "synth": {"profiles": {"arousal": [{"tilt": 1}]}}}
+            )
+        with pytest.raises(ConfigError, match="train.window"):
+            cli_config_from_dict({"version": 1, "train": {"window": {"window_s": 2.0}}})
+
+    @pytest.mark.parametrize(
+        "section, path",
+        [
+            ({"eval": {"seeds": [1, "a"]}}, r"eval.seeds\[1\]"),
+            ({"synth": {"sources": 2.5}}, "synth.sources"),
+            ({"synth": {"annotators": True}}, "synth.annotators"),
+            ({"synth": {"feature_snr": {"arousal": "x", "valence": 1}}}, "synth.feature_snr.arousal"),
+            ({"dataset_dir": 5}, "dataset_dir"),
+            ({"train": {"optim": 0.1}}, r"train.optim \(OptimConfig\) must be a mapping"),
+        ],
+    )
+    def test_wrong_value_types_rejected(self, section, path):
+        with pytest.raises(ConfigError, match=path):
+            cli_config_from_dict({"version": 1, **section})
+
+    def test_int_for_float_and_null_for_optional(self):
+        cfg = cli_config_from_dict(
+            {"version": 1, "train": {"alpha": 1, "optim": {"grad_clip_norm": None}}}
+        )
+        assert cfg.train.alpha == 1 and cfg.train.optim.grad_clip_norm is None
 
     def test_sections_default_when_missing(self):
         cfg = cli_config_from_dict({"version": 1})
@@ -109,13 +162,13 @@ class TestCliConfig:
         cfg = cli_config_from_dict({"version": 1, "synth": {"annotators": 4, "seed": 2}})
         assert cfg.synth.annotators == 4
         assert all(len(v) == 4 for v in cfg.synth.profiles.values())
-        d = json.loads(json.dumps(cli_config_to_dict(cfg)))
+        d = json.loads(json.dumps(to_dict(cfg)))
         assert cli_config_from_dict(d).synth == cfg.synth
 
 
 class TestFlagRegistry:
     def test_registry_covers_config_fields(self):
-        paths = {f.name for f in FLAG_REGISTRY}
+        paths = set(FLAG_REGISTRY)
         assert {"dataset_dir", "run_dir"} <= paths
         for fld in dataclasses.fields(TrainConfig):
             if fld.name in ("window", "optim", "predictor", "acn"):
@@ -137,13 +190,23 @@ class TestFlagRegistry:
                 assert f"synth.{fld.name}" in paths
         for fld in dataclasses.fields(EvalConfig):
             assert f"eval.{fld.name}" in paths
+        assert "version" not in paths
+        # every flag, given its default's string form, resolves to the defaults
+        for name, (_, default) in FLAG_REGISTRY.items():
+            cfg, _ = resolve_config(None, {name: cli._format_value(default)})
+            assert cfg == CliConfig(), name
 
     def test_help_lists_every_flag(self, capsys):
         rc = parse_and_dispatch(["train", "--help"])
         assert rc == 0
-        out = capsys.readouterr().out
-        for flag in FLAG_REGISTRY:
-            assert f"--{flag.name}" in out
+        out = " ".join(capsys.readouterr().out.split())
+        for name in FLAG_REGISTRY:
+            assert f"--{name}" in out
+        for alias in ("mode", "dimension", "dataset", "out"):
+            assert f"--{alias} " in out
+        assert "--train.alpha FLOAT default: 0.5" in out
+        assert "--train.optim.grad_clip_norm FLOAT|none default: 5.0" in out
+        assert "--eval.seeds INT,... default: 1,2,3,4,5" in out
 
     def test_top_level_help_lists_subcommands(self, capsys):
         rc = parse_and_dispatch(["--help"])
@@ -229,7 +292,7 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "warning:" in err and "train.alpha" in err
         assert (r / "epochs.csv").exists()
-        saved = train_config_from_dict(json.loads((r / "config.json").read_text()))
+        saved = from_dict(TrainConfig, json.loads((r / "config.json").read_text()))
         assert saved.alpha == 0.75
         assert saved.mode == "acn"
         assert saved.dimensions == "arousal"
@@ -414,6 +477,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("internal-error:")
         assert "disk on fire" in err
+
+    def test_evaluate_without_full_window_is_exit_1(self, tmp_path, capsys):
+        d = make_dataset(tmp_path, frames=400)
+        short = make_dataset(tmp_path, name="short", frames=100)
+        r = tmp_path / "run"
+        c = write_config(
+            tmp_path, dataset_dir=str(d), run_dir=str(r),
+            train=tiny_train_section(window={"window_s": 5.0, "shift_s": 3.0}),
+        )
+        assert parse_and_dispatch(["train", "--config", str(c)]) == 0
+        capsys.readouterr()
+        rc = parse_and_dispatch(
+            ["evaluate", "--run", str(r), "--dataset", str(short), "--pooling", "per_window_mean"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "125-frame window" in err
 
     def test_contract_violation_is_exit_1(self, tmp_path, capsys):
         rc = parse_and_dispatch(

@@ -214,6 +214,15 @@ class TestEvaluate:
         with pytest.raises(ContractError, match="window"):
             evaluate(pred, [self.src], ["valence"], pooling="per_window_mean")
 
+    def test_per_window_pooling_without_full_window(self):
+        # two 100-frame sources cannot hold one 5 s (125-frame) window
+        short = tiny_corpus(sources=2, frames=100).sources
+        pred = linear_readout_predictor(6, np.ones(6))
+        with pytest.raises(ContractError, match=r"125-frame window.*'source_00', has 100 frames"):
+            evaluate(
+                pred, short, ["valence"], pooling="per_window_mean", window=WindowSpec(5.0, 3.0)
+            )
+
     def test_missing_gold_dimension(self):
         pred = linear_readout_predictor(6, np.ones(6))
         with pytest.raises(ContractError, match="anger"):

@@ -83,6 +83,15 @@ class TestConfig:
             assert p.noise_sd == 0.3
             assert 0.6 <= p.scale <= 1.4
 
+    def test_empty_profiles_sampled_from_seed(self):
+        cfg = SynthConfig(seed=4, annotators=3)
+        assert cfg.profiles == {
+            "arousal": sample_profiles(3, substream(4, "profiles/arousal"), **MILD_ANNOTATORS),
+            "valence": sample_profiles(3, substream(4, "profiles/valence"), **NOISY_ANNOTATORS),
+        }
+        assert default_synth_config(4, annotators=3) == cfg
+        assert SynthConfig(seed=4, annotators=3, profiles=cfg.profiles) == cfg
+
     def test_validation(self):
         with pytest.raises(ContractError):
             tiny_config(annotators=1)

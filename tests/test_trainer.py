@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from emocons.annotations import GoldStandardTrack, SourceData, WindowSpec, windowize
+from emocons.annotations import GoldStandardTrack, SourceData, WindowSpec
 from emocons.ccc import ccc_loss
+from emocons.codec import from_dict, to_dict
 from emocons.consensus import (
     AcnConfig,
     aggregate_baseline,
@@ -42,8 +43,6 @@ from emocons.trainer import (
     run_training,
     save_run,
     train_baseline,
-    train_config_from_dict,
-    train_config_to_dict,
     train_joint,
     write_epochs_csv,
 )
@@ -138,22 +137,22 @@ class TestTrainConfig:
 class TestConfigSerialization:
     def test_round_trip(self):
         cfg = small_train_config(alpha=0.3, beta=0.7, detach_consensus_in_second_term=True)
-        d = train_config_to_dict(cfg)
-        assert train_config_from_dict(d) == cfg
+        d = to_dict(cfg)
+        assert from_dict(TrainConfig, d) == cfg
         # survives a real JSON encode/decode (tuples become lists)
-        assert train_config_from_dict(json.loads(json.dumps(d))) == cfg
+        assert from_dict(TrainConfig, json.loads(json.dumps(d))) == cfg
 
     def test_unknown_keys_rejected(self):
-        d = train_config_to_dict(TrainConfig())
+        d = to_dict(TrainConfig())
         d["learning_rate"] = 0.1
         with pytest.raises(ConfigError, match="learning_rate"):
-            train_config_from_dict(d)
+            from_dict(TrainConfig, d)
 
     def test_unknown_nested_keys_rejected(self):
-        d = train_config_to_dict(TrainConfig())
+        d = to_dict(TrainConfig())
         d["optim"]["momentum"] = 0.9
-        with pytest.raises(ConfigError, match="momentum"):
-            train_config_from_dict(d)
+        with pytest.raises(ConfigError, match=r"optim \(OptimConfig\): \['momentum'\]"):
+            from_dict(TrainConfig, d)
 
     def test_hash_is_stable_and_sensitive(self):
         a = config_hash(TrainConfig())
@@ -217,17 +216,15 @@ class TestPrepareData:
         assert data.feature_dim == 6
         assert tuple(s.source_id for s in data.val) == ("source_02",)
         src = train[0]
-        segs = windowize(
-            src.features, src.annotations["valence"], src.gold["valence"],
-            cfg.window, src.source_id,
-        )
-        first = data.train[0]
-        np.testing.assert_array_equal(first.features, segs[0].features.data)
-        np.testing.assert_array_equal(first.gold["valence"], segs[0].gold.values)
-        np.testing.assert_array_equal(
-            first.annotations["valence"], segs[0].annotations.data
-        )
-        assert first.start_frame == 0 and data.train[1].start_frame == 25
+        for k, item in enumerate(data.train[:23]):
+            a = 25 * k
+            assert item.source_id == src.source_id and item.start_frame == a
+            np.testing.assert_array_equal(item.features, src.features.data[a : a + 50])
+            np.testing.assert_array_equal(item.gold["valence"], src.gold["valence"].values[a : a + 50])
+            np.testing.assert_array_equal(
+                item.annotations["valence"], src.annotations["valence"].data[a : a + 50]
+            )
+        assert data.train[23].source_id == train[1].source_id
 
     def test_single_dimension_only_loads_that_dimension(self):
         corpus = small_corpus()
@@ -748,8 +745,8 @@ class TestArtifacts:
             forward_predictor(model.predictor, x),
             forward_predictor(run.model.predictor, x),
         )
-        saved_cfg = train_config_from_dict(
-            json.loads((tmp_path / "run" / "config.json").read_text())
+        saved_cfg = from_dict(
+            TrainConfig, json.loads((tmp_path / "run" / "config.json").read_text())
         )
         assert saved_cfg == cfg
 
