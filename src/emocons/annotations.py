@@ -16,6 +16,11 @@ A dataset directory groups several recording sources: a ``manifest.json``
 plus one subdirectory per source holding ``features.csv`` and, for each
 affect dimension, ``gold_<dim>.csv`` and ``annotations_<dim>.csv``.
 
+Loaders read a file whole and refuse, with the file and line, a ragged row,
+a token that is not a number, a non-finite value and a time column off a
+uniform grid; inside a dataset directory every stream takes the manifest's
+rate.  Writers replace a file atomically (``atomic.atomic_write``).
+
 ``window_bounds`` is the one place that cuts a source into fixed-length
 windows; training and per-window scoring both slice by its bounds.
 """
@@ -23,14 +28,17 @@ windows; training and per-window scoring both slice by its bounds.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ContractError, ParseError, StructuralError
 
 DIMENSIONS = ("arousal", "valence")
@@ -215,49 +223,122 @@ class WindowSpec:
 
 # ---------------------------------------------------------------------------
 # CSV parsing
+#
+# A file is read once: csv.reader takes the header from its first non-blank
+# row and np.loadtxt parses the numeric body in one call.  Only when that
+# parse, or a check on the parsed array, fails is the file scanned row by
+# row to name the offending line (1-based, blank lines counted).
 
 
 def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Return (header, [(line_number, fields), ...]) skipping blank lines."""
     with open(path, newline="") as fh:
         rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
-    if not rows:
-        raise StructuralError(f"{path}: empty file")
     (_, header), body = rows[0], rows[1:]
-    header = [c.strip() for c in header]
-    if not body:
-        raise StructuralError(f"{path}: no data rows")
     return header, body
 
 
-def _parse_float(token: str, line: int) -> float:
+def _read_header(path: Path) -> tuple[list[str], str]:
+    """The first non-blank row, its fields stripped, and the text after it."""
+    with open(path) as fh:
+        header = next(filter(None, csv.reader(fh)), None)
+        rest = fh.read()
+    if header is None:
+        raise StructuralError(f"{path}: empty file")
+    if not rest.strip("\n"):
+        raise StructuralError(f"{path}: no data rows")
+    return [c.strip() for c in header], rest
+
+
+def _is_number(token: str) -> bool:
+    """Whether np.loadtxt reads ``token``: float()'s syntax, in ASCII, without '_'."""
+    s = token.strip()
+    if not s.isascii() or "_" in s:
+        return False
     try:
-        return float(token)
+        float(s)
     except ValueError:
-        raise ParseError(f"cannot parse {token.strip()!r} as a number", line=line) from None
+        return False
+    return True
 
 
-def _infer_rate(times: np.ndarray, path: Path) -> float:
-    if times.shape[0] < 2:
-        raise StructuralError(f"{path}: need at least 2 rows to infer the sampling rate")
-    diffs = np.diff(times)
-    if np.any(diffs <= 0):
-        raise StructuralError(f"{path}: time column must be strictly increasing")
-    return 1.0 / float(np.median(diffs))
-
-
-def _parse_table(path: Path, header: list[str], body) -> tuple[np.ndarray, np.ndarray]:
-    """Parse rows with a leading time column into (times, value matrix)."""
-    width = len(header)
-    times, values = [], []
-    for line, row in body:
+def _raise_bad_row(path: Path, width: int, text_cols: tuple, reason: str) -> NoReturn:
+    """Raise the error naming the first row that is ragged or holds a non-number."""
+    for line, row in _read_rows(path)[1]:
         if len(row) != width:
             raise StructuralError(
                 f"{path}: row at line {line} has {len(row)} fields, expected {width}"
             )
-        times.append(_parse_float(row[0], line))
-        values.append([_parse_float(tok, line) for tok in row[1:]])
-    return np.array(times), np.array(values, dtype=np.float64)
+        for j, token in enumerate(row):
+            if j not in text_cols and not _is_number(token):
+                raise ParseError(
+                    f"cannot parse {token.strip()!r} as a number", line=line, path=path
+                )
+    raise ParseError(reason, path=path)
+
+
+def _parse_body(path: Path, header: list[str], rest: str, converters=None) -> np.ndarray:
+    """The rows after the header as one (rows, len(header)) array of finite floats.
+
+    ``converters`` maps a text column to a function giving a number for each
+    of its fields.
+    """
+    width = len(header)
+    try:
+        table = np.loadtxt(
+            io.StringIO(rest),
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=2,
+            converters=converters,
+        )
+        bad = None if table.shape[1] == width else f"{table.shape[1]} fields under {width} names"
+    except ValueError as exc:
+        bad = str(exc)
+    if bad is not None:
+        _raise_bad_row(path, width, tuple(converters or ()), bad)
+    finite = np.isfinite(table)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        line, row = _read_rows(path)[1][r]
+        raise ParseError(
+            f"non-finite value {row[c].strip()!r} in column {header[c]!r}", line=line, path=path
+        )
+    return table
+
+
+def _grid_rate(path: Path, times: np.ndarray, rate_hz: float | None, rows=None) -> float:
+    """The sampling rate of a time column, once its grid is found uniform.
+
+    Every step must lie within [0.5, 1.5] x the median step.  With
+    ``rate_hz`` (a dataset manifest's rate) every time must also lie within
+    half a step of its place on that grid, and ``rate_hz`` is the rate;
+    otherwise the rate is the inverse median step.  ``times[k]`` sits in
+    body row ``rows[k]`` (default ``k``); errors name that row's line.
+    """
+    n = times.shape[0]
+    if n < 2:
+        raise StructuralError(f"{path}: need at least 2 rows to infer the sampling rate")
+
+    def refuse(k: int, what: str) -> NoReturn:
+        line = _read_rows(path)[1][k if rows is None else rows[k]][0]
+        raise StructuralError(f"{path}: time {times[k]:.6f} at line {line} {what}")
+
+    steps = np.diff(times)
+    if np.any(steps <= 0):
+        refuse(int(np.argmax(steps <= 0)) + 1, "breaks the strictly increasing time column")
+    median = float(np.median(steps))
+    off = (steps < 0.5 * median) | (steps > 1.5 * median)
+    if off.any():
+        k = int(np.argmax(off)) + 1
+        refuse(k, f"is off the uniform grid: step {steps[k - 1]:g} s, median step {median:g} s")
+    if rate_hz is None:
+        return 1.0 / median
+    drift = np.abs(times - times[0] - np.arange(n) / rate_hz)
+    if np.any(drift >= 0.5 / rate_hz):
+        refuse(int(np.argmax(drift >= 0.5 / rate_hz)), f"is off the manifest's {rate_hz} Hz grid")
+    return rate_hz
 
 
 def _clamp(values: np.ndarray, path: Path) -> np.ndarray:
@@ -266,36 +347,57 @@ def _clamp(values: np.ndarray, path: Path) -> np.ndarray:
         warnings.warn(
             f"clamped {outside} value(s) outside [{VALUE_MIN}, {VALUE_MAX}] in {path.name}",
             ClampWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
         values = np.clip(values, VALUE_MIN, VALUE_MAX)
     return values
 
 
-def _load_long(path: Path, body, dimension: str) -> AnnotationMatrix:
-    per: dict[str, list[tuple[float, float]]] = {}
-    for line, row in body:
-        if len(row) != 3:
-            raise StructuralError(
-                f"{path}: row at line {line} has {len(row)} fields, expected 3"
-            )
-        t = _parse_float(row[0], line)
-        v = _parse_float(row[2], line)
-        per.setdefault(row[1].strip(), []).append((t, v))
-    ids = sorted(per)
-    grids = []
+def _load_long(
+    path: Path, header: list[str], rest: str, dimension: str, rate_hz: float | None
+) -> AnnotationMatrix:
+    codes: dict[str, int] = {}
+
+    def code(token: str) -> int:
+        return codes.setdefault(token.strip(), len(codes))
+
+    table = _parse_body(path, header, rest, converters={1: code})
+    ids = sorted(codes)
+    rows = {}
     for a in ids:
-        per[a].sort(key=lambda tv: tv[0])
-        grids.append(np.array([t for t, _ in per[a]]))
-    ref = grids[0]
-    for a, g in zip(ids, grids):
-        if g.shape != ref.shape or not np.array_equal(g, ref):
+        mine = np.flatnonzero(table[:, 1] == codes[a])
+        rows[a] = mine[np.argsort(table[mine, 0], kind="stable")]
+    grid = table[rows[ids[0]], 0]
+    for a in ids[1:]:
+        if not np.array_equal(table[rows[a], 0], grid):
             raise StructuralError(
                 f"{path}: annotator {a!r} is not on the same time grid as {ids[0]!r}"
             )
-    data = np.column_stack([[v for _, v in per[a]] for a in ids])
-    data = _clamp(data, path)
-    return AnnotationMatrix(data, tuple(ids), dimension, _infer_rate(ref, path))
+    rate = _grid_rate(path, grid, rate_hz, rows[ids[0]])
+    data = _clamp(np.column_stack([table[rows[a], 2] for a in ids]), path)
+    return AnnotationMatrix(data, tuple(ids), dimension, rate)
+
+
+def _load_annotations(
+    path: Path, dimension: str, rate_hz: float | None
+) -> AnnotationTrack | AnnotationMatrix:
+    _check_dimension(dimension)
+    header, rest = _read_header(path)
+    if header[0] != "time":
+        raise StructuralError(f"{path}: first column must be 'time', got {header[0]!r}")
+    if [c.lower() for c in header] == ["time", "annotator", "value"]:
+        return _load_long(path, header, rest, dimension, rate_hz)
+    ids = header[1:]
+    if not ids:
+        raise StructuralError(f"{path}: no annotator columns")
+    table = _parse_body(path, header, rest)
+    rate = _grid_rate(path, table[:, 0], rate_hz)
+    order = sorted(range(len(ids)), key=lambda j: ids[j])
+    values = _clamp(table[:, [1 + j for j in order]], path)
+    ids = [ids[j] for j in order]
+    if len(ids) == 1:
+        return AnnotationTrack(ids[0], dimension, rate, values[:, 0].copy())
+    return AnnotationMatrix(values, tuple(ids), dimension, rate)
 
 
 def load_annotation_csv(path: str | Path, dimension: str) -> AnnotationTrack | AnnotationMatrix:
@@ -303,25 +405,7 @@ def load_annotation_csv(path: str | Path, dimension: str) -> AnnotationTrack | A
 
     Values outside [-1, 1] are clamped and reported with a ClampWarning.
     """
-    path = Path(path)
-    _check_dimension(dimension)
-    header, body = _read_rows(path)
-    if header[0] != "time":
-        raise StructuralError(f"{path}: first column must be 'time', got {header[0]!r}")
-    if [c.lower() for c in header] == ["time", "annotator", "value"]:
-        return _load_long(path, body, dimension)
-    ids = header[1:]
-    if not ids:
-        raise StructuralError(f"{path}: no annotator columns")
-    times, values = _parse_table(path, header, body)
-    rate = _infer_rate(times, path)
-    values = _clamp(values, path)
-    order = sorted(range(len(ids)), key=lambda j: ids[j])
-    values = values[:, order]
-    ids = [ids[j] for j in order]
-    if len(ids) == 1:
-        return AnnotationTrack(ids[0], dimension, rate, values[:, 0])
-    return AnnotationMatrix(values, tuple(ids), dimension, rate)
+    return _load_annotations(Path(path), dimension, None)
 
 
 def as_annotation_matrix(ann: AnnotationTrack | AnnotationMatrix) -> AnnotationMatrix:
@@ -331,37 +415,52 @@ def as_annotation_matrix(ann: AnnotationTrack | AnnotationMatrix) -> AnnotationM
     return AnnotationMatrix(ann.values[:, None], (ann.annotator_id,), ann.dimension, ann.rate_hz)
 
 
+def _load_gold(
+    path: Path, dimension: str, provenance: str, rate_hz: float | None
+) -> GoldStandardTrack:
+    _check_dimension(dimension)
+    header, rest = _read_header(path)
+    if len(header) != 2 or header[0] != "time":
+        raise StructuralError(f"{path}: expected columns time,value got {header}")
+    table = _parse_body(path, header, rest)
+    rate = _grid_rate(path, table[:, 0], rate_hz)
+    return GoldStandardTrack(dimension, rate, _clamp(table[:, 1].copy(), path), provenance)
+
+
 def load_gold_csv(
     path: str | Path, dimension: str, provenance: str = "external_gold"
 ) -> GoldStandardTrack:
     """Load a single-column reference trace (header ``time,value``)."""
-    path = Path(path)
-    _check_dimension(dimension)
-    header, body = _read_rows(path)
-    if len(header) != 2 or header[0] != "time":
-        raise StructuralError(f"{path}: expected columns time,value got {header}")
-    times, values = _parse_table(path, header, body)
-    rate = _infer_rate(times, path)
-    values = _clamp(values, path)
-    return GoldStandardTrack(dimension, rate, values[:, 0], provenance)
+    return _load_gold(Path(path), dimension, provenance, None)
+
+
+def _load_features(path: Path, rate_hz: float | None) -> FeatureSequence:
+    header, rest = _read_header(path)
+    if header[0] != "time" or len(header) < 2:
+        raise StructuralError(f"{path}: expected a time column followed by feature columns")
+    table = _parse_body(path, header, rest)
+    rate = _grid_rate(path, table[:, 0], rate_hz)
+    return FeatureSequence(np.ascontiguousarray(table[:, 1:]), rate)
 
 
 def load_features_csv(path: str | Path) -> FeatureSequence:
     """Load frame-level features; all columns after ``time`` are kept as-is."""
-    path = Path(path)
-    header, body = _read_rows(path)
-    if header[0] != "time" or len(header) < 2:
-        raise StructuralError(f"{path}: expected a time column followed by feature columns")
-    times, values = _parse_table(path, header, body)
-    return FeatureSequence(values, _infer_rate(times, path))
+    return _load_features(Path(path), None)
 
 
 def _write_table(path: Path, header: list[str], rate_hz: float, columns: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(columns.shape[0]):
-            w.writerow([f"{k / rate_hz:.6f}"] + [f"{v:.6f}" for v in columns[k]])
+    """Write the header, then one CRLF row per frame: its time, then ``columns``.
+
+    csv.writer writes the header, so ids that need it are quoted; the body is
+    one ``%.6f`` format of the whole table, the bytes csv.writer gives for
+    ``f"{v:.6f}"`` fields.
+    """
+    n, width = columns.shape
+    table = np.column_stack([np.arange(n) / rate_hz, columns])
+    row = ",".join(["%.6f"] * (width + 1)) + "\r\n"
+    with atomic_write(path, newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write(row * n % tuple(table.ravel().tolist()))
 
 
 def write_annotation_csv(path: str | Path, ann: AnnotationTrack | AnnotationMatrix) -> None:
@@ -469,20 +568,13 @@ class Dataset:
 
 
 def write_dataset(root: str | Path, dataset: Dataset) -> None:
-    """Write a dataset directory: manifest.json plus per-source CSV files."""
+    """Write a dataset directory: per-source CSV files, then manifest.json.
+
+    Each file is written atomically, and the manifest last, so a directory
+    whose manifest is new holds every file it names.
+    """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
-        "sources": list(dataset.source_ids),
-        "dimensions": list(dataset.dimensions),
-        "rate_hz": dataset.sources[0].features.rate_hz,
-        "feature_dim": dataset.feature_dim,
-        **dataset.meta,
-    }
-    with open(root / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
     for s in dataset.sources:
         d = root / s.source_id
         d.mkdir(exist_ok=True)
@@ -490,9 +582,36 @@ def write_dataset(root: str | Path, dataset: Dataset) -> None:
         for dim in s.dimensions:
             write_gold_csv(d / f"gold_{dim}.csv", s.gold[dim])
             write_annotation_csv(d / f"annotations_{dim}.csv", s.annotations[dim])
+    manifest = {
+        "format": DATASET_FORMAT,
+        "version": DATASET_VERSION,
+        "sources": list(dataset.source_ids),
+        "dimensions": list(dataset.dimensions),
+        "rate_hz": dataset.sources[0].features.rate_hz,
+        "feature_dim": dataset.feature_dim,
+    }
+    # a loaded dataset's meta is its old manifest: it must not rename the sources
+    manifest.update((k, v) for k, v in dataset.meta.items() if k not in manifest)
+    with atomic_write(root / "manifest.json") as fh:
+        json.dump(manifest, fh, indent=2)
+
+
+def _is_plain_name(source_id) -> bool:
+    """Whether a manifest source id names a directory directly under the dataset root."""
+    return (
+        isinstance(source_id, str)
+        and source_id not in ("", ".", "..")
+        and "/" not in source_id
+        and "\\" not in source_id
+    )
 
 
 def load_dataset(root: str | Path) -> Dataset:
+    """Load a dataset directory written by write_dataset.
+
+    Every stream takes the manifest's ``rate_hz``, once its time column is
+    found to follow that rate.
+    """
     root = Path(root)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -502,7 +621,7 @@ def load_dataset(root: str | Path) -> Dataset:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise StructuralError(f"{manifest_path}: not valid JSON: {exc}") from None
-    if manifest.get("format") != DATASET_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != DATASET_FORMAT:
         raise StructuralError(f"{root}: manifest is not a {DATASET_FORMAT} manifest")
     if manifest.get("version") != DATASET_VERSION:
         raise StructuralError(
@@ -511,19 +630,34 @@ def load_dataset(root: str | Path) -> Dataset:
     try:
         source_ids = manifest["sources"]
         dims = manifest["dimensions"]
+        rate = manifest["rate_hz"]
     except KeyError as exc:
         raise StructuralError(f"{root}: manifest is missing {exc}") from None
+    if not isinstance(source_ids, list):
+        raise StructuralError(f"{manifest_path}: sources must be a list, got {source_ids!r}")
+    for sid in source_ids:
+        if not _is_plain_name(sid):
+            raise StructuralError(
+                f"{manifest_path}: source id {sid!r} is not a plain directory name"
+            )
+    if (
+        isinstance(rate, bool)
+        or not isinstance(rate, (int, float))
+        or not (math.isfinite(rate) and rate > 0)
+    ):
+        raise StructuralError(f"{manifest_path}: rate_hz must be a positive number, got {rate!r}")
+    rate = float(rate)
+    provenance = manifest.get("gold_provenance", "external_gold")
     sources = []
     for sid in source_ids:
         d = root / sid
-        feats = load_features_csv(d / "features.csv")
+        feats = _load_features(d / "features.csv", rate)
         gold = {}
         ann = {}
-        provenance = manifest.get("gold_provenance", "external_gold")
         for dim in dims:
-            gold[dim] = load_gold_csv(d / f"gold_{dim}.csv", dim, provenance)
+            gold[dim] = _load_gold(d / f"gold_{dim}.csv", dim, provenance, rate)
             ann[dim] = as_annotation_matrix(
-                load_annotation_csv(d / f"annotations_{dim}.csv", dim)
+                _load_annotations(d / f"annotations_{dim}.csv", dim, rate)
             )
         sources.append(SourceData(source_id=sid, features=feats, gold=gold, annotations=ann))
     return Dataset(sources=sources, meta=manifest)

@@ -34,6 +34,7 @@ from .annotations import (
     write_gold_csv,
     write_trace_csv,
 )
+from .atomic import atomic_write
 from .ccc import ccc_loss
 from .codec import from_dict, to_dict
 from .consensus import AGGREGATORS, aggregate, compute_reliability_weights, forward_consensus
@@ -338,7 +339,7 @@ def _require(value: str, what: str, hint: str) -> str:
 
 def _write_cli_config(dirpath: Path, cfg: CliConfig) -> None:
     dirpath.mkdir(parents=True, exist_ok=True)
-    with open(dirpath / "cli_config.json", "w") as fh:
+    with atomic_write(dirpath / "cli_config.json") as fh:
         json.dump(to_dict(cfg), fh, indent=2)
         fh.write("\n")
 

@@ -14,13 +14,16 @@ class ConfigError(EmoconsError):
 
 
 class ParseError(EmoconsError):
-    """A file could not be parsed; carries the offending line number."""
+    """A file could not be parsed; carries the offending file and line number."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
+        self.path = path
 
 
 class StructuralError(EmoconsError):

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .annotations import Dataset, SourceData, WindowSpec, load_dataset, window_bounds
+from .atomic import atomic_write
 from .ccc import ccc_from_stats, ccc_stats
 from .errors import ContractError, StructuralError
 from .predictor import Predictor, forward_predictor, output_index
@@ -301,7 +302,8 @@ def report_from_dict(payload: dict) -> Report:
 def save_report(path, report: Report) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(report_to_dict(report), indent=2) + "\n")
 
 
 def load_report(path) -> Report:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ContractError, StructuralError
 
 CHECKPOINT_FORMAT = "emocons-checkpoint"
@@ -296,7 +297,7 @@ def save_checkpoint(path: str | Path, nets: dict[str, Network], meta: dict) -> N
             for name, net in nets.items()
         },
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
 
 

@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .annotations import SourceData, WindowSpec, window_bounds
+from .atomic import atomic_write
 from .ccc import POOLINGS, ccc_batch_loss, ccc_from_stats, ccc_stats
 from .codec import from_dict, to_dict
 from .consensus import (
@@ -557,7 +558,7 @@ def _cell(v) -> str:
 
 
 def write_epochs_csv(path, records: Sequence[EpochRecord]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EPOCHS_CSV_COLUMNS)
         for r in records:
@@ -577,7 +578,7 @@ def save_run(run_dir, run: TrainRun, cfg: TrainConfig) -> None:
     """Persist a run directory: config.json, epochs.csv, checkpoint.json."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w") as fh:
+    with atomic_write(run_dir / "config.json") as fh:
         json.dump(to_dict(cfg), fh, indent=2)
     write_epochs_csv(run_dir / "epochs.csv", run.epochs)
     nets = {"predictor": run.model.predictor.net}

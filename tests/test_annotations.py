@@ -1,9 +1,15 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emocons.annotations as annotations
 from emocons.annotations import (
+    _write_table,
     AnnotationMatrix,
     AnnotationTrack,
     ClampWarning,
@@ -13,11 +19,15 @@ from emocons.annotations import (
     SourceData,
     WindowSpec,
     load_annotation_csv,
+    load_dataset,
     load_features_csv,
     load_gold_csv,
     window_bounds,
     window_count,
     write_annotation_csv,
+    write_dataset,
+    write_features_csv,
+    write_gold_csv,
 )
 from emocons.errors import ContractError, ParseError, StructuralError
 
@@ -211,3 +221,247 @@ class TestWindowize:
 def test_window_count_matches_enumeration(t, w, s):
     brute = sum(1 for start in range(0, max(t, 1), s) if start + w <= t)
     assert window_count(t, w, s) == brute
+
+
+# ---------------------------------------------------------------------------
+# The whole-array CSV layer against the per-value code it replaced
+
+RATES = (25.0, 30.0, 44.1, 60.0)
+
+
+def old_write_table(path, header, rate_hz, columns):
+    """The per-value writer that _write_table replaced, kept as its oracle."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for k in range(columns.shape[0]):
+            w.writerow([f"{k / rate_hz:.6f}"] + [f"{v:.6f}" for v in columns[k]])
+
+
+def old_parse(text):
+    """csv.reader + float() over the non-blank rows after the header: the old parser."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    return np.array([[float(tok) for tok in row] for row in rows[1:]], dtype=np.float64)
+
+
+header_ids = st.text(
+    alphabet=st.sampled_from(list("ab,\" x_1\t")), min_size=1, max_size=6
+)
+table_values = st.one_of(
+    st.sampled_from([0.0, -0.0, -4e-7, 4e-7, 5e-7, -5e-7, 1e6, -1e6, 0.5, 1.0000005]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@given(
+    st.integers(0, 30),
+    st.lists(header_ids, min_size=1, max_size=4),
+    st.sampled_from(RATES),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_write_table_bytes_match_per_value_writer(tmp_path_factory, n, ids, rate, data):
+    cols = np.array(
+        data.draw(st.lists(st.lists(table_values, min_size=len(ids), max_size=len(ids)),
+                           min_size=n, max_size=n)),
+        dtype=np.float64,
+    ).reshape(n, len(ids))
+    d = tmp_path_factory.mktemp("w")
+    old_write_table(d / "old.csv", ["time", *ids], rate, cols)
+    _write_table(d / "new.csv", ["time", *ids], rate, cols)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+@st.composite
+def messy_feature_csvs(draw):
+    """A features CSV in LF or CRLF, with blank lines, padded and quoted numbers."""
+    rate = draw(st.sampled_from(RATES))
+    n, width = draw(st.integers(2, 25)), draw(st.integers(1, 4))
+    styles = st.sampled_from(["{}", " {} ", "\t{}", '"{}"', '" {}"', "{} "])
+
+    def token(v):
+        body = f"{v:.6f}" if draw(st.booleans()) else repr(v)
+        return draw(styles).format(body)
+
+    lines = [""] * draw(st.integers(0, 2))
+    lines.append(",".join(["time", *(f"f{j}" for j in range(width))]))
+    for k in range(n):
+        row = [k / rate] + draw(st.lists(table_values, min_size=width, max_size=width))
+        lines.append(",".join(token(v) for v in row))
+        lines += [""] * draw(st.integers(0, 2))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@given(messy_feature_csvs())
+@settings(max_examples=150, deadline=None)
+def test_loader_matches_per_value_parser(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("r") / "f.csv"
+    p.write_bytes(text.encode())
+    want = old_parse(text)
+    got = load_features_csv(p)
+    assert got.data.tobytes() == want[:, 1:].tobytes()  # bit for bit, -0.0 included
+    assert got.rate_hz == 1.0 / float(np.median(np.diff(want[:, 0])))
+
+
+class TestLoadErrors:
+    def test_bad_token_after_blank_lines_names_its_line(self, tmp_path):
+        p = write(tmp_path, "a.csv", "time,a1\n0.0,0.1\n\n\n0.04,oops\n")
+        with pytest.raises(ParseError, match=r"a\.csv: line 5: cannot parse 'oops'") as exc:
+            load_annotation_csv(p, "arousal")
+        assert exc.value.line == 5
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        p = write(tmp_path, "a.csv", "time,a1,a2\n0.0,0.1,0.2\n\n0.04,0.3\n")
+        with pytest.raises(StructuralError, match="line 4 has 2 fields, expected 3"):
+            load_annotation_csv(p, "arousal")
+
+    def test_uniformly_narrow_body_refused(self, tmp_path):
+        p = write(tmp_path, "f.csv", "time,f0,f1\n0.0,0.1\n0.04,0.2\n")
+        with pytest.raises(StructuralError, match="line 2 has 2 fields, expected 3"):
+            load_features_csv(p)
+
+    def test_hash_line_is_data_not_a_comment(self, tmp_path):
+        p = write(tmp_path, "g.csv", "time,value\n0.0,0.1\n#0.04,0.2\n0.08,0.3\n")
+        with pytest.raises(ParseError, match="line 3: cannot parse '#0.04'"):
+            load_gold_csv(p, "valence")
+
+    def test_underscore_digits_refused(self, tmp_path):
+        # float() reads "1_0" as 10; np.loadtxt, and so the loader, does not
+        p = write(tmp_path, "g.csv", "time,value\n0.0,0.1\n0.04,1_0\n")
+        with pytest.raises(ParseError, match="line 3: cannot parse '1_0'"):
+            load_gold_csv(p, "valence")
+
+    def test_nan_in_written_features_refused(self, tmp_path):
+        # a nan used to load and end the run in epoch 1 as a non-finite gradient
+        feats, _, _ = make_aligned(20)
+        p = tmp_path / "features.csv"
+        write_features_csv(p, feats)
+        lines = p.read_text().splitlines(keepends=True)
+        fields = lines[5].split(",")  # data row 5 sits on line 6
+        fields[3] = "nan"
+        lines[5] = ",".join(fields)
+        p.write_text("".join(lines))
+        want = r"features\.csv: line 6: non-finite value 'nan' in column 'f2'"
+        with pytest.raises(ParseError, match=want):
+            load_features_csv(p)
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "NaN", "1e400"])
+    def test_non_finite_refused_in_every_layout(self, tmp_path, token):
+        cases = [
+            (f"time,value\n0.0,0.1\n0.04,{token}\n", lambda p: load_gold_csv(p, "valence")),
+            (f"time,a,b\n0.0,0.1,{token}\n0.04,0.2,0.3\n",
+             lambda p: load_annotation_csv(p, "arousal")),
+            (f"time,annotator,value\n0.0,r1,0.1\n0.0,r2,0.2\n0.04,r1,{token}\n0.04,r2,0.3\n",
+             lambda p: load_annotation_csv(p, "arousal")),
+        ]
+        for i, (text, load) in enumerate(cases):
+            p = write(tmp_path, f"c{i}.csv", text)
+            with pytest.raises(ParseError, match=f"c{i}.csv: line \\d: non-finite value"):
+                load(p)
+
+
+class TestTimeGrid:
+    def test_gap_in_gold_refused(self, tmp_path):
+        # a 4 s gap cut out of the time column used to load silently
+        p = tmp_path / "gold.csv"
+        write_gold_csv(p, GoldStandardTrack("valence", 25.0, np.zeros(300)))
+        lines = p.read_text().splitlines(keepends=True)
+        del lines[1 + 50 : 1 + 150]  # data rows 50-149
+        p.write_text("".join(lines))
+        want = r"time 6\.000000 at line 52 is off the uniform grid"
+        with pytest.raises(StructuralError, match=want):
+            load_gold_csv(p, "valence")
+
+    def test_time_going_back_names_its_line(self, tmp_path):
+        p = write(tmp_path, "g.csv", "time,value\n0.0,0.1\n0.04,0.2\n0.02,0.3\n")
+        with pytest.raises(StructuralError, match="line 4 breaks the strictly increasing"):
+            load_gold_csv(p, "valence")
+
+    def test_long_layout_gap_names_its_line(self, tmp_path):
+        rows = [f"{t},{a},0.1" for t in (0.0, 0.04, 0.08, 1.0) for a in ("r2", "r1")]
+        p = write(tmp_path, "a.csv", "time,annotator,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(StructuralError, match="time 1.000000 at line 9 is off"):
+            load_annotation_csv(p, "arousal")
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_package_files_load_at_common_rates(self, tmp_path, rate):
+        # 6-decimal time stamps: steps differ by up to 1e-6 s
+        p = tmp_path / "f.csv"
+        feats = FeatureSequence(np.zeros((2000, 2)), rate)
+        write_features_csv(p, feats)
+        assert load_features_csv(p).rate_hz == pytest.approx(rate, rel=1e-4)
+
+
+class TestDatasetManifest:
+    @pytest.mark.parametrize("rate", [30.0, 44.1, 60.0])
+    def test_rate_round_trips_exactly(self, tmp_path, rate):
+        # the median 6-decimal step used to give 30.0003 Hz and 59.9988 Hz
+        ds = Dataset([make_source(400, rate=rate, source_id="s0")])
+        write_dataset(tmp_path / "d", ds)
+        back = load_dataset(tmp_path / "d")
+        src = back.sources[0]
+        rates = [src.features.rate_hz, src.gold["arousal"].rate_hz,
+                 src.annotations["arousal"].rate_hz]
+        assert rates == [rate] * 3
+        np.testing.assert_allclose(src.features.data, ds.sources[0].features.data, atol=5e-7)
+
+    def _write_with_manifest(self, tmp_path, **changes):
+        root = tmp_path / "d"
+        write_dataset(root, Dataset([make_source(100, source_id="s0")]))
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest.update(changes)
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        return root
+
+    def test_files_off_the_manifest_rate_refused(self, tmp_path):
+        root = self._write_with_manifest(tmp_path, rate_hz=26.0)
+        want = r"features\.csv: time .* off the manifest's 26.0 Hz grid"
+        with pytest.raises(StructuralError, match=want):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("rate", [0, -25.0, "25", None, True])
+    def test_bad_manifest_rate_refused(self, tmp_path, rate):
+        root = self._write_with_manifest(tmp_path, rate_hz=rate)
+        with pytest.raises(StructuralError, match="manifest.json: rate_hz must be"):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("sid", ["..", ".", "", "a/b", "a\\b", "../s0", 3])
+    def test_source_id_must_be_a_plain_name(self, tmp_path, sid):
+        root = self._write_with_manifest(tmp_path, sources=[sid])
+        with pytest.raises(StructuralError, match=r"manifest\.json: source id .* plain directory"):
+            load_dataset(root)
+
+    def test_sources_must_be_a_list(self, tmp_path):
+        root = self._write_with_manifest(tmp_path, sources="s0")
+        with pytest.raises(StructuralError, match="sources must be a list"):
+            load_dataset(root)
+
+    def test_subset_of_loaded_dataset_round_trips(self, tmp_path):
+        # the old manifest in meta used to overwrite the sources the writer listed
+        ds = Dataset([make_source(100, source_id=f"s{i}") for i in range(3)], meta={"seed": 7})
+        write_dataset(tmp_path / "d", ds)
+        loaded = load_dataset(tmp_path / "d")
+        write_dataset(tmp_path / "e", Dataset(loaded.sources[:2], meta=loaded.meta))
+        back = load_dataset(tmp_path / "e")
+        assert back.source_ids == ("s0", "s1")
+        assert back.meta["seed"] == 7
+
+    def test_manifest_written_last_and_no_temp_files(self, tmp_path, monkeypatch):
+        root = tmp_path / "d"
+        ds = Dataset([make_source(100, source_id="s0")])
+        write_dataset(root, ds)
+        files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+        assert files == [
+            "manifest.json", "s0", "s0/annotations_arousal.csv", "s0/features.csv",
+            "s0/gold_arousal.csv",
+        ]
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        # a write that stops halfway leaves no manifest naming missing files
+        monkeypatch.setattr(annotations, "write_annotation_csv", fail)
+        with pytest.raises(OSError):
+            write_dataset(tmp_path / "e", ds)
+        assert not (tmp_path / "e" / "manifest.json").exists()
