@@ -9,7 +9,6 @@ harness, and a CLI (``emocons``).
 
 from .annotations import (
     AnnotationMatrix,
-    AnnotationTrack,
     Dataset,
     FeatureSequence,
     GoldStandardTrack,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AcnConfig",
     "AnnotationMatrix",
-    "AnnotationTrack",
     "ConfigError",
     "ContractError",
     "Dataset",

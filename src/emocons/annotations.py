@@ -70,34 +70,13 @@ def _check_rate(rate_hz: float) -> None:
         raise ContractError(f"sampling rate must be positive and finite, got {rate_hz}")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _finite_readonly(a, container: str) -> np.ndarray:
+    """``a`` as a read-only float64 array, refused if any value is not finite."""
     out = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise ContractError(f"{container} values must be finite")
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class AnnotationTrack:
-    """One annotator's trace for one affect dimension."""
-
-    annotator_id: str
-    dimension: str
-    rate_hz: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_dimension(self.dimension)
-        _check_rate(self.rate_hz)
-        if not self.annotator_id:
-            raise ContractError("annotator_id must be non-empty")
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] < 1:
-            raise ContractError(f"values must be 1-D and nonempty, got shape {v.shape}")
-        object.__setattr__(self, "values", _readonly(v))
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +101,7 @@ class AnnotationMatrix:
             )
         if len(set(ids)) != len(ids):
             raise ContractError("annotator ids must be unique")
-        object.__setattr__(self, "data", _readonly(d))
+        object.__setattr__(self, "data", _finite_readonly(d, "AnnotationMatrix"))
         object.__setattr__(self, "annotator_ids", ids)
 
     @property
@@ -132,13 +111,6 @@ class AnnotationMatrix:
     @property
     def annotators(self) -> int:
         return self.data.shape[1]
-
-    def column(self, annotator_id: str) -> AnnotationTrack:
-        try:
-            j = self.annotator_ids.index(annotator_id)
-        except ValueError:
-            raise ContractError(f"no annotator {annotator_id!r} in {self.annotator_ids}") from None
-        return AnnotationTrack(annotator_id, self.dimension, self.rate_hz, self.data[:, j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +132,7 @@ class GoldStandardTrack:
             raise ContractError(
                 f"unknown provenance {self.provenance!r}, expected one of {PROVENANCES}"
             )
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", _finite_readonly(v, "GoldStandardTrack"))
 
     @property
     def frames(self) -> int:
@@ -179,7 +151,7 @@ class FeatureSequence:
         d = np.asarray(self.data, dtype=np.float64)
         if d.ndim != 2:
             raise ContractError(f"data must be 2-D (frames x dim), got shape {d.shape}")
-        object.__setattr__(self, "data", _readonly(d))
+        object.__setattr__(self, "data", _finite_readonly(d, "FeatureSequence"))
 
     @property
     def frames(self) -> int:
@@ -378,9 +350,7 @@ def _load_long(
     return AnnotationMatrix(data, tuple(ids), dimension, rate)
 
 
-def _load_annotations(
-    path: Path, dimension: str, rate_hz: float | None
-) -> AnnotationTrack | AnnotationMatrix:
+def _load_annotations(path: Path, dimension: str, rate_hz: float | None) -> AnnotationMatrix:
     _check_dimension(dimension)
     header, rest = _read_header(path)
     if header[0] != "time":
@@ -394,25 +364,16 @@ def _load_annotations(
     rate = _grid_rate(path, table[:, 0], rate_hz)
     order = sorted(range(len(ids)), key=lambda j: ids[j])
     values = _clamp(table[:, [1 + j for j in order]], path)
-    ids = [ids[j] for j in order]
-    if len(ids) == 1:
-        return AnnotationTrack(ids[0], dimension, rate, values[:, 0].copy())
-    return AnnotationMatrix(values, tuple(ids), dimension, rate)
+    return AnnotationMatrix(values, tuple(ids[j] for j in order), dimension, rate)
 
 
-def load_annotation_csv(path: str | Path, dimension: str) -> AnnotationTrack | AnnotationMatrix:
-    """Load annotations; a single-annotator file yields an AnnotationTrack.
+def load_annotation_csv(path: str | Path, dimension: str) -> AnnotationMatrix:
+    """Load annotations as a frames x annotators matrix, columns sorted by id.
 
-    Values outside [-1, 1] are clamped and reported with a ClampWarning.
+    A single-annotator file gives a one-column matrix.  Values outside
+    [-1, 1] are clamped and reported with a ClampWarning.
     """
     return _load_annotations(Path(path), dimension, None)
-
-
-def as_annotation_matrix(ann: AnnotationTrack | AnnotationMatrix) -> AnnotationMatrix:
-    """A single annotator's track as a one-column matrix; matrices pass through."""
-    if isinstance(ann, AnnotationMatrix):
-        return ann
-    return AnnotationMatrix(ann.values[:, None], (ann.annotator_id,), ann.dimension, ann.rate_hz)
 
 
 def _load_gold(
@@ -463,12 +424,8 @@ def _write_table(path: Path, header: list[str], rate_hz: float, columns: np.ndar
         fh.write(row * n % tuple(table.ravel().tolist()))
 
 
-def write_annotation_csv(path: str | Path, ann: AnnotationTrack | AnnotationMatrix) -> None:
-    path = Path(path)
-    if isinstance(ann, AnnotationTrack):
-        _write_table(path, ["time", ann.annotator_id], ann.rate_hz, ann.values[:, None])
-    else:
-        _write_table(path, ["time", *ann.annotator_ids], ann.rate_hz, ann.data)
+def write_annotation_csv(path: str | Path, ann: AnnotationMatrix) -> None:
+    _write_table(Path(path), ["time", *ann.annotator_ids], ann.rate_hz, ann.data)
 
 
 def write_trace_csv(path: str | Path, values: np.ndarray, rate_hz: float) -> None:
@@ -571,8 +528,12 @@ def write_dataset(root: str | Path, dataset: Dataset) -> None:
     """Write a dataset directory: per-source CSV files, then manifest.json.
 
     Each file is written atomically, and the manifest last, so a directory
-    whose manifest is new holds every file it names.
+    whose manifest is new holds every file it names.  Source ids that
+    load_dataset would refuse are refused before anything is written.
     """
+    for sid in dataset.source_ids:
+        if not _is_plain_name(sid):
+            raise ContractError(f"source id {sid!r} is not a plain directory name")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     for s in dataset.sources:
@@ -648,17 +609,21 @@ def load_dataset(root: str | Path) -> Dataset:
         raise StructuralError(f"{manifest_path}: rate_hz must be a positive number, got {rate!r}")
     rate = float(rate)
     provenance = manifest.get("gold_provenance", "external_gold")
+
+    def named(path: Path) -> Path:
+        if not path.is_file():
+            raise StructuralError(f"{manifest_path}: names {path}, which does not exist")
+        return path
+
     sources = []
     for sid in source_ids:
         d = root / sid
-        feats = _load_features(d / "features.csv", rate)
+        feats = _load_features(named(d / "features.csv"), rate)
         gold = {}
         ann = {}
         for dim in dims:
-            gold[dim] = _load_gold(d / f"gold_{dim}.csv", dim, provenance, rate)
-            ann[dim] = as_annotation_matrix(
-                _load_annotations(d / f"annotations_{dim}.csv", dim, rate)
-            )
+            gold[dim] = _load_gold(named(d / f"gold_{dim}.csv"), dim, provenance, rate)
+            ann[dim] = _load_annotations(named(d / f"annotations_{dim}.csv"), dim, rate)
         sources.append(SourceData(source_id=sid, features=feats, gold=gold, annotations=ann))
     return Dataset(sources=sources, meta=manifest)
 

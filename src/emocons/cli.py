@@ -25,7 +25,6 @@ from pathlib import Path
 
 from .annotations import (
     GoldStandardTrack,
-    as_annotation_matrix,
     load_annotation_csv,
     load_dataset,
     load_features_csv,
@@ -35,9 +34,15 @@ from .annotations import (
     write_trace_csv,
 )
 from .atomic import atomic_write
-from .ccc import ccc_loss
+from .ccc import POOLINGS, ccc_loss
 from .codec import from_dict, to_dict
-from .consensus import AGGREGATORS, aggregate, compute_reliability_weights, forward_consensus
+from .consensus import (
+    AGGREGATORS,
+    aggregate,
+    aggregate_baseline,
+    compute_reliability_weights,
+    forward_consensus,
+)
 from .errors import ConfigError, ContractError, EmoconsError
 from .evalharness import (
     FOLD_SCHEMES,
@@ -296,7 +301,7 @@ def _build_parser() -> _Parser:
     p = command("evaluate", "score a trained run against gold on a dataset")
     p.add_argument("--run", metavar="DIR", help="run directory (default: run_dir)")
     p.add_argument(
-        "--pooling", choices=("pooled", "per_window_mean"), default="pooled",
+        "--pooling", choices=POOLINGS, default="pooled",
         help="score whole traces or average window scores",
     )
     p.add_argument("--sources", metavar="IDS", help="comma-separated source filter")
@@ -379,6 +384,13 @@ def _cmd_train(cfg: CliConfig, ns) -> int:
     return 0
 
 
+def _run_dimensions(run_dir, meta: dict) -> tuple[str, ...]:
+    dims = tuple(meta.get("dimensions", ()))
+    if not dims:
+        raise ContractError(f"{run_dir}: checkpoint does not name its dimensions")
+    return dims
+
+
 def _cmd_evaluate(cfg: CliConfig, ns) -> int:
     run_dir = ns.run or cfg.run_dir
     run_dir = _require(run_dir, "run directory", "--run or --run_dir")
@@ -393,9 +405,7 @@ def _cmd_evaluate(cfg: CliConfig, ns) -> int:
         if missing:
             raise ContractError(f"unknown sources: {missing}")
         sources = [by_id[sid] for sid in wanted]
-    dims = tuple(meta.get("dimensions", ()))
-    if not dims:
-        raise ContractError(f"{run_dir}: checkpoint does not name its dimensions")
+    dims = _run_dimensions(run_dir, meta)
     window = None
     if ns.pooling == "per_window_mean":
         cfg_path = Path(run_dir) / "config.json"
@@ -410,7 +420,7 @@ def _cmd_evaluate(cfg: CliConfig, ns) -> int:
 
 
 def _cmd_aggregate(cfg: CliConfig, ns) -> int:
-    matrix = as_annotation_matrix(load_annotation_csv(ns.input, ns.dimension))
+    matrix = load_annotation_csv(ns.input, ns.dimension)
     if ns.method == "acn":
         if not ns.checkpoint:
             raise ConfigError("--checkpoint is required for --method acn")
@@ -420,30 +430,29 @@ def _cmd_aggregate(cfg: CliConfig, ns) -> int:
             raise ContractError(
                 f"{ns.checkpoint}: checkpoint has no consensus net for {ns.dimension!r}"
             )
-        values = forward_consensus(acn, matrix.data)
-    elif ns.method == "weighted":
-        weights = compute_reliability_weights(
-            matrix.data, aggregate(matrix.data, "mean")
+        track = GoldStandardTrack(
+            dimension=ns.dimension,
+            rate_hz=matrix.rate_hz,
+            values=forward_consensus(acn, matrix.data),
+            provenance="aggregated",
         )
-        values = aggregate(matrix.data, "weighted", weights)
     else:
-        values = aggregate(matrix.data, ns.method)
-    track = GoldStandardTrack(
-        dimension=ns.dimension,
-        rate_hz=matrix.rate_hz,
-        values=values,
-        provenance="aggregated",
-    )
+        weights = None
+        if ns.method == "weighted":
+            weights = compute_reliability_weights(matrix.data, aggregate(matrix.data, "mean"))
+        track = aggregate_baseline(matrix, ns.method, weights)
     write_gold_csv(ns.output, track)
-    print(f"wrote {ns.method} consensus over {matrix.data.shape[1]} annotators to {ns.output}")
+    print(f"wrote {ns.method} consensus over {matrix.annotators} annotators to {ns.output}")
     return 0
 
 
 def _cmd_predict(cfg: CliConfig, ns) -> int:
     feats = load_features_csv(ns.features)
     model, meta = load_run_model(ns.run)
-    dims = tuple(meta.get("dimensions", ()))
-    dim = ns.dimension or (dims[0] if dims else "arousal")
+    dims = _run_dimensions(ns.run, meta)
+    dim = ns.dimension or dims[0]
+    if dim not in dims:
+        raise ContractError(f"{ns.run}: run was trained on {list(dims)}, not {dim!r}")
     out = forward_predictor(model.predictor, feats.data)
     col = output_index(model.predictor.config, dim)
     write_trace_csv(ns.output, out[:, col], feats.rate_hz)

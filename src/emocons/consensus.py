@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotations import AnnotationMatrix
+from .annotations import AnnotationMatrix, GoldStandardTrack
 from .ccc import ccc_from_stats, ccc_stats
 from .errors import ContractError
 from .nn import DenseLayer, Network, backward, forward, init_network
 
 AGGREGATORS = ("mean", "median", "weighted")
-
-CONSENSUS_SOURCES = ("acn", "mean", "median", "weighted")
 
 # tolerance on the sum-to-one precondition for explicit weight vectors
 _WEIGHT_SUM_TOL = 1e-9
@@ -34,30 +32,6 @@ def _as_matrix(matrix: np.ndarray) -> np.ndarray:
             f"annotation values must be a (frames x annotators) matrix, got {m.shape}"
         )
     return m
-
-
-@dataclass(frozen=True, eq=False)
-class ConsensusTrace:
-    """Per-frame consensus values plus how they were produced."""
-
-    values: np.ndarray
-    source: str
-
-    def __post_init__(self):
-        if self.source not in CONSENSUS_SOURCES:
-            raise ContractError(
-                f"unknown consensus source {self.source!r}, expected one of {CONSENSUS_SOURCES}"
-            )
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] < 1:
-            raise ContractError(f"values must be 1-D and nonempty, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ContractError("consensus values must be finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
 
 
 def aggregate(matrix: np.ndarray, method: str, weights=None) -> np.ndarray:
@@ -94,9 +68,14 @@ def aggregate(matrix: np.ndarray, method: str, weights=None) -> np.ndarray:
 
 def aggregate_baseline(
     annotations: AnnotationMatrix, method: str, weights=None
-) -> ConsensusTrace:
-    """Non-learned consensus over an annotation matrix."""
-    return ConsensusTrace(aggregate(annotations.data, method, weights), source=method)
+) -> GoldStandardTrack:
+    """Non-learned consensus over an annotation matrix, as an aggregated reference trace."""
+    return GoldStandardTrack(
+        dimension=annotations.dimension,
+        rate_hz=annotations.rate_hz,
+        values=aggregate(annotations.data, method, weights),
+        provenance="aggregated",
+    )
 
 
 def compute_reliability_weights(matrix: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ The pieces here stack: a FoldPlan says which sources to hold out, evaluate()
 scores one model on held-out sources, run_cv() trains and scores every fold,
 and ab_compare() runs the whole cross-validation once per seed for each of
 two training modes and reports per-seed score deltas with their median.
+evaluate() lives in ``predictor``, where the training loop's validation
+also calls it, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .annotations import Dataset, SourceData, WindowSpec, load_dataset, window_bounds
+from .annotations import Dataset, SourceData, load_dataset
 from .atomic import atomic_write
-from .ccc import ccc_from_stats, ccc_stats
 from .errors import ContractError, StructuralError
-from .predictor import Predictor, forward_predictor, output_index
+from .predictor import evaluate
 from .trainer import (
     TrainConfig,
     config_hash,
@@ -34,7 +35,6 @@ from .trainer import (
 logger = logging.getLogger("emocons.evalharness")
 
 FOLD_SCHEMES = ("leave_one_source_out", "fixed_split")
-EVAL_POOLINGS = ("pooled", "per_window_mean")
 
 REPORT_FORMAT = "emocons-report"
 REPORT_VERSION = 1
@@ -96,63 +96,6 @@ def make_fixed_split(train_ids: Sequence[str], test_ids: Sequence[str]) -> FoldP
     return FoldPlan(
         scheme="fixed_split", folds=((tuple(train_ids), tuple(test_ids)),)
     )
-
-
-# ---------------------------------------------------------------------------
-# Scoring
-
-
-def evaluate(
-    predictor: Predictor,
-    sources: Sequence[SourceData],
-    dimensions: Sequence[str],
-    *,
-    pooling: str = "pooled",
-    window: WindowSpec | None = None,
-) -> dict[str, float]:
-    """Score a predictor against gold on held-out sources, per dimension.
-
-    "pooled" scores each source's full trace and averages over sources;
-    "per_window_mean" scores every window of every source and averages
-    over windows (a window spec is required for that).
-    """
-    if pooling not in EVAL_POOLINGS:
-        raise ContractError(f"unknown pooling {pooling!r}, expected one of {EVAL_POOLINGS}")
-    if pooling == "per_window_mean" and window is None:
-        raise ContractError("per_window_mean pooling needs a window spec")
-    sources = list(sources)
-    if not sources:
-        raise ContractError("no sources to evaluate")
-    dims = tuple(dimensions)
-    if not dims:
-        raise ContractError("no dimensions to evaluate")
-
-    outputs = [forward_predictor(predictor, s.features.data) for s in sources]
-    scores: dict[str, float] = {}
-    for dim in dims:
-        col = output_index(predictor.config, dim)
-        vals = []
-        for src, out in zip(sources, outputs):
-            if dim not in src.gold:
-                raise ContractError(
-                    f"source {src.source_id!r} has no gold track for {dim!r}"
-                )
-            gold = src.gold[dim].values
-            yhat = out[:, col]
-            if pooling == "pooled":
-                vals.append(ccc_from_stats(ccc_stats(gold, yhat)))
-            else:
-                for a, b in window_bounds(gold.size, window, src.features.rate_hz):
-                    vals.append(ccc_from_stats(ccc_stats(gold[a:b], yhat[a:b])))
-        if not vals:
-            longest = max(sources, key=lambda src: src.features.frames)
-            w, _ = window.frames(longest.features.rate_hz)
-            raise ContractError(
-                f"no source holds one full {w}-frame window; the longest, "
-                f"{longest.source_id!r}, has {longest.features.frames} frames"
-            )
-        scores[dim] = math.fsum(vals) / len(vals)
-    return scores
 
 
 # ---------------------------------------------------------------------------

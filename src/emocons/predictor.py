@@ -6,14 +6,21 @@ plays the frozen feature extractor, the trainable layers play the
 fine-tuned upper stack.  A causal context stack (each frame sees the
 previous ``context_frames`` rows) can inject temporal information without
 recurrence.
+
+``evaluate`` is the one scoring path: held-out evaluation and the training
+loop's per-epoch validation both score a predictor through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from .annotations import SourceData, WindowSpec, window_bounds
+from .ccc import POOLINGS, ccc_from_stats, ccc_stats
 from .errors import ContractError
 from .nn import ACTIVATIONS, Network, backward, forward, init_network
 
@@ -131,3 +138,56 @@ def forward_predictor(pred: Predictor, features: np.ndarray) -> np.ndarray:
 def backward_predictor(pred: Predictor, grad: np.ndarray) -> np.ndarray:
     """Accumulate gradients from d(loss)/d(output); returns input gradient."""
     return backward(pred.net, np.asarray(grad, dtype=np.float64))
+
+
+def evaluate(
+    predictor: Predictor,
+    sources: Sequence[SourceData],
+    dimensions: Sequence[str],
+    *,
+    pooling: str = "pooled",
+    window: WindowSpec | None = None,
+) -> dict[str, float]:
+    """Score a predictor against gold on held-out sources, per dimension.
+
+    "pooled" scores each source's full trace and averages over sources;
+    "per_window_mean" scores every window of every source and averages
+    over windows (a window spec is required for that).
+    """
+    if pooling not in POOLINGS:
+        raise ContractError(f"unknown pooling {pooling!r}, expected one of {POOLINGS}")
+    if pooling == "per_window_mean" and window is None:
+        raise ContractError("per_window_mean pooling needs a window spec")
+    sources = list(sources)
+    if not sources:
+        raise ContractError("no sources to evaluate")
+    dims = tuple(dimensions)
+    if not dims:
+        raise ContractError("no dimensions to evaluate")
+
+    outputs = [forward_predictor(predictor, s.features.data) for s in sources]
+    scores: dict[str, float] = {}
+    for dim in dims:
+        col = output_index(predictor.config, dim)
+        vals = []
+        for src, out in zip(sources, outputs):
+            if dim not in src.gold:
+                raise ContractError(
+                    f"source {src.source_id!r} has no gold track for {dim!r}"
+                )
+            gold = src.gold[dim].values
+            yhat = out[:, col]
+            if pooling == "pooled":
+                vals.append(ccc_from_stats(ccc_stats(gold, yhat)))
+            else:
+                for a, b in window_bounds(gold.size, window, src.features.rate_hz):
+                    vals.append(ccc_from_stats(ccc_stats(gold[a:b], yhat[a:b])))
+        if not vals:
+            longest = max(sources, key=lambda src: src.features.frames)
+            w, _ = window.frames(longest.features.rate_hz)
+            raise ContractError(
+                f"no source holds one full {w}-frame window; the longest, "
+                f"{longest.source_id!r}, has {longest.features.frames} frames"
+            )
+        scores[dim] = math.fsum(vals) / len(vals)
+    return scores

@@ -34,7 +34,7 @@ import numpy as np
 
 from .annotations import SourceData, WindowSpec, window_bounds
 from .atomic import atomic_write
-from .ccc import POOLINGS, ccc_batch_loss, ccc_from_stats, ccc_stats
+from .ccc import POOLINGS, ccc_batch_loss
 from .codec import from_dict, to_dict
 from .consensus import (
     Acn,
@@ -60,6 +60,7 @@ from .predictor import (
     Predictor,
     PredictorConfig,
     build_inputs,
+    evaluate,
     init_predictor,
     output_index,
 )
@@ -407,18 +408,6 @@ class TrainRun:
             raise ContractError("epoch records must be numbered 1..n in order")
 
 
-def _validation_ccc(model: JointModel, sources, dim: str) -> float | None:
-    if not sources:
-        return None
-    col = output_index(model.predictor.config, dim)
-    ctx = model.predictor.config.context_frames
-    scores = []
-    for src in sources:
-        pred = forward(model.predictor.net, build_inputs(src.features.data, ctx))[:, col]
-        scores.append(ccc_from_stats(ccc_stats(src.gold[dim].values, pred)))
-    return math.fsum(scores) / len(scores)
-
-
 def _check_items(data: TrainData, cfg: TrainConfig, need_annotations: bool) -> None:
     dims = resolve_dimensions(cfg)
     if not data.train:
@@ -472,18 +461,15 @@ def _train_loop(data: TrainData, cfg: TrainConfig, model: JointModel) -> TrainRu
                 t2_acc.append(stats.term2 * kb)
         term1 = math.fsum(t1_acc) / weight_acc if t1_acc else None
         term2 = math.fsum(t2_acc) / weight_acc if t2_acc else None
+        val = evaluate(model.predictor, data.val, dims) if data.val else {}
         epochs.append(
             EpochRecord(
                 epoch=epoch,
                 term1=term1,
                 term2=term2,
                 total=math.fsum(total_acc) / weight_acc,
-                val_ccc_arousal=(
-                    _validation_ccc(model, data.val, "arousal") if "arousal" in dims else None
-                ),
-                val_ccc_valence=(
-                    _validation_ccc(model, data.val, "valence") if "valence" in dims else None
-                ),
+                val_ccc_arousal=val.get("arousal"),
+                val_ccc_valence=val.get("valence"),
             )
         )
     return TrainRun(

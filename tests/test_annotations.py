@@ -11,7 +11,6 @@ import emocons.annotations as annotations
 from emocons.annotations import (
     _write_table,
     AnnotationMatrix,
-    AnnotationTrack,
     ClampWarning,
     Dataset,
     FeatureSequence,
@@ -59,12 +58,13 @@ class TestLoadWide:
             m = load_annotation_csv(p, "arousal")
         np.testing.assert_allclose(m.data, [[1.0, 0.0], [0.2, -1.0]])
 
-    def test_single_annotator_gives_track(self, tmp_path):
+    def test_single_annotator_gives_one_column_matrix(self, tmp_path):
         p = write(tmp_path, "a.csv", "time,solo\n0.0,0.1\n0.04,0.2\n0.08,0.3\n")
-        t = load_annotation_csv(p, "arousal")
-        assert isinstance(t, AnnotationTrack)
-        assert t.annotator_id == "solo"
-        np.testing.assert_allclose(t.values, [0.1, 0.2, 0.3])
+        m = load_annotation_csv(p, "arousal")
+        assert isinstance(m, AnnotationMatrix)
+        assert m.annotator_ids == ("solo",)
+        assert m.data.shape == (3, 1)
+        np.testing.assert_allclose(m.data[:, 0], [0.1, 0.2, 0.3])
 
     def test_empty_file_is_structural_error(self, tmp_path):
         p = write(tmp_path, "a.csv", "")
@@ -88,8 +88,8 @@ class TestLoadWide:
 
     def test_crlf_accepted(self, tmp_path):
         p = write(tmp_path, "a.csv", "time,a1\r\n0.0,0.1\r\n0.04,0.2\r\n")
-        t = load_annotation_csv(p, "arousal")
-        np.testing.assert_allclose(t.values, [0.1, 0.2])
+        m = load_annotation_csv(p, "arousal")
+        np.testing.assert_allclose(m.data[:, 0], [0.1, 0.2])
 
 
 class TestLoadLong:
@@ -171,6 +171,24 @@ def make_source(frames, rate=25.0, gold_rate=None, source_id="s"):
     if gold_rate is not None:
         gold = GoldStandardTrack("arousal", gold_rate, gold.values, "external_gold")
     return SourceData(source_id, feats, {"arousal": gold}, {"arousal": ann})
+
+
+class TestFiniteValues:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name, build, shape",
+        [
+            ("AnnotationMatrix", lambda v: AnnotationMatrix(v, ("a0", "a1"), "arousal", 25.0),
+             (10, 2)),
+            ("GoldStandardTrack", lambda v: GoldStandardTrack("arousal", 25.0, v), (10,)),
+            ("FeatureSequence", lambda v: FeatureSequence(v, 25.0), (10, 4)),
+        ],
+    )
+    def test_containers_refuse_non_finite(self, name, build, shape, bad):
+        values = np.zeros(shape)
+        values.flat[3] = bad
+        with pytest.raises(ContractError, match=f"{name} values must be finite"):
+            build(values)
 
 
 class TestWindowize:
@@ -431,6 +449,21 @@ class TestDatasetManifest:
         root = self._write_with_manifest(tmp_path, sources=[sid])
         with pytest.raises(StructuralError, match=r"manifest\.json: source id .* plain directory"):
             load_dataset(root)
+
+    def test_missing_file_named_with_its_manifest(self, tmp_path):
+        root = tmp_path / "d"
+        write_dataset(root, Dataset([make_source(100, source_id="s0")]))
+        (root / "s0" / "gold_arousal.csv").unlink()
+        want = r"d/manifest\.json: names .*d/s0/gold_arousal\.csv, which does not exist"
+        with pytest.raises(StructuralError, match=want):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("sid", ["../escaped", "..", ".", "a/b", "a\\b"])
+    def test_writer_refuses_what_the_loader_refuses(self, tmp_path, sid):
+        ds = Dataset([make_source(100, source_id="s0"), make_source(100, source_id=sid)])
+        with pytest.raises(ContractError, match="plain directory name"):
+            write_dataset(tmp_path / "root" / "d", ds)
+        assert list(tmp_path.rglob("*")) == []
 
     def test_sources_must_be_a_list(self, tmp_path):
         root = self._write_with_manifest(tmp_path, sources="s0")

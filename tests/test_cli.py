@@ -316,14 +316,14 @@ class TestPipeline:
         assert rc == 0
         assert "arousal ccc=" in capsys.readouterr().out
 
-    def _train(self, tmp_path, d, run_name="run"):
+    def _train(self, tmp_path, d, run_name="run", **train):
         r = tmp_path / run_name
         c = write_config(
             tmp_path,
             name=f"{run_name}.json",
             dataset_dir=str(d),
             run_dir=str(r),
-            train=tiny_train_section(),
+            train=tiny_train_section(**train),
         )
         assert parse_and_dispatch(["train", "--config", str(c)]) == 0
         return r
@@ -342,6 +342,31 @@ class TestPipeline:
         track = load_gold_csv(p, "arousal")
         assert track.frames == ds.sources[0].features.frames
         assert np.all(np.abs(track.values) <= 1.0)
+
+    def test_predict_refuses_an_untrained_dimension(self, tmp_path, capsys):
+        # a single head used to emit its one column under any dimension's name
+        d = make_dataset(tmp_path)
+        f = d / "source_00" / "features.csv"
+        single = self._train(tmp_path, d, "single")
+        dual = self._train(
+            tmp_path, d, "dual", dimensions="both", predictor={"encoder_dims": [8], "heads": "dual"}
+        )
+        capsys.readouterr()
+        for run, dim in ((single, "valence"), (dual, "both")):
+            p = tmp_path / f"{run.name}.csv"
+            rc = parse_and_dispatch(
+                ["predict", "--run", str(run), "--features", str(f), "--out", str(p),
+                 "--dimension", dim]
+            )
+            assert rc == 1
+            assert f"not {dim!r}" in capsys.readouterr().err
+            assert not p.exists()
+        p = tmp_path / "dual_valence.csv"
+        rc = parse_and_dispatch(
+            ["predict", "--run", str(dual), "--features", str(f), "--out", str(p),
+             "--dimension", "valence"]
+        )
+        assert rc == 0 and p.exists()
 
     def test_metrics_identical_files(self, tmp_path, capsys):
         g = tmp_path / "g.csv"
@@ -494,6 +519,16 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "125-frame window" in err
+
+    def test_missing_dataset_file_is_exit_1(self, tmp_path, capsys):
+        d = make_dataset(tmp_path)
+        (d / "source_01" / "gold_arousal.csv").unlink()
+        rc = parse_and_dispatch(
+            ["train", "--dataset", str(d), "--out", str(tmp_path / "r"), "--dimension", "arousal"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "source_01/gold_arousal.csv" in err
 
     def test_contract_violation_is_exit_1(self, tmp_path, capsys):
         rc = parse_and_dispatch(

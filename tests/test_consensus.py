@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from emocons.annotations import AnnotationMatrix
+from emocons.annotations import AnnotationMatrix, GoldStandardTrack
 from emocons.ccc import ccc_loss
 from emocons.consensus import (
     AGGREGATORS,
     Acn,
     AcnConfig,
-    ConsensusTrace,
     aggregate,
     aggregate_baseline,
     backward_consensus,
@@ -96,8 +95,9 @@ class TestAggregate:
             np.array([[0.1, 0.3], [-0.2, 0.2]]), ("a", "b"), "arousal", 25.0
         )
         trace = aggregate_baseline(ann, "mean")
-        assert isinstance(trace, ConsensusTrace)
-        assert trace.source == "mean"
+        assert isinstance(trace, GoldStandardTrack)
+        assert trace.provenance == "aggregated"
+        assert (trace.dimension, trace.rate_hz) == ("arousal", 25.0)
         np.testing.assert_allclose(trace.values, [0.2, 0.0])
 
 
@@ -176,9 +176,13 @@ class TestAcn:
         ann = AnnotationMatrix(
             np.array([[0.1, 0.3], [-0.2, 0.2]]), ("a", "b"), "valence", 25.0
         )
-        trace = ConsensusTrace(forward_consensus(make_mean_acn(2), ann.data), "acn")
-        assert trace.source == "acn"
+        trace = GoldStandardTrack(
+            "valence", ann.rate_hz, forward_consensus(make_mean_acn(2), ann.data), "aggregated"
+        )
+        assert trace.provenance == "aggregated"
         np.testing.assert_allclose(trace.values, [0.2, 0.0])
+        with pytest.raises(ContractError, match="GoldStandardTrack values must be finite"):
+            GoldStandardTrack("valence", ann.rate_hz, np.array([0.2, np.nan]), "aggregated")
 
     def test_gradient_through_acn_matches_central_differences(self):
         acn = init_acn(AcnConfig(annotators=4, hidden_dims=(8,)), substream(45, "a"))

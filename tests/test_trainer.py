@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from emocons.annotations import GoldStandardTrack, SourceData, WindowSpec
+from emocons.annotations import FeatureSequence, SourceData, WindowSpec
 from emocons.ccc import ccc_loss
 from emocons.codec import from_dict, to_dict
 from emocons.consensus import (
@@ -570,6 +570,19 @@ class TestContracts:
         with pytest.raises(ContractError):
             train_joint(data, dataclasses.replace(cfg, mode="baseline"))
 
+    def test_nan_in_a_source_fails_when_built(self):
+        # it used to build, and end the run in epoch 1 as a non-finite gradient
+        corpus = small_corpus()
+        cfg = small_train_config()
+        s = corpus.sources[0]
+        feats = s.features.data.copy()
+        feats[5, 0] = np.nan
+        with pytest.raises(ContractError, match="FeatureSequence values must be finite"):
+            bad = SourceData(
+                s.source_id, FeatureSequence(feats, s.features.rate_hz), s.gold, s.annotations
+            )
+            run_training(prepare_data([bad, *corpus.sources[1:]], [], cfg), cfg)
+
     def test_empty_training_set_rejected(self):
         cfg = small_train_config()
         with pytest.raises(ContractError, match="window"):
@@ -604,14 +617,8 @@ class TestMeanAcnEquivalence:
         corpus = small_corpus(seed=13, sources=3, frames=750)
         remade = []
         for s in corpus.sources:
-            mean = aggregate_baseline(s.annotations["valence"], "mean")
             gold = dict(s.gold)
-            gold["valence"] = GoldStandardTrack(
-                dimension="valence",
-                rate_hz=s.features.rate_hz,
-                values=mean.values,
-                provenance="aggregated",
-            )
+            gold["valence"] = aggregate_baseline(s.annotations["valence"], "mean")
             remade.append(
                 SourceData(
                     source_id=s.source_id,
