@@ -71,8 +71,8 @@ def _check_rate(rate_hz: float) -> None:
 
 
 def _finite_readonly(a, container: str) -> np.ndarray:
-    """``a`` as a read-only float64 array, refused if any value is not finite."""
-    out = np.asarray(a, dtype=np.float64)
+    """A read-only float64 copy of ``a``, refused if any value is not finite."""
+    out = np.array(a, dtype=np.float64)
     if not np.isfinite(out).all():
         raise ContractError(f"{container} values must be finite")
     out.flags.writeable = False
@@ -516,12 +516,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return self.sources[0].features.dim
-
-    def source(self, source_id: str) -> SourceData:
-        for s in self.sources:
-            if s.source_id == source_id:
-                return s
-        raise ContractError(f"no source {source_id!r} in {self.source_ids}")
 
 
 def write_dataset(root: str | Path, dataset: Dataset) -> None:

@@ -43,7 +43,7 @@ from .consensus import (
     compute_reliability_weights,
     forward_consensus,
 )
-from .errors import ConfigError, ContractError, EmoconsError
+from .errors import ConfigError, ContractError, EmoconsError, StructuralError
 from .evalharness import (
     FOLD_SCHEMES,
     ab_compare,
@@ -384,13 +384,6 @@ def _cmd_train(cfg: CliConfig, ns) -> int:
     return 0
 
 
-def _run_dimensions(run_dir, meta: dict) -> tuple[str, ...]:
-    dims = tuple(meta.get("dimensions", ()))
-    if not dims:
-        raise ContractError(f"{run_dir}: checkpoint does not name its dimensions")
-    return dims
-
-
 def _cmd_evaluate(cfg: CliConfig, ns) -> int:
     run_dir = ns.run or cfg.run_dir
     run_dir = _require(run_dir, "run directory", "--run or --run_dir")
@@ -405,14 +398,15 @@ def _cmd_evaluate(cfg: CliConfig, ns) -> int:
         if missing:
             raise ContractError(f"unknown sources: {missing}")
         sources = [by_id[sid] for sid in wanted]
-    dims = _run_dimensions(run_dir, meta)
+    dims = meta["dimensions"]
     window = None
     if ns.pooling == "per_window_mean":
         cfg_path = Path(run_dir) / "config.json"
-        if cfg_path.exists():
-            window = from_dict(TrainConfig, json.loads(cfg_path.read_text())).window
-        else:
-            window = cfg.train.window
+        try:
+            saved = json.loads(cfg_path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise StructuralError(f"{cfg_path}: cannot read the run's config ({exc})") from None
+        window = from_dict(TrainConfig, saved, str(cfg_path)).window
     scores = evaluate(model.predictor, sources, dims, pooling=ns.pooling, window=window)
     for dim in dims:
         print(f"{dim} ccc={round(scores[dim], 6)}")
@@ -449,10 +443,10 @@ def _cmd_aggregate(cfg: CliConfig, ns) -> int:
 def _cmd_predict(cfg: CliConfig, ns) -> int:
     feats = load_features_csv(ns.features)
     model, meta = load_run_model(ns.run)
-    dims = _run_dimensions(ns.run, meta)
+    dims = meta["dimensions"]
     dim = ns.dimension or dims[0]
     if dim not in dims:
-        raise ContractError(f"{ns.run}: run was trained on {list(dims)}, not {dim!r}")
+        raise ContractError(f"{ns.run}: run was trained on {dims}, not {dim!r}")
     out = forward_predictor(model.predictor, feats.data)
     col = output_index(model.predictor.config, dim)
     write_trace_csv(ns.output, out[:, col], feats.rate_hz)

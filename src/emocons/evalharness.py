@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .annotations import Dataset, SourceData, load_dataset
+from .annotations import Dataset, SourceData
 from .atomic import atomic_write
 from .errors import ContractError, StructuralError
 from .predictor import evaluate
@@ -316,8 +316,6 @@ def format_comparison_table(reports: Sequence[Report]) -> str:
 def _resolve_sources(data) -> list[SourceData]:
     if isinstance(data, Dataset):
         return list(data.sources)
-    if isinstance(data, (str, Path)):
-        return list(load_dataset(data).sources)
     return list(data)
 
 
@@ -330,10 +328,10 @@ def run_cv(
 ) -> Report:
     """Train one run per fold and score it on the fold's held-out sources.
 
-    `data` may be a Dataset, a dataset directory, or a source list.  With
-    `run_root` set, every completed fold is persisted as it finishes (so a
-    crash mid-way leaves the finished folds on disk) and the report is
-    written there at the end.  A failing fold propagates its error.
+    `data` may be a Dataset or a source list.  With `run_root` set, every
+    completed fold is persisted as it finishes (so a crash mid-way leaves
+    the finished folds on disk) and the report is written there at the
+    end.  A failing fold propagates its error.
     """
     sources = _resolve_sources(data)
     if len(sources) < 2:

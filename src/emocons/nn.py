@@ -20,7 +20,7 @@ from .atomic import atomic_write
 from .errors import ContractError, StructuralError
 
 CHECKPOINT_FORMAT = "emocons-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # activation -> (apply to pre-activation, derivative from the *output*)
 _ACTIVATIONS = {
@@ -57,14 +57,14 @@ class DenseLayer:
     bias: np.ndarray  # (out,)
     activation: str
     trainable: bool = True
-    grad_w: np.ndarray = None
-    grad_b: np.ndarray = None
-    m_w: np.ndarray = None
-    v_w: np.ndarray = None
-    m_b: np.ndarray = None
-    v_b: np.ndarray = None
-    cache_x: np.ndarray | None = field(default=None, repr=False)
-    cache_a: np.ndarray | None = field(default=None, repr=False)
+    grad_w: np.ndarray = field(init=False, repr=False)
+    grad_b: np.ndarray = field(init=False, repr=False)
+    m_w: np.ndarray = field(init=False, repr=False)
+    v_w: np.ndarray = field(init=False, repr=False)
+    m_b: np.ndarray = field(init=False, repr=False)
+    v_b: np.ndarray = field(init=False, repr=False)
+    cache_x: np.ndarray | None = field(default=None, init=False, repr=False)
+    cache_a: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.activation not in _ACTIVATIONS:
@@ -79,32 +79,12 @@ class DenseLayer:
             )
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ContractError("layer parameters must be finite")
-        for name in ("grad_w", "m_w", "v_w"):
-            cur = getattr(self, name)
-            setattr(
-                self,
-                name,
-                np.zeros_like(self.weights) if cur is None else np.array(cur, dtype=np.float64),
-            )
-            if getattr(self, name).shape != self.weights.shape:
-                raise ContractError(f"{name} shape does not match weights")
-        for name in ("grad_b", "m_b", "v_b"):
-            cur = getattr(self, name)
-            setattr(
-                self,
-                name,
-                np.zeros_like(self.bias) if cur is None else np.array(cur, dtype=np.float64),
-            )
-            if getattr(self, name).shape != self.bias.shape:
-                raise ContractError(f"{name} shape does not match bias")
+        self.grad_w, self.m_w, self.v_w = (np.zeros_like(self.weights) for _ in range(3))
+        self.grad_b, self.m_b, self.v_b = (np.zeros_like(self.bias) for _ in range(3))
 
     @property
     def in_dim(self) -> int:
         return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
 
 
 @dataclass(eq=False)
@@ -115,10 +95,6 @@ class Network:
     @property
     def in_dim(self) -> int:
         return self.layers[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].out_dim
 
 
 def init_network(
@@ -261,10 +237,6 @@ def _layer_to_json(layer: DenseLayer) -> dict:
         "trainable": layer.trainable,
         "weights": layer.weights.tolist(),
         "bias": layer.bias.tolist(),
-        "m_w": layer.m_w.tolist(),
-        "v_w": layer.v_w.tolist(),
-        "m_b": layer.m_b.tolist(),
-        "v_b": layer.v_b.tolist(),
     }
 
 
@@ -274,26 +246,22 @@ def _layer_from_json(d: dict) -> DenseLayer:
         bias=np.array(d["bias"], dtype=np.float64),
         activation=d["activation"],
         trainable=bool(d["trainable"]),
-        m_w=np.array(d["m_w"], dtype=np.float64),
-        v_w=np.array(d["v_w"], dtype=np.float64),
-        m_b=np.array(d["m_b"], dtype=np.float64),
-        v_b=np.array(d["v_b"], dtype=np.float64),
     )
 
 
 def save_checkpoint(path: str | Path, nets: dict[str, Network], meta: dict) -> None:
     """Write named networks plus metadata as versioned JSON.
 
-    Optimizer moments and step counts are included so training resumed from
-    the file continues exactly where it left off.  Pending gradient
-    accumulators and forward caches are transient and not saved.
+    Only what a forward pass needs is stored: each layer's activation,
+    trainable flag, weights and bias.  Optimizer state, gradient
+    accumulators and forward caches are not saved.
     """
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "meta": meta,
         "networks": {
-            name: {"step": net.step, "layers": [_layer_to_json(l) for l in net.layers]}
+            name: {"layers": [_layer_to_json(l) for l in net.layers]}
             for name, net in nets.items()
         },
     }
@@ -302,12 +270,15 @@ def save_checkpoint(path: str | Path, nets: dict[str, Network], meta: dict) -> N
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Network], dict]:
+    """Read a file written by ``save_checkpoint``; anything else is a StructuralError."""
     path = Path(path)
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StructuralError(f"{path}: not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise StructuralError(f"{path}: cannot read checkpoint ({exc.strerror})") from None
+    except json.JSONDecodeError as exc:
+        raise StructuralError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise StructuralError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
@@ -316,13 +287,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Network], dict]:
         )
     try:
         nets = {
-            name: Network(
-                layers=[_layer_from_json(l) for l in entry["layers"]],
-                step=int(entry["step"]),
-            )
+            name: Network(layers=[_layer_from_json(l) for l in entry["layers"]])
             for name, entry in doc["networks"].items()
         }
         meta = doc["meta"]
-    except (KeyError, TypeError) as exc:
+        if not isinstance(meta, dict):
+            raise TypeError("meta must be an object")
+    except (AttributeError, KeyError, TypeError, ValueError, ContractError) as exc:
         raise StructuralError(f"{path}: malformed checkpoint ({exc!r})") from None
     return nets, meta

@@ -583,12 +583,19 @@ def save_run(run_dir, run: TrainRun, cfg: TrainConfig) -> None:
 
 
 def load_run_model(run_dir) -> tuple[JointModel, dict]:
-    """Rebuild the trained networks saved by save_run."""
-    run_dir = Path(run_dir)
-    nets, meta = load_checkpoint(run_dir / "checkpoint.json")
+    """Rebuild the trained networks saved by save_run.
+
+    A checkpoint without a predictor, its config or its dimensions is a
+    StructuralError naming the file.
+    """
+    path = Path(run_dir) / "checkpoint.json"
+    nets, meta = load_checkpoint(path)
     if "predictor" not in nets:
-        raise StructuralError(f"{run_dir}: checkpoint has no predictor network")
-    pcfg = from_dict(PredictorConfig, meta.get("predictor_config", {}), "predictor_config")
+        raise StructuralError(f"{path}: checkpoint has no predictor network")
+    dims = meta.get("dimensions")
+    if not (isinstance(dims, list) and dims and "predictor_config" in meta):
+        raise StructuralError(f"{path}: checkpoint meta lacks predictor_config or dimensions")
+    pcfg = from_dict(PredictorConfig, meta["predictor_config"], f"{path} predictor_config")
     predictor = Predictor(net=nets["predictor"], config=pcfg)
     acns = {}
     for name, net in nets.items():

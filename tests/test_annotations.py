@@ -173,22 +173,33 @@ def make_source(frames, rate=25.0, gold_rate=None, source_id="s"):
     return SourceData(source_id, feats, {"arousal": gold}, {"arousal": ann})
 
 
+CONTAINERS = pytest.mark.parametrize(
+    "name, build, shape",
+    [
+        ("AnnotationMatrix", lambda v: AnnotationMatrix(v, ("a0", "a1"), "arousal", 25.0),
+         (10, 2)),
+        ("GoldStandardTrack", lambda v: GoldStandardTrack("arousal", 25.0, v), (10,)),
+        ("FeatureSequence", lambda v: FeatureSequence(v, 25.0), (10, 4)),
+    ],
+)
+
+
 class TestFiniteValues:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize(
-        "name, build, shape",
-        [
-            ("AnnotationMatrix", lambda v: AnnotationMatrix(v, ("a0", "a1"), "arousal", 25.0),
-             (10, 2)),
-            ("GoldStandardTrack", lambda v: GoldStandardTrack("arousal", 25.0, v), (10,)),
-            ("FeatureSequence", lambda v: FeatureSequence(v, 25.0), (10, 4)),
-        ],
-    )
+    @CONTAINERS
     def test_containers_refuse_non_finite(self, name, build, shape, bad):
         values = np.zeros(shape)
         values.flat[3] = bad
         with pytest.raises(ContractError, match=f"{name} values must be finite"):
             build(values)
+
+    @CONTAINERS
+    def test_callers_array_stays_writeable(self, name, build, shape):
+        values = np.zeros(shape)
+        held = getattr(build(values), "values" if name == "GoldStandardTrack" else "data")
+        assert values.flags.writeable and not held.flags.writeable
+        values.flat[0] = 1.0
+        assert held.flat[0] == 0.0
 
 
 class TestWindowize:

@@ -368,6 +368,42 @@ class TestPipeline:
         )
         assert rc == 0 and p.exists()
 
+    def test_predict_without_predictor_config_is_exit_1(self, tmp_path, capsys):
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        ck = r / "checkpoint.json"
+        doc = json.loads(ck.read_text())
+        del doc["meta"]["predictor_config"]
+        ck.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "pred.csv"
+        rc = parse_and_dispatch(
+            ["predict", "--run", str(r), "--features", str(d / "source_00" / "features.csv"),
+             "--out", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "checkpoint.json" in err and "predictor_config" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [None, "{not json"])
+    def test_evaluate_windows_need_the_runs_config(self, tmp_path, capsys, text):
+        # without the run's own config.json the CLI's default window used to score silently
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        cfg_path = r / "config.json"
+        if text is None:
+            cfg_path.unlink()
+        else:
+            cfg_path.write_text(text)
+        capsys.readouterr()
+        rc = parse_and_dispatch(
+            ["evaluate", "--run", str(r), "--dataset", str(d), "--pooling", "per_window_mean"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "config.json" in err
+
     def test_metrics_identical_files(self, tmp_path, capsys):
         g = tmp_path / "g.csv"
         values = 0.5 * np.sin(np.linspace(0, 9, 200))

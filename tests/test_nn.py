@@ -1,3 +1,5 @@
+import inspect
+import json
 import math
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 
 from emocons.errors import ContractError, StructuralError
 from emocons.nn import (
+    CHECKPOINT_VERSION,
+    DenseLayer,
     Network,
     OptimConfig,
     adam_step,
@@ -35,6 +39,16 @@ class TestInit:
             assert np.all(np.abs(l.weights) <= limit)
             assert np.all(l.bias == 0.0)
             assert l.trainable
+
+    def test_layer_takes_parameters_only(self):
+        assert list(inspect.signature(DenseLayer).parameters) == [
+            "weights", "bias", "activation", "trainable"
+        ]
+        layer = DenseLayer([[1.0, 2.0]], [0.5], "linear")
+        for name in ("grad_w", "m_w", "v_w"):
+            np.testing.assert_array_equal(getattr(layer, name), np.zeros((1, 2)))
+        for name in ("grad_b", "m_b", "v_b"):
+            np.testing.assert_array_equal(getattr(layer, name), np.zeros(1))
 
     def test_deterministic_given_stream(self):
         a, b = small_net(7), small_net(7)
@@ -320,44 +334,74 @@ class TestCheckpoint:
         assert meta == {"seed": 5}
         assert set(loaded) == {"predictor", "acn"}
         got = loaded["predictor"]
-        assert got.step == net.step
         for la, lb in zip(got.layers, net.layers):
             np.testing.assert_array_equal(la.weights, lb.weights)
             np.testing.assert_array_equal(la.bias, lb.bias)
-            np.testing.assert_array_equal(la.m_w, lb.m_w)
-            np.testing.assert_array_equal(la.v_w, lb.v_w)
-            np.testing.assert_array_equal(la.m_b, lb.m_b)
-            np.testing.assert_array_equal(la.v_b, lb.v_b)
             assert la.activation == lb.activation
             assert la.trainable == lb.trainable
 
-    def test_resumed_training_matches_uninterrupted(self, tmp_path):
-        net = self.make()
-        x = substream(23, "x").normal(size=(5, 3))
+    def test_file_holds_weights_only(self, tmp_path):
         p = tmp_path / "ck.json"
-        save_checkpoint(p, {"n": net}, meta={})
-        for _ in range(2):
-            y = forward(net, x)
-            zero_grads(net)
-            backward(net, 2.0 * y)
-            adam_step(net, lr=1e-3)
-        resumed = load_checkpoint(p)[0]["n"]
-        for _ in range(2):
-            y = forward(resumed, x)
-            zero_grads(resumed)
-            backward(resumed, 2.0 * y)
-            adam_step(resumed, lr=1e-3)
-        for la, lb in zip(resumed.layers, net.layers):
-            np.testing.assert_array_equal(la.weights, lb.weights)
+        save_checkpoint(p, {"n": self.make()}, meta={})
+        doc = json.loads(p.read_text())
+        assert doc["version"] == CHECKPOINT_VERSION == 2
+        (entry,) = doc["networks"].values()
+        assert set(entry) == {"layers"}
+        for layer in entry["layers"]:
+            assert set(layer) == {"activation", "trainable", "weights", "bias"}
 
     def test_unknown_version_rejected(self, tmp_path):
         net = self.make()
         p = tmp_path / "ck.json"
         save_checkpoint(p, {"n": net}, meta={})
-        text = p.read_text().replace('"version": 1', '"version": 99')
-        p.write_text(text)
-        with pytest.raises(StructuralError):
+        current = f'"version": {CHECKPOINT_VERSION}'
+        assert current in p.read_text()
+        p.write_text(p.read_text().replace(current, '"version": 99'))
+        with pytest.raises(StructuralError, match="unsupported version 99"):
             load_checkpoint(p)
+
+    def test_v1_file_with_optimizer_state_rejected(self, tmp_path):
+        layer = {
+            "activation": "linear", "trainable": True,
+            "weights": [[1.0, 2.0]], "bias": [0.0],
+            "m_w": [[0.0, 0.0]], "v_w": [[0.0, 0.0]], "m_b": [0.0], "v_b": [0.0],
+        }
+        doc = {
+            "format": "emocons-checkpoint", "version": 1, "meta": {},
+            "networks": {"predictor": {"step": 3, "layers": [layer]}},
+        }
+        p = tmp_path / "ck.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(StructuralError, match="unsupported version 1"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weights", [[1.0, 2.0], [3.0]]),
+            ("weights", [["a", "b"]]),
+            ("weights", None),
+            ("bias", [0.0, 0.0]),
+            ("bias", ...),  # key missing
+            ("activation", "softmax"),
+        ],
+    )
+    def test_malformed_layer_names_the_file(self, tmp_path, field, value):
+        p = tmp_path / "ck.json"
+        save_checkpoint(p, {"n": init_network((2, 1), ("linear",), substream(24, "t"))}, {})
+        doc = json.loads(p.read_text())
+        layer = doc["networks"]["n"]["layers"][0]
+        if value is ...:
+            del layer[field]
+        else:
+            layer[field] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(StructuralError, match="ck.json: malformed checkpoint"):
+            load_checkpoint(p)
+
+    def test_missing_file_is_structural(self, tmp_path):
+        with pytest.raises(StructuralError, match="ck.json: cannot read checkpoint"):
+            load_checkpoint(tmp_path / "ck.json")
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         p = tmp_path / "ck.json"
