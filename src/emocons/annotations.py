@@ -212,9 +212,12 @@ def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 
 def _read_header(path: Path) -> tuple[list[str], str]:
     """The first non-blank row, its fields stripped, and the text after it."""
-    with open(path) as fh:
-        header = next(filter(None, csv.reader(fh)), None)
-        rest = fh.read()
+    try:
+        with open(path) as fh:
+            header = next(filter(None, csv.reader(fh)), None)
+            rest = fh.read()
+    except OSError as exc:
+        raise StructuralError(f"{path}: cannot read ({exc.strerror})") from None
     if header is None:
         raise StructuralError(f"{path}: empty file")
     if not rest.strip("\n"):

@@ -3,17 +3,22 @@
 The pieces here stack: a FoldPlan says which sources to hold out, evaluate()
 scores one model on held-out sources, run_cv() trains and scores every fold,
 and ab_compare() runs the whole cross-validation once per seed for each of
-two training modes and reports per-seed score deltas with their median.
+two training modes, its folds spread over worker processes, and reports
+per-seed score deltas with their median.
 evaluate() lives in ``predictor``, where the training loop's validation
 also calls it, and is re-exported here.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import itertools
 import json
 import logging
 import math
+import os
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -319,6 +324,58 @@ def _resolve_sources(data) -> list[SourceData]:
     return list(data)
 
 
+def _fold_sources(
+    sources: Sequence[SourceData], plan: FoldPlan
+) -> list[tuple[list[SourceData], list[SourceData]]]:
+    """The (train, test) sources of every fold, refusing unknown or duplicate ids."""
+    by_id = {s.source_id: s for s in sources}
+    if len(by_id) != len(sources):
+        raise ContractError("duplicate source ids in dataset")
+    for train_ids, test_ids in plan.folds:
+        for sid in (*train_ids, *test_ids):
+            if sid not in by_id:
+                raise ContractError(f"fold references unknown source {sid!r}")
+    return [
+        ([by_id[s] for s in train_ids], [by_id[s] for s in test_ids])
+        for train_ids, test_ids in plan.folds
+    ]
+
+
+def _run_fold(train, test, cfg: TrainConfig, fold: int, run_dir) -> FoldScore:
+    """Train one fold, save it under ``run_dir`` if set, and score it."""
+    run = run_training(prepare_data(train, test, cfg), cfg)
+    if run_dir is not None:
+        save_run(run_dir, run, cfg)
+    return FoldScore(
+        mode=cfg.mode,
+        seed=cfg.seed,
+        fold=fold,
+        test_sources=tuple(s.source_id for s in test),
+        ccc=evaluate(run.model.predictor, test, resolve_dimensions(cfg)),
+    )
+
+
+def _log_fold(score: FoldScore, folds: int) -> None:
+    logger.info(
+        "fold %d/%d mode=%s seed=%d: %s",
+        score.fold + 1,
+        folds,
+        score.mode,
+        score.seed,
+        " ".join(f"{d}={v:+.4f}" for d, v in score.ccc.items()),
+    )
+
+
+def _cv_report(plan: FoldPlan, cfg: TrainConfig, entries: Sequence[FoldScore]) -> Report:
+    return make_report(
+        scheme=plan.scheme,
+        task=cfg.dimensions,
+        seeds=(cfg.seed,),
+        config_hashes={cfg.mode: config_hash(cfg)},
+        entries=tuple(entries),
+    )
+
+
 def run_cv(
     data,
     cfg: TrainConfig,
@@ -336,53 +393,131 @@ def run_cv(
     sources = _resolve_sources(data)
     if len(sources) < 2:
         raise ContractError("cross-validation needs at least two sources")
-    by_id = {s.source_id: s for s in sources}
-    if len(by_id) != len(sources):
-        raise ContractError("duplicate source ids in dataset")
     if plan is None:
         plan = make_loso_plan([s.source_id for s in sources])
-    for train_ids, test_ids in plan.folds:
-        for sid in (*train_ids, *test_ids):
-            if sid not in by_id:
-                raise ContractError(f"fold references unknown source {sid!r}")
+    folds = _fold_sources(sources, plan)
     root = None if run_root is None else Path(run_root)
-    dims = resolve_dimensions(cfg)
 
     entries = []
-    for i, (train_ids, test_ids) in enumerate(plan.folds):
-        train = [by_id[s] for s in train_ids]
-        test = [by_id[s] for s in test_ids]
-        run = run_training(prepare_data(train, test, cfg), cfg)
-        if root is not None:
-            save_run(root / f"fold_{i:02d}", run, cfg)
-        scores = evaluate(run.model.predictor, test, dims)
-        entries.append(
-            FoldScore(
-                mode=cfg.mode,
-                seed=cfg.seed,
-                fold=i,
-                test_sources=tuple(test_ids),
-                ccc=scores,
-            )
-        )
-        logger.info(
-            "fold %d/%d mode=%s seed=%d: %s",
-            i + 1,
-            len(plan.folds),
-            cfg.mode,
-            cfg.seed,
-            " ".join(f"{d}={scores[d]:+.4f}" for d in dims),
-        )
-    report = make_report(
-        scheme=plan.scheme,
-        task=cfg.dimensions,
-        seeds=(cfg.seed,),
-        config_hashes={cfg.mode: config_hash(cfg)},
-        entries=tuple(entries),
-    )
+    for i, (train, test) in enumerate(folds):
+        score = _run_fold(train, test, cfg, i, None if root is None else root / f"fold_{i:02d}")
+        _log_fold(score, len(folds))
+        entries.append(score)
+    report = _cv_report(plan, cfg, entries)
     if root is not None:
         save_report(root / "report.json", report)
     return report
+
+
+# ---------------------------------------------------------------------------
+# Fold pool
+#
+# ab_compare's folds are independent and deterministic, so they run in
+# forked worker processes.  Each worker pins the OpenBLAS it inherited to
+# one thread: two workers at two BLAS threads each on two cores are slower
+# than the serial run, and one thread is what makes a worker's numbers
+# equal a one-thread serial run's.  fork hands every worker the fold
+# tasks (corpus included) once, and re-imports nothing, so a script that
+# calls ab_compare needs no ``if __name__ == "__main__"`` guard.
+
+_BLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+)
+
+# the fold tasks, set in each worker by _init_worker and never in the parent
+_worker_tasks: Sequence[tuple] = ()
+
+
+def _usable_cores() -> int:
+    if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _blas_thread_setters() -> list:
+    """The thread-count setter of every OpenBLAS mapped into this process.
+
+    Empty when there is none (another BLAS, or no ``/proc/self/maps``).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
+    setters = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        name = next((n for n in _BLAS_SETTERS if hasattr(lib, n)), None)
+        if name is not None:
+            setter = getattr(lib, name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setters.append(setter)
+    return setters
+
+
+def _init_worker(tasks: Sequence[tuple], blas_setters: list) -> None:
+    global _worker_tasks
+    _worker_tasks = tasks
+    for set_threads in blas_setters:
+        set_threads(1)
+
+
+def _run_task(i: int) -> FoldScore:
+    return _run_fold(*_worker_tasks[i])
+
+
+def _pool_folds(tasks: Sequence[tuple], workers: int, blas_setters: list):
+    """Yield each task's FoldScore in task order, computed by ``workers``
+    forked processes.
+
+    The first fold to fail, in whatever order the folds finish, is raised
+    at once: the folds no worker has taken are cancelled and the running
+    ones stopped.
+    """
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(tasks, blas_setters),
+    )
+    finished = False
+    try:
+        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+        pending = set(futures)
+        for fut in futures:
+            while not fut.done():
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for d in done:
+                    exc = d.exception()
+                    if exc is not None:
+                        raise exc
+            yield fut.result()
+        finished = True
+    finally:
+        if not finished:
+            # shutdown() cancels only the folds no worker has taken yet
+            for proc in list((pool._processes or {}).values()):
+                proc.terminate()
+        pool.shutdown(wait=True, cancel_futures=not finished)
+
+
+def _run_folds(tasks: Sequence[tuple]):
+    """Yield each task's FoldScore in task order: from a fold pool when more
+    than one core is usable and the loaded BLAS can be pinned, else here."""
+    workers = min(_usable_cores(), len(tasks))
+    setters = _blas_thread_setters() if workers > 1 else []
+    if setters:
+        return _pool_folds(tasks, workers, setters)
+    return (_run_fold(*task) for task in tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +560,14 @@ def ab_compare(
     order and initialization derive from the seed alone) the exact same
     predictor start and shuffles, so per-seed deltas isolate the training
     mode.  At least three seeds are required for the median to mean much.
+
+    Every (seed, mode, fold) is trained in a pool of forked workers, one
+    per usable core and each at one BLAS thread, and merged in plan order,
+    so the result and every saved file equal those of a serial run at one
+    BLAS thread.  With one usable core, or a BLAS whose thread count cannot
+    be set, the folds run here one after another.  The first fold to fail
+    is raised; the folds after it are cancelled and no top-level report is
+    written.
     """
     seeds = [int(s) for s in seeds]
     if len(seeds) < 3:
@@ -436,31 +579,53 @@ def ab_compare(
     sources = _resolve_sources(data)
     if plan is None:
         plan = make_loso_plan([s.source_id for s in sources])
+    folds = _fold_sources(sources, plan)
     root = None if run_root is None else Path(run_root)
     dims = resolve_dimensions(base_cfg)
+
+    # one cross-validation per (seed, mode); dicts keep plan order
+    runs = {
+        (seed, slot): (
+            dataclasses.replace(base_cfg, mode=mode, seed=seed),
+            None if root is None else root / f"seed_{seed:02d}" / f"{slot}_{mode}",
+        )
+        for seed in seeds
+        for slot, mode in enumerate(modes)
+    }
+    tasks = [
+        (train, test, cfg, i, None if sub is None else sub / f"fold_{i:02d}")
+        for cfg, sub in runs.values()
+        for i, (train, test) in enumerate(folds)
+    ]
 
     entries: list[FoldScore] = []
     hashes: dict[str, str] = {}
     rows: list[SeedDelta] = []
-    for seed in seeds:
-        aggs = []
-        for slot, mode in enumerate(modes):
-            cfg = dataclasses.replace(base_cfg, mode=mode, seed=seed)
-            sub = None if root is None else root / f"seed_{seed:02d}" / f"{slot}_{mode}"
-            rep = run_cv(sources, cfg, plan, run_root=sub)
-            aggs.append(rep.aggregate[mode])
-            hashes[f"{mode}@{seed}"] = rep.config_hashes[mode]
-            entries.extend(rep.entries)
-        first, second = aggs
-        delta = {d: second[d] - first[d] for d in dims}
-        rows.append(
-            SeedDelta(seed=seed, baseline=dict(first), acn=dict(second), delta=delta)
-        )
-        logger.info(
-            "seed %d: %s",
-            seed,
-            " ".join(f"d_{d}={delta[d]:+.4f}" for d in dims),
-        )
+    with contextlib.closing(_run_folds(tasks)) as scores:
+        for seed in seeds:
+            aggs = []
+            for slot, mode in enumerate(modes):
+                cfg, sub = runs[seed, slot]
+                fold_scores = []
+                for score in itertools.islice(scores, len(folds)):
+                    _log_fold(score, len(folds))
+                    fold_scores.append(score)
+                rep = _cv_report(plan, cfg, fold_scores)
+                if sub is not None:
+                    save_report(sub / "report.json", rep)
+                aggs.append(rep.aggregate[mode])
+                hashes[f"{mode}@{seed}"] = rep.config_hashes[mode]
+                entries.extend(rep.entries)
+            first, second = aggs
+            delta = {d: second[d] - first[d] for d in dims}
+            rows.append(
+                SeedDelta(seed=seed, baseline=dict(first), acn=dict(second), delta=delta)
+            )
+            logger.info(
+                "seed %d: %s",
+                seed,
+                " ".join(f"d_{d}={delta[d]:+.4f}" for d in dims),
+            )
     median = {
         d: float(statistics.median(r.delta[d] for r in rows)) for d in dims
     }

@@ -566,6 +566,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "source_01/gold_arousal.csv" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["aggregate", "--in", "{missing}", "--out", "{out}"],
+            ["metrics", "--x", "{missing}", "--y", "{missing}"],
+            ["predict", "--run", "{run}", "--features", "{missing}", "--out", "{out}"],
+        ],
+        ids=["aggregate", "metrics", "predict"],
+    )
+    def test_missing_csv_is_exit_1(self, tmp_path, capsys, argv):
+        missing, out = tmp_path / "nope.csv", tmp_path / "out.csv"
+        argv = [a.format(missing=missing, out=out, run=tmp_path / "run") for a in argv]
+        rc = parse_and_dispatch(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{missing}: cannot read" in err
+        assert not out.exists()
+
     def test_contract_violation_is_exit_1(self, tmp_path, capsys):
         rc = parse_and_dispatch(
             ["simulate", "--out", str(tmp_path / "d"), "--synth.annotators", "1"]

@@ -1,5 +1,9 @@
 import json
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from emocons.evalharness import (
     run_cv,
     save_report,
 )
-from emocons.nn import DenseLayer, Network, OptimConfig
+from emocons.nn import DenseLayer, Network, OptimConfig, load_checkpoint
 from emocons.predictor import Predictor, PredictorConfig
 from emocons.rng import substream
 from emocons.synth import MILD_ANNOTATORS, SynthConfig, generate_corpus, sample_profiles
@@ -413,3 +417,115 @@ class TestAbCompare:
             for mode in ("baseline", "acn")
         }
         assert seeds_by_mode == {"baseline": [1, 2, 3], "acn": [1, 2, 3]}
+
+
+def _artifacts(root):
+    """Every saved file's bytes, except the checkpoints (their meta holds a
+    wall-clock time), and every checkpoint's weights and bias bytes."""
+    files, weights = {}, {}
+    for path in sorted(root.rglob("*")):
+        rel = str(path.relative_to(root))
+        if path.name == "checkpoint.json":
+            nets, _ = load_checkpoint(path)
+            weights[rel] = {
+                name: [(l.weights.tobytes(), l.bias.tobytes()) for l in net.layers]
+                for name, net in nets.items()
+            }
+        elif path.is_file():
+            files[rel] = path.read_bytes()
+    return files, weights
+
+
+class TestFoldPool:
+    """ab_compare's folds run in forked workers where it can pin BLAS."""
+
+    SEEDS = (1, 2, 3)
+
+    def _run(self, monkeypatch, root, cores, setters=None):
+        monkeypatch.setattr(evalharness, "_usable_cores", lambda: cores)
+        if setters is not None:
+            monkeypatch.setattr(evalharness, "_blas_thread_setters", lambda: setters)
+        pools = []
+        real_pool = evalharness._pool_folds
+
+        def spy(tasks, workers, blas_setters):
+            pools.append(workers)
+            return real_pool(tasks, workers, blas_setters)
+
+        monkeypatch.setattr(evalharness, "_pool_folds", spy)
+        cmp = ab_compare(tiny_corpus(), tiny_cfg(epochs=1), seeds=self.SEEDS, run_root=root)
+        return cmp, pools
+
+    def _needs_setter(self):
+        if not evalharness._blas_thread_setters():
+            pytest.skip("the loaded BLAS has no OpenBLAS thread setter")
+
+    def test_numpy_openblas_can_be_pinned(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in str(blas.get("name", "")).lower():
+            pytest.skip("numpy is not built against OpenBLAS")
+        assert evalharness._blas_thread_setters()
+
+    @pytest.mark.parametrize("fallback", ["one_core", "no_blas_setter"])
+    def test_pool_equals_in_process(self, tmp_path, monkeypatch, fallback):
+        self._needs_setter()
+        pooled, pools = self._run(monkeypatch, tmp_path / "pool", cores=2)
+        assert pools == [2]
+        if fallback == "one_core":
+            serial, pools = self._run(monkeypatch, tmp_path / "serial", cores=1)
+        else:
+            serial, pools = self._run(monkeypatch, tmp_path / "serial", cores=2, setters=[])
+        assert pools == []
+        assert pooled == serial
+        pool_files, pool_weights = _artifacts(tmp_path / "pool")
+        serial_files, serial_weights = _artifacts(tmp_path / "serial")
+        assert sorted(pool_files) == sorted(serial_files)
+        assert len(pool_weights) == 2 * len(self.SEEDS) * 3
+        assert sum(name.endswith("report.json") for name in pool_files) == 1 + 2 * len(self.SEEDS)
+        for name, data in pool_files.items():
+            assert data == serial_files[name], name
+        assert pool_weights == serial_weights
+
+    def test_failed_fold_in_worker(self, tmp_path, monkeypatch):
+        self._needs_setter()
+        monkeypatch.setattr(evalharness, "_usable_cores", lambda: 2)
+        marks = tmp_path / "trained"
+        marks.mkdir()
+        real = evalharness.run_training
+
+        def failing(data, cfg):
+            if (cfg.seed, cfg.mode) == (2, "baseline"):
+                raise RuntimeError("disk full")
+            run = real(data, cfg)
+            (held,) = {"source_00", "source_01", "source_02"} - {i.source_id for i in data.train}
+            (marks / f"{cfg.seed}-{cfg.mode}-{held}").touch()
+            return run
+
+        monkeypatch.setattr(evalharness, "run_training", failing)
+        root = tmp_path / "ab"
+        with pytest.raises(RuntimeError, match="disk full"):
+            ab_compare(tiny_corpus(), tiny_cfg(), seeds=self.SEEDS, run_root=root)
+        assert not (root / "report.json").exists()
+        # plan order: seed 1 baseline, seed 1 acn, seed 2 baseline (fails), ...
+        before = {f"1-{mode}-source_0{i}" for mode in ("baseline", "acn") for i in range(3)}
+        trained = {p.name for p in marks.iterdir()}
+        assert trained <= before
+        saved = {p.parent.relative_to(root).as_posix() for p in root.rglob("checkpoint.json")}
+        assert saved <= {
+            f"seed_01/{slot}/fold_0{i}" for slot in ("0_baseline", "1_acn") for i in range(3)
+        }
+
+
+def test_import_leaves_the_pool_modules_out():
+    code = (
+        "import sys, emocons; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    src = str(Path(evalharness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
