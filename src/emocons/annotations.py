@@ -568,7 +568,9 @@ def load_dataset(root: str | Path) -> Dataset:
     """Load a dataset directory written by write_dataset.
 
     Every stream takes the manifest's ``rate_hz``, once its time column is
-    found to follow that rate.
+    found to follow that rate.  The manifest's ``dimensions`` must be
+    distinct names from DIMENSIONS and its ``feature_dim`` the width of
+    every ``features.csv``.
     """
     root = Path(root)
     manifest_path = root / "manifest.json"
@@ -589,6 +591,7 @@ def load_dataset(root: str | Path) -> Dataset:
         source_ids = manifest["sources"]
         dims = manifest["dimensions"]
         rate = manifest["rate_hz"]
+        feature_dim = manifest["feature_dim"]
     except KeyError as exc:
         raise StructuralError(f"{root}: manifest is missing {exc}") from None
     if not isinstance(source_ids, list):
@@ -598,6 +601,16 @@ def load_dataset(root: str | Path) -> Dataset:
             raise StructuralError(
                 f"{manifest_path}: source id {sid!r} is not a plain directory name"
             )
+    if not (
+        isinstance(dims, list)
+        and dims
+        and all(d in DIMENSIONS for d in dims)
+        and len(set(dims)) == len(dims)
+    ):
+        raise StructuralError(
+            f"{manifest_path}: dimensions must be a non-empty list of distinct names "
+            f"from {DIMENSIONS}, got {dims!r}"
+        )
     if (
         isinstance(rate, bool)
         or not isinstance(rate, (int, float))
@@ -616,6 +629,11 @@ def load_dataset(root: str | Path) -> Dataset:
     for sid in source_ids:
         d = root / sid
         feats = _load_features(named(d / "features.csv"), rate)
+        if type(feature_dim) is not int or feats.dim != feature_dim:
+            raise StructuralError(
+                f"{manifest_path}: feature_dim is {feature_dim!r}, "
+                f"but {d / 'features.csv'} has {feats.dim} feature columns"
+            )
         gold = {}
         ann = {}
         for dim in dims:

@@ -211,7 +211,11 @@ def resolve_config(
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            explicit = json.loads(path.read_text())
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
+        try:
+            explicit = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(explicit, dict):

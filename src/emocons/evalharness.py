@@ -1,10 +1,12 @@
 """Cross-validation and paired comparison of trained runs.
 
 The pieces here stack: a FoldPlan says which sources to hold out, evaluate()
-scores one model on held-out sources, run_cv() trains and scores every fold,
-and ab_compare() runs the whole cross-validation once per seed for each of
-two training modes, its folds spread over worker processes, and reports
-per-seed score deltas with their median.
+scores one model on held-out sources, and one cross-validation loop
+trains, saves and scores every fold of a list of runs and builds each run's
+report.  run_cv() is one run through it, its folds in order in this
+process; ab_compare() is one run per seed for each of two training modes,
+its folds spread over worker processes, and reports per-seed score deltas
+with their median.
 evaluate() lives in ``predictor``, where the training loop's validation
 also calls it, and is re-exported here.
 """
@@ -318,12 +320,6 @@ def format_comparison_table(reports: Sequence[Report]) -> str:
 # Cross-validation
 
 
-def _resolve_sources(data) -> list[SourceData]:
-    if isinstance(data, Dataset):
-        return list(data.sources)
-    return list(data)
-
-
 def _fold_sources(
     sources: Sequence[SourceData], plan: FoldPlan
 ) -> list[tuple[list[SourceData], list[SourceData]]]:
@@ -366,14 +362,41 @@ def _log_fold(score: FoldScore, folds: int) -> None:
     )
 
 
-def _cv_report(plan: FoldPlan, cfg: TrainConfig, entries: Sequence[FoldScore]) -> Report:
-    return make_report(
-        scheme=plan.scheme,
-        task=cfg.dimensions,
-        seeds=(cfg.seed,),
-        config_hashes={cfg.mode: config_hash(cfg)},
-        entries=tuple(entries),
-    )
+def _cross_validate(data, plan: FoldPlan | None, runs, workers: int):
+    """Train and score every fold of every run, yielding each run's Report
+    in run order as its last fold arrives.
+
+    ``runs`` is a sequence of (TrainConfig, run_dir) pairs; ``plan``
+    defaults to leave-one-source-out.  With a run_dir, each fold is saved
+    under ``run_dir/fold_NN`` as it finishes and the run's report as
+    ``run_dir/report.json`` once its folds are in.  The folds run through
+    ``_run_folds`` with at most ``workers`` processes.
+    """
+    sources = list(data.sources if isinstance(data, Dataset) else data)
+    if plan is None:
+        plan = make_loso_plan([s.source_id for s in sources])
+    folds = _fold_sources(sources, plan)
+    tasks = [
+        (train, test, cfg, i, None if run_dir is None else Path(run_dir, f"fold_{i:02d}"))
+        for cfg, run_dir in runs
+        for i, (train, test) in enumerate(folds)
+    ]
+    with contextlib.closing(_run_folds(tasks, workers)) as scores:
+        for cfg, run_dir in runs:
+            entries = []
+            for score in itertools.islice(scores, len(folds)):
+                _log_fold(score, len(folds))
+                entries.append(score)
+            report = make_report(
+                scheme=plan.scheme,
+                task=cfg.dimensions,
+                seeds=(cfg.seed,),
+                config_hashes={cfg.mode: config_hash(cfg)},
+                entries=tuple(entries),
+            )
+            if run_dir is not None:
+                save_report(Path(run_dir, "report.json"), report)
+            yield report
 
 
 def run_cv(
@@ -385,27 +408,14 @@ def run_cv(
 ) -> Report:
     """Train one run per fold and score it on the fold's held-out sources.
 
-    `data` may be a Dataset or a source list.  With `run_root` set, every
-    completed fold is persisted as it finishes (so a crash mid-way leaves
-    the finished folds on disk) and the report is written there at the
-    end.  A failing fold propagates its error.
+    `data` may be a Dataset or a source list; `plan` defaults to
+    leave-one-source-out.  The folds run one after another in this
+    process, in plan order.  With `run_root` set, every completed fold is
+    persisted as it finishes (so a crash mid-way leaves the finished folds
+    on disk) and the report is written there at the end.  A failing fold
+    propagates its error.
     """
-    sources = _resolve_sources(data)
-    if len(sources) < 2:
-        raise ContractError("cross-validation needs at least two sources")
-    if plan is None:
-        plan = make_loso_plan([s.source_id for s in sources])
-    folds = _fold_sources(sources, plan)
-    root = None if run_root is None else Path(run_root)
-
-    entries = []
-    for i, (train, test) in enumerate(folds):
-        score = _run_fold(train, test, cfg, i, None if root is None else root / f"fold_{i:02d}")
-        _log_fold(score, len(folds))
-        entries.append(score)
-    report = _cv_report(plan, cfg, entries)
-    if root is not None:
-        save_report(root / "report.json", report)
+    (report,) = _cross_validate(data, plan, [(cfg, run_root)], workers=1)
     return report
 
 
@@ -510,10 +520,11 @@ def _pool_folds(tasks: Sequence[tuple], workers: int, blas_setters: list):
         pool.shutdown(wait=True, cancel_futures=not finished)
 
 
-def _run_folds(tasks: Sequence[tuple]):
-    """Yield each task's FoldScore in task order: from a fold pool when more
-    than one core is usable and the loaded BLAS can be pinned, else here."""
-    workers = min(_usable_cores(), len(tasks))
+def _run_folds(tasks: Sequence[tuple], workers: int):
+    """Yield each task's FoldScore in task order: from a pool of up to
+    ``workers`` processes when that allows more than one and the loaded
+    BLAS can be pinned, else here."""
+    workers = min(workers, len(tasks))
     setters = _blas_thread_setters() if workers > 1 else []
     if setters:
         return _pool_folds(tasks, workers, setters)
@@ -576,66 +587,39 @@ def ab_compare(
         raise ContractError("duplicate seeds in paired comparison")
     if len(modes) != 2:
         raise ContractError("exactly two modes are compared")
-    sources = _resolve_sources(data)
-    if plan is None:
-        plan = make_loso_plan([s.source_id for s in sources])
-    folds = _fold_sources(sources, plan)
     root = None if run_root is None else Path(run_root)
     dims = resolve_dimensions(base_cfg)
-
-    # one cross-validation per (seed, mode); dicts keep plan order
-    runs = {
-        (seed, slot): (
+    # one cross-validation per (seed, mode), seed by seed
+    runs = [
+        (
             dataclasses.replace(base_cfg, mode=mode, seed=seed),
             None if root is None else root / f"seed_{seed:02d}" / f"{slot}_{mode}",
         )
         for seed in seeds
         for slot, mode in enumerate(modes)
-    }
-    tasks = [
-        (train, test, cfg, i, None if sub is None else sub / f"fold_{i:02d}")
-        for cfg, sub in runs.values()
-        for i, (train, test) in enumerate(folds)
     ]
-
-    entries: list[FoldScore] = []
-    hashes: dict[str, str] = {}
+    reports: list[Report] = []
     rows: list[SeedDelta] = []
-    with contextlib.closing(_run_folds(tasks)) as scores:
-        for seed in seeds:
-            aggs = []
-            for slot, mode in enumerate(modes):
-                cfg, sub = runs[seed, slot]
-                fold_scores = []
-                for score in itertools.islice(scores, len(folds)):
-                    _log_fold(score, len(folds))
-                    fold_scores.append(score)
-                rep = _cv_report(plan, cfg, fold_scores)
-                if sub is not None:
-                    save_report(sub / "report.json", rep)
-                aggs.append(rep.aggregate[mode])
-                hashes[f"{mode}@{seed}"] = rep.config_hashes[mode]
-                entries.extend(rep.entries)
-            first, second = aggs
-            delta = {d: second[d] - first[d] for d in dims}
-            rows.append(
-                SeedDelta(seed=seed, baseline=dict(first), acn=dict(second), delta=delta)
-            )
-            logger.info(
-                "seed %d: %s",
-                seed,
-                " ".join(f"d_{d}={delta[d]:+.4f}" for d in dims),
-            )
+    run_reports = _cross_validate(data, plan, runs, _usable_cores())
+    for pair in zip(run_reports, run_reports):  # one seed's two runs, as they arrive
+        reports.extend(pair)
+        seed = pair[0].seeds[0]
+        first, second = (r.aggregate[mode] for r, mode in zip(pair, modes))
+        delta = {d: second[d] - first[d] for d in dims}
+        rows.append(SeedDelta(seed=seed, baseline=dict(first), acn=dict(second), delta=delta))
+        logger.info("seed %d: %s", seed, " ".join(f"d_{d}={delta[d]:+.4f}" for d in dims))
     median = {
         d: float(statistics.median(r.delta[d] for r in rows)) for d in dims
     }
-    report = make_report(
-        scheme=plan.scheme,
+    merged = make_report(
+        scheme=reports[0].scheme,
         task=base_cfg.dimensions,
         seeds=tuple(seeds),
-        config_hashes=hashes,
-        entries=tuple(entries),
+        config_hashes={
+            f"{mode}@{r.seeds[0]}": h for r in reports for mode, h in r.config_hashes.items()
+        },
+        entries=tuple(e for r in reports for e in r.entries),
     )
     if root is not None:
-        save_report(root / "report.json", report)
-    return AbComparison(report=report, per_seed=tuple(rows), median_delta=median)
+        save_report(root / "report.json", merged)
+    return AbComparison(report=merged, per_seed=tuple(rows), median_delta=median)

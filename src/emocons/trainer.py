@@ -143,7 +143,7 @@ def config_hash(cfg: TrainConfig) -> str:
 
 @dataclass(eq=False)
 class TrainItem:
-    """One training window: a feature slice plus per-dimension targets."""
+    """One training window: its predictor input rows plus per-dimension targets."""
 
     source_id: str
     start_frame: int
@@ -178,6 +178,7 @@ class TrainData:
 
     @property
     def feature_dim(self) -> int:
+        """Width of the input rows: the raw feature width x (context_frames + 1)."""
         if not self.train:
             raise ContractError("no training windows")
         return self.train[0].features.shape[1]
@@ -190,8 +191,10 @@ def prepare_data(
 ) -> TrainData:
     """Slice the training sources into windows for the configured dimensions.
 
-    Annotation matrices are only carried along in acn mode; validation
-    sources are kept whole (validation scores full traces).
+    A window's features are cut from the predictor inputs built over the
+    whole source, so its first rows see the frames before the window, as
+    in scoring.  Annotation matrices are only carried along in acn mode;
+    validation sources are kept whole (validation scores full traces).
     """
     dims = resolve_dimensions(cfg)
     items = []
@@ -205,6 +208,7 @@ def prepare_data(
                 raise ContractError(
                     f"source {src.source_id!r} has no annotations for {dim!r}"
                 )
+        inputs = build_inputs(src.features.data, cfg.predictor.context_frames)
         for a, b in window_bounds(src.features.frames, cfg.window, src.features.rate_hz):
             gold = {dim: src.gold[dim].values[a:b] for dim in dims}
             ann = {}
@@ -214,7 +218,7 @@ def prepare_data(
                 TrainItem(
                     source_id=src.source_id,
                     start_frame=a,
-                    features=src.features.data[a:b],
+                    features=inputs[a:b],
                     gold=gold,
                     annotations=ann,
                 )
@@ -257,8 +261,8 @@ def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
     dims = resolve_dimensions(cfg)
     if len(dims) > 1 and cfg.predictor.heads != "dual":
         raise ConfigError("training both dimensions requires a dual-head predictor")
-    feature_dim = data.feature_dim
     pcfg = cfg.predictor
+    feature_dim = data.feature_dim // (pcfg.context_frames + 1)
     if pcfg.feature_dim == 0:
         pcfg = dataclasses.replace(pcfg, feature_dim=feature_dim)
     elif pcfg.feature_dim != feature_dim:
@@ -319,8 +323,7 @@ def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepStat
     items = batch.segments
     k = len(items)
     w = items[0].features.shape[0]
-    ctx = model.predictor.config.context_frames
-    x = np.vstack([build_inputs(np.asarray(it.features, dtype=np.float64), ctx) for it in items])
+    x = np.vstack([np.asarray(it.features, dtype=np.float64) for it in items])
     preds = forward(model.predictor.net, x)
     grad_pred = np.zeros_like(preds)
     joint = cfg.mode == "acn"

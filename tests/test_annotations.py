@@ -481,6 +481,32 @@ class TestDatasetManifest:
         with pytest.raises(StructuralError, match="sources must be a list"):
             load_dataset(root)
 
+    @pytest.mark.parametrize(
+        "dims",
+        [None, 5, "arousal", [], ["arousal", "arousal"], ["anger"], [["arousal"]]],
+        ids=["null", "number", "string", "empty", "repeated", "unknown", "nested"],
+    )
+    def test_bad_manifest_dimensions_refused(self, tmp_path, dims):
+        root = self._write_with_manifest(tmp_path, dimensions=dims)
+        with pytest.raises(StructuralError, match=r"manifest\.json: dimensions must be"):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("width", [99, 3, 4.0, "4", None])
+    def test_manifest_feature_dim_must_match_the_files(self, tmp_path, width):
+        # the written features.csv files are 4 columns wide
+        root = self._write_with_manifest(tmp_path, feature_dim=width)
+        want = r"manifest\.json: feature_dim is .*s0/features\.csv has 4 feature columns"
+        with pytest.raises(StructuralError, match=want):
+            load_dataset(root)
+
+    def test_manifest_without_feature_dim_refused(self, tmp_path):
+        root = self._write_with_manifest(tmp_path)
+        manifest = json.loads((root / "manifest.json").read_text())
+        del manifest["feature_dim"]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StructuralError, match="manifest is missing 'feature_dim'"):
+            load_dataset(root)
+
     def test_subset_of_loaded_dataset_round_trips(self, tmp_path):
         # the old manifest in meta used to overwrite the sources the writer listed
         ds = Dataset([make_source(100, source_id=f"s{i}") for i in range(3)], meta={"seed": 7})

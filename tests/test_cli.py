@@ -584,6 +584,18 @@ class TestExitCodes:
         assert err.startswith("error:") and f"{missing}: cannot read" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_is_exit_1(self, tmp_path, capsys, kind):
+        path = tmp_path / "c.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"version": 1, "train": {"mode": "\xff"}}')
+        rc = parse_and_dispatch(["train", "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"config file {path} cannot be read" in err
+
     def test_contract_violation_is_exit_1(self, tmp_path, capsys):
         rc = parse_and_dispatch(
             ["simulate", "--out", str(tmp_path / "d"), "--synth.annotators", "1"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import statistics
@@ -514,6 +515,22 @@ class TestFoldPool:
         assert saved <= {
             f"seed_01/{slot}/fold_0{i}" for slot in ("0_baseline", "1_acn") for i in range(3)
         }
+
+
+def test_ab_compare_runs_equal_run_cv(tmp_path):
+    """Each (seed, mode) run of ab_compare writes what run_cv writes for its config."""
+    corpus, base = tiny_corpus(), tiny_cfg(epochs=1)
+    ab_compare(corpus, base, seeds=(1, 2, 3), run_root=tmp_path / "ab")
+    names = ["report.json"] + [
+        f"fold_{i:02d}/{name}" for i in range(3) for name in ("epochs.csv", "config.json")
+    ]
+    for seed in (1, 2, 3):
+        for slot, mode in enumerate(("baseline", "acn")):
+            cv = tmp_path / "cv" / f"{seed}_{mode}"
+            run_cv(corpus, dataclasses.replace(base, mode=mode, seed=seed), run_root=cv)
+            ab = tmp_path / "ab" / f"seed_{seed:02d}" / f"{slot}_{mode}"
+            for name in names:
+                assert (ab / name).read_bytes() == (cv / name).read_bytes(), (seed, mode, name)
 
 
 def test_import_leaves_the_pool_modules_out():

@@ -17,7 +17,7 @@ from emocons.consensus import (
 )
 from emocons.errors import ConfigError, ContractError
 from emocons.nn import OptimConfig, zero_grads
-from emocons.predictor import PredictorConfig, forward_predictor, init_predictor
+from emocons.predictor import PredictorConfig, build_inputs, forward_predictor, init_predictor
 from emocons.rng import substream
 from emocons.synth import (
     MILD_ANNOTATORS,
@@ -225,6 +225,19 @@ class TestPrepareData:
                 item.annotations["valence"], src.annotations["valence"].data[a : a + 50]
             )
         assert data.train[23].source_id == train[1].source_id
+
+    def test_context_rows_match_scoring(self):
+        # a window's first rows see the frames before it, as evaluate's do
+        corpus = small_corpus()
+        train, val = split(corpus)
+        cfg = small_train_config(predictor=PredictorConfig(encoder_dims=(8,), context_frames=2))
+        data = prepare_data(train, val, cfg)
+        inputs = {s.source_id: build_inputs(s.features.data, 2) for s in train}
+        assert len(data.train) == 23 * 2
+        for item in data.train:
+            a = item.start_frame
+            np.testing.assert_array_equal(item.features, inputs[item.source_id][a : a + 50])
+        assert run_training(data, cfg).model.predictor.config.feature_dim == 6
 
     def test_single_dimension_only_loads_that_dimension(self):
         corpus = small_corpus()
