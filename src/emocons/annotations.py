@@ -19,7 +19,9 @@ affect dimension, ``gold_<dim>.csv`` and ``annotations_<dim>.csv``.
 Loaders read a file whole and refuse, with the file and line, a ragged row,
 a token that is not a number, a non-finite value and a time column off a
 uniform grid; inside a dataset directory every stream takes the manifest's
-rate.  Writers replace a file atomically (``atomic.atomic_write``).
+rate.  Files are UTF-8 and go through ``atomic``: writers replace a file
+atomically, and a file that cannot be read or decoded is refused with its
+path.
 
 ``window_bounds`` is the one place that cuts a source into fixed-length
 windows; training and per-window scoring both slice by its bounds.
@@ -38,7 +40,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, open_text, read_json
 from .errors import ContractError, ParseError, StructuralError
 
 DIMENSIONS = ("arousal", "valence")
@@ -204,7 +206,7 @@ class WindowSpec:
 
 def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Return (header, [(line_number, fields), ...]) skipping blank lines."""
-    with open(path, newline="") as fh:
+    with open_text(path, "CSV") as fh:
         rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
     (_, header), body = rows[0], rows[1:]
     return header, body
@@ -212,12 +214,9 @@ def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 
 def _read_header(path: Path) -> tuple[list[str], str]:
     """The first non-blank row, its fields stripped, and the text after it."""
-    try:
-        with open(path) as fh:
-            header = next(filter(None, csv.reader(fh)), None)
-            rest = fh.read()
-    except OSError as exc:
-        raise StructuralError(f"{path}: cannot read ({exc.strerror})") from None
+    with open_text(path, "CSV") as fh:
+        header = next(filter(None, csv.reader(fh)), None)
+        rest = fh.read()
     if header is None:
         raise StructuralError(f"{path}: empty file")
     if not rest.strip("\n"):
@@ -574,18 +573,12 @@ def load_dataset(root: str | Path) -> Dataset:
     """
     root = Path(root)
     manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise StructuralError(f"{root}: not a dataset directory (no manifest.json)")
-    with open(manifest_path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StructuralError(f"{manifest_path}: not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != DATASET_FORMAT:
-        raise StructuralError(f"{root}: manifest is not a {DATASET_FORMAT} manifest")
+    manifest = read_json(manifest_path, "dataset manifest")
+    if manifest.get("format") != DATASET_FORMAT:
+        raise StructuralError(f"{manifest_path}: not a {DATASET_FORMAT} manifest")
     if manifest.get("version") != DATASET_VERSION:
         raise StructuralError(
-            f"{root}: unsupported dataset version {manifest.get('version')!r}"
+            f"{manifest_path}: unsupported dataset version {manifest.get('version')!r}"
         )
     try:
         source_ids = manifest["sources"]
@@ -593,14 +586,18 @@ def load_dataset(root: str | Path) -> Dataset:
         rate = manifest["rate_hz"]
         feature_dim = manifest["feature_dim"]
     except KeyError as exc:
-        raise StructuralError(f"{root}: manifest is missing {exc}") from None
-    if not isinstance(source_ids, list):
-        raise StructuralError(f"{manifest_path}: sources must be a list, got {source_ids!r}")
+        raise StructuralError(f"{manifest_path}: manifest is missing {exc}") from None
+    if not (isinstance(source_ids, list) and source_ids):
+        raise StructuralError(
+            f"{manifest_path}: sources must be a list of at least one id, got {source_ids!r}"
+        )
     for sid in source_ids:
         if not _is_plain_name(sid):
             raise StructuralError(
                 f"{manifest_path}: source id {sid!r} is not a plain directory name"
             )
+    if len(set(source_ids)) != len(source_ids):
+        raise StructuralError(f"{manifest_path}: duplicate source ids in {source_ids!r}")
     if not (
         isinstance(dims, list)
         and dims
@@ -619,6 +616,10 @@ def load_dataset(root: str | Path) -> Dataset:
         raise StructuralError(f"{manifest_path}: rate_hz must be a positive number, got {rate!r}")
     rate = float(rate)
     provenance = manifest.get("gold_provenance", "external_gold")
+    if provenance not in PROVENANCES:
+        raise StructuralError(
+            f"{manifest_path}: gold_provenance must be one of {PROVENANCES}, got {provenance!r}"
+        )
 
     def named(path: Path) -> Path:
         if not path.is_file():

@@ -33,7 +33,7 @@ from .annotations import (
     write_gold_csv,
     write_trace_csv,
 )
-from .atomic import atomic_write
+from .atomic import atomic_write, read_json
 from .ccc import POOLINGS, ccc_loss
 from .codec import from_dict, to_dict
 from .consensus import (
@@ -43,7 +43,7 @@ from .consensus import (
     compute_reliability_weights,
     forward_consensus,
 )
-from .errors import ConfigError, ContractError, EmoconsError, StructuralError
+from .errors import ConfigError, ContractError, EmoconsError
 from .evalharness import (
     FOLD_SCHEMES,
     ab_compare,
@@ -406,10 +406,7 @@ def _cmd_evaluate(cfg: CliConfig, ns) -> int:
     window = None
     if ns.pooling == "per_window_mean":
         cfg_path = Path(run_dir) / "config.json"
-        try:
-            saved = json.loads(cfg_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StructuralError(f"{cfg_path}: cannot read the run's config ({exc})") from None
+        saved = read_json(cfg_path, "the run's config")
         window = from_dict(TrainConfig, saved, str(cfg_path)).window
     scores = evaluate(model.predictor, sources, dims, pooling=ns.pooling, window=window)
     for dim in dims:

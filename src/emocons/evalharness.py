@@ -9,6 +9,11 @@ its folds spread over worker processes, and reports per-seed score deltas
 with their median.
 evaluate() lives in ``predictor``, where the training loop's validation
 also calls it, and is re-exported here.
+
+A report.json is a format/version envelope around ``codec.to_dict`` of the
+Report; load_report() reads it through ``atomic.read_json`` and decodes it
+with ``codec.from_dict``, so a malformed file is a StructuralError naming
+the file and the offending field.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .annotations import Dataset, SourceData
-from .atomic import atomic_write
-from .errors import ContractError, StructuralError
+from .atomic import atomic_write, read_json
+from .codec import from_dict, to_dict
+from .errors import ConfigError, ContractError, StructuralError
 from .predictor import evaluate
 from .trainer import (
     TrainConfig,
@@ -182,71 +188,24 @@ def make_report(
     )
 
 
-_REPORT_KEYS = {
-    "format", "version", "scheme", "task", "seeds",
-    "config_hashes", "entries", "aggregate",
-}
-_ENTRY_KEYS = {"mode", "seed", "fold", "test_sources", "ccc"}
-
-
 def report_to_dict(report: Report) -> dict:
-    return {
-        "format": REPORT_FORMAT,
-        "version": REPORT_VERSION,
-        "scheme": report.scheme,
-        "task": report.task,
-        "seeds": list(report.seeds),
-        "config_hashes": dict(report.config_hashes),
-        "entries": [
-            {
-                "mode": e.mode,
-                "seed": e.seed,
-                "fold": e.fold,
-                "test_sources": list(e.test_sources),
-                "ccc": dict(e.ccc),
-            }
-            for e in report.entries
-        ],
-        "aggregate": {m: dict(d) for m, d in report.aggregate.items()},
-    }
+    return {"format": REPORT_FORMAT, "version": REPORT_VERSION, **to_dict(report)}
 
 
-def report_from_dict(payload: dict) -> Report:
+def report_from_dict(payload: dict, where: str = "report") -> Report:
+    """Rebuild a Report from ``report_to_dict``'s form; ``where`` names its
+    source in the StructuralError that refuses anything else."""
     if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
-        raise StructuralError("not a report payload")
+        raise StructuralError(f"{where}: not an {REPORT_FORMAT} payload")
     if payload.get("version") != REPORT_VERSION:
-        raise StructuralError(f"unsupported report version {payload.get('version')!r}")
-    extra = sorted(set(payload) - _REPORT_KEYS)
-    if extra:
-        raise StructuralError(f"unexpected report keys: {extra}")
-    missing = sorted(_REPORT_KEYS - set(payload))
-    if missing:
-        raise StructuralError(f"missing report keys: {missing}")
-    entries = []
-    for e in payload["entries"]:
-        bad = sorted(set(e) ^ _ENTRY_KEYS)
-        if bad:
-            raise StructuralError(f"malformed report entry, offending keys: {bad}")
-        entries.append(
-            FoldScore(
-                mode=str(e["mode"]),
-                seed=int(e["seed"]),
-                fold=int(e["fold"]),
-                test_sources=tuple(e["test_sources"]),
-                ccc={k: float(v) for k, v in e["ccc"].items()},
-            )
+        raise StructuralError(
+            f"{where}: unsupported report version {payload.get('version')!r}"
         )
-    return Report(
-        scheme=payload["scheme"],
-        task=payload["task"],
-        seeds=tuple(int(s) for s in payload["seeds"]),
-        config_hashes={str(k): str(v) for k, v in payload["config_hashes"].items()},
-        entries=tuple(entries),
-        aggregate={
-            m: {k: float(v) for k, v in d.items()}
-            for m, d in payload["aggregate"].items()
-        },
-    )
+    body = {k: v for k, v in payload.items() if k not in ("format", "version")}
+    try:
+        return from_dict(Report, body)
+    except (ConfigError, ContractError) as exc:
+        raise StructuralError(f"{where}: {exc}") from exc
 
 
 def save_report(path, report: Report) -> None:
@@ -257,11 +216,7 @@ def save_report(path, report: Report) -> None:
 
 
 def load_report(path) -> Report:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"report is not valid JSON: {exc}") from exc
-    return report_from_dict(payload)
+    return report_from_dict(read_json(path, "report"), str(path))
 
 
 _TASK_LABELS = {"valence": "Valence", "arousal": "Arousal", "both": "Valence & Arousal"}

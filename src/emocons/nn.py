@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, read_json
 from .errors import ContractError, StructuralError
 
 CHECKPOINT_FORMAT = "emocons-checkpoint"
@@ -41,14 +41,12 @@ class OptimConfig:
     grad_clip_norm: float | None = 5.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("learning_rate", "eps", "grad_clip_norm"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ContractError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ContractError(f"betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0:
-            raise ContractError(f"eps must be positive, got {self.eps}")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ContractError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")
 
 
 @dataclass(eq=False)
@@ -271,15 +269,8 @@ def save_checkpoint(path: str | Path, nets: dict[str, Network], meta: dict) -> N
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Network], dict]:
     """Read a file written by ``save_checkpoint``; anything else is a StructuralError."""
-    path = Path(path)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise StructuralError(f"{path}: cannot read checkpoint ({exc.strerror})") from None
-    except json.JSONDecodeError as exc:
-        raise StructuralError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+    doc = read_json(path, "checkpoint")
+    if doc.get("format") != CHECKPOINT_FORMAT:
         raise StructuralError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise StructuralError(

@@ -53,7 +53,6 @@ from .nn import (
     load_checkpoint,
     optimizer_step,
     save_checkpoint,
-    zero_grads,
 )
 from .predictor import (
     DUAL_DIMENSIONS,
@@ -108,10 +107,10 @@ class TrainConfig:
             raise ContractError(
                 f"dimensions must be one of {DIMENSION_CHOICES}, got {self.dimensions!r}"
             )
-        if self.alpha < 0 or self.beta < 0:
-            raise ContractError(
-                f"alpha and beta must be >= 0, got {self.alpha}, {self.beta}"
-            )
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ContractError(f"{name} must be finite and >= 0, got {value}")
         if self.alpha + self.beta <= 0:
             raise ContractError("alpha + beta must be positive")
         if self.epochs < 1:

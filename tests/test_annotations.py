@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,6 +511,20 @@ class TestDatasetManifest:
         with pytest.raises(StructuralError, match="manifest is missing 'feature_dim'"):
             load_dataset(root)
 
+    @pytest.mark.parametrize(
+        "change, want",
+        [
+            (dict(sources=[]), "sources must be a list of at least one id"),
+            (dict(sources=["s0", "s0"]), "duplicate source ids"),
+            (dict(gold_provenance="bogus"), "gold_provenance must be one of"),
+        ],
+        ids=["no_sources", "duplicate_ids", "bad_provenance"],
+    )
+    def test_manifest_refusals_name_the_manifest(self, tmp_path, change, want):
+        root = self._write_with_manifest(tmp_path, **change)
+        with pytest.raises(StructuralError, match=rf"manifest\.json: {want}"):
+            load_dataset(root)
+
     def test_subset_of_loaded_dataset_round_trips(self, tmp_path):
         # the old manifest in meta used to overwrite the sources the writer listed
         ds = Dataset([make_source(100, source_id=f"s{i}") for i in range(3)], meta={"seed": 7})
@@ -535,3 +553,29 @@ class TestDatasetManifest:
         with pytest.raises(OSError):
             write_dataset(tmp_path / "e", ds)
         assert not (tmp_path / "e" / "manifest.json").exists()
+
+
+def test_csv_is_utf8_under_an_ascii_locale(tmp_path):
+    # open() takes the locale's encoding unless told otherwise; the C locale's is ASCII
+    code = (
+        "import locale, sys\n"
+        "from emocons.annotations import AnnotationMatrix, load_annotation_csv, "
+        "write_annotation_csv\n"
+        "assert locale.getpreferredencoding(False).lower() not in ('utf-8', 'utf8')\n"
+        "ann = AnnotationMatrix([[0.5], [0.25]], ('\\u00e91',), 'arousal', 25.0)\n"
+        "write_annotation_csv(sys.argv[1], ann)\n"
+        "print(ascii(load_annotation_csv(sys.argv[1], 'arousal').annotator_ids))\n"
+    )
+    src = str(Path(annotations.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(
+        os.environ, PYTHONPATH=path, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"
+    )
+    p = tmp_path / "a.csv"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(p)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "('\\xe91',)"
+    assert p.read_bytes().startswith("time,\u00e91\r\n".encode("utf-8"))

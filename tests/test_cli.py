@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -386,6 +387,26 @@ class TestPipeline:
         assert err.startswith("error:") and "checkpoint.json" in err and "predictor_config" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault", ["directory", "not_utf8", "not_object"])
+    def test_unreadable_run_config_is_exit_1(self, tmp_path, capsys, fault):
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        cfg_path = r / "config.json"
+        if fault == "directory":
+            cfg_path.unlink()
+            cfg_path.mkdir()
+        elif fault == "not_utf8":
+            cfg_path.write_bytes('{"mode": "\u00e9"}'.encode("latin-1"))
+        else:
+            cfg_path.write_text("[1, 2]")
+        capsys.readouterr()
+        rc = parse_and_dispatch(
+            ["evaluate", "--run", str(r), "--dataset", str(d), "--pooling", "per_window_mean"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{cfg_path}: " in err
+
     @pytest.mark.parametrize("text", [None, "{not json"])
     def test_evaluate_windows_need_the_runs_config(self, tmp_path, capsys, text):
         # without the run's own config.json the CLI's default window used to score silently
@@ -583,6 +604,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{missing}: cannot read" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metrics", "predict"])
+    def test_non_utf8_artifact_is_exit_1(self, tmp_path, capsys, command):
+        x = tmp_path / "x.csv"
+        write_gold_csv(x, GoldStandardTrack("arousal", 25.0, np.linspace(-0.5, 0.5, 50)))
+        if command == "metrics":
+            bad = tmp_path / "latin1.csv"
+            bad.write_bytes("time,value\n0.0,0.5\n0.04,\u00e9\n".encode("latin-1"))
+            argv = ["metrics", "--x", str(bad), "--y", str(x)]
+        else:
+            bad = tmp_path / "run" / "checkpoint.json"
+            bad.parent.mkdir()
+            bad.write_bytes('{"format": "\u00e9"}'.encode("latin-1"))
+            argv = ["predict", "--run", str(bad.parent), "--features", str(x),
+                    "--out", str(tmp_path / "out.csv")]
+        assert parse_and_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{bad}: cannot read" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("train.alpha", "nan"), ("train.beta", "inf"), ("train.optim.learning_rate", "nan")],
+    )
+    def test_non_finite_train_value_is_exit_1_before_the_run(self, tmp_path, capsys, flag, value):
+        # a nan learning rate used to train, exit 0 and save a checkpoint full of NaN
+        d = make_dataset(tmp_path)
+        r = tmp_path / "r"
+        c = write_config(tmp_path, dataset_dir=str(d), run_dir=str(r), train=tiny_train_section())
+        capsys.readouterr()
+        assert parse_and_dispatch(["train", "--config", str(c), f"--{flag}", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{flag.rpartition('.')[2]} must be" in err
+        assert not r.exists()
+
+    def test_nan_in_config_file_is_exit_1_before_the_run(self, tmp_path, capsys):
+        d = make_dataset(tmp_path)
+        r = tmp_path / "r"
+        c = write_config(
+            tmp_path, dataset_dir=str(d), run_dir=str(r), train=tiny_train_section(alpha=math.nan)
+        )
+        assert '"alpha": NaN' in c.read_text()
+        capsys.readouterr()
+        assert parse_and_dispatch(["train", "--config", str(c)]) == 1
+        assert "alpha must be finite" in capsys.readouterr().err
+        assert not r.exists()
 
     @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
     def test_unreadable_config_is_exit_1(self, tmp_path, capsys, kind):

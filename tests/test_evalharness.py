@@ -340,6 +340,82 @@ class TestReport:
         with pytest.raises(StructuralError, match="surprise"):
             report_from_dict(d)
 
+    def test_report_json_exact_bytes(self, tmp_path):
+        p = tmp_path / "report.json"
+        save_report(p, self._report())
+        expected = """\
+{
+  "format": "emocons-report",
+  "version": 1,
+  "scheme": "leave_one_source_out",
+  "task": "valence",
+  "seeds": [
+    5
+  ],
+  "config_hashes": {
+    "acn": "%s"
+  },
+  "entries": [
+    {
+      "mode": "acn",
+      "seed": 5,
+      "fold": 0,
+      "test_sources": [
+        "s0"
+      ],
+      "ccc": {
+        "valence": 0.5
+      }
+    },
+    {
+      "mode": "acn",
+      "seed": 5,
+      "fold": 1,
+      "test_sources": [
+        "s1"
+      ],
+      "ccc": {
+        "valence": 0.7
+      }
+    }
+  ],
+  "aggregate": {
+    "acn": {
+      "valence": 0.6
+    }
+  }
+}
+""" % ("ab" * 32)
+        assert p.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize(
+        "keys, value, want",
+        [
+            (("entries",), 3, "entries must be a list"),
+            (("entries", 0), ["acn"], r"entries\[0\] \(FoldScore\) must be a mapping"),
+            (("entries", 0, "seed"), "x", r"entries\[0\]\.seed must be int"),
+            (("entries", 0, "ccc", "valence"), "abc", r"entries\[0\]\.ccc\.valence must be float"),
+            (("aggregate",), 3, "aggregate must be a mapping"),
+            (("config_hashes",), ["acn"], "config_hashes must be a mapping"),
+            (("entries", 0, "test_sources"), "s0", r"entries\[0\]\.test_sources must be a list"),
+        ],
+        ids=[
+            "entries_int", "entry_list", "seed_str", "ccc_str", "aggregate_int",
+            "config_hashes_list", "test_sources_str",
+        ],
+    )
+    def test_malformed_payload_names_the_file_and_field(self, tmp_path, keys, value, want):
+        # test_sources "s0" used to load as ("s", "0"); the rest leaked TypeError and kin
+        d = json.loads(json.dumps(report_to_dict(self._report())))
+        node = d
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(StructuralError, match=rf"r\.json: {want}"):
+            load_report(p)
+
     def test_table_layout(self):
         reports = []
         for task, vals in [

@@ -133,6 +133,19 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "field", ["alpha", "beta", "optim.learning_rate", "optim.eps", "optim.grad_clip_norm"]
+    )
+    def test_non_finite_values_refused(self, field, value):
+        # comparisons with nan are false, so nan used to pass every range check
+        section, _, name = field.rpartition(".")
+        with pytest.raises(ContractError, match=name):
+            if section:
+                TrainConfig(optim=OptimConfig(**{name: value}))
+            else:
+                TrainConfig(**{name: value})
+
 
 class TestConfigSerialization:
     def test_round_trip(self):
