@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -40,7 +39,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .atomic import atomic_write, open_text, read_json
+from .atomic import atomic_write, envelope, open_envelope, open_text, read_json, write_json
 from .errors import ContractError, ParseError, StructuralError
 
 DIMENSIONS = ("arousal", "valence")
@@ -531,26 +530,22 @@ def write_dataset(root: str | Path, dataset: Dataset) -> None:
         if not _is_plain_name(sid):
             raise ContractError(f"source id {sid!r} is not a plain directory name")
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
     for s in dataset.sources:
         d = root / s.source_id
-        d.mkdir(exist_ok=True)
         write_features_csv(d / "features.csv", s.features)
         for dim in s.dimensions:
             write_gold_csv(d / f"gold_{dim}.csv", s.gold[dim])
             write_annotation_csv(d / f"annotations_{dim}.csv", s.annotations[dim])
-    manifest = {
-        "format": DATASET_FORMAT,
-        "version": DATASET_VERSION,
+    body = {
         "sources": list(dataset.source_ids),
         "dimensions": list(dataset.dimensions),
         "rate_hz": dataset.sources[0].features.rate_hz,
         "feature_dim": dataset.feature_dim,
     }
+    manifest = envelope(DATASET_FORMAT, DATASET_VERSION, body)
     # a loaded dataset's meta is its old manifest: it must not rename the sources
     manifest.update((k, v) for k, v in dataset.meta.items() if k not in manifest)
-    with atomic_write(root / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2)
+    write_json(root / "manifest.json", manifest)
 
 
 def _is_plain_name(source_id) -> bool:
@@ -574,17 +569,12 @@ def load_dataset(root: str | Path) -> Dataset:
     root = Path(root)
     manifest_path = root / "manifest.json"
     manifest = read_json(manifest_path, "dataset manifest")
-    if manifest.get("format") != DATASET_FORMAT:
-        raise StructuralError(f"{manifest_path}: not a {DATASET_FORMAT} manifest")
-    if manifest.get("version") != DATASET_VERSION:
-        raise StructuralError(
-            f"{manifest_path}: unsupported dataset version {manifest.get('version')!r}"
-        )
+    body = open_envelope(manifest, DATASET_FORMAT, DATASET_VERSION, str(manifest_path))
     try:
-        source_ids = manifest["sources"]
-        dims = manifest["dimensions"]
-        rate = manifest["rate_hz"]
-        feature_dim = manifest["feature_dim"]
+        source_ids = body["sources"]
+        dims = body["dimensions"]
+        rate = body["rate_hz"]
+        feature_dim = body["feature_dim"]
     except KeyError as exc:
         raise StructuralError(f"{manifest_path}: manifest is missing {exc}") from None
     if not (isinstance(source_ids, list) and source_ids):
@@ -615,7 +605,7 @@ def load_dataset(root: str | Path) -> Dataset:
     ):
         raise StructuralError(f"{manifest_path}: rate_hz must be a positive number, got {rate!r}")
     rate = float(rate)
-    provenance = manifest.get("gold_provenance", "external_gold")
+    provenance = body.get("gold_provenance", "external_gold")
     if provenance not in PROVENANCES:
         raise StructuralError(
             f"{manifest_path}: gold_provenance must be one of {PROVENANCES}, got {provenance!r}"

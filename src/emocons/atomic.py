@@ -1,17 +1,19 @@
-"""Artifact I/O: crash-safe writes and one read path for what is loaded back.
+"""Artifact I/O: the one write path and the one read path of every artifact.
 
-Every artifact is written through ``atomic_write`` and read through
-``open_text`` (CSV files) or ``read_json`` (manifests, configs, checkpoints,
-reports), always as UTF-8, whatever the locale.  A file that is missing,
-unreadable, not UTF-8 or, for ``read_json``, not a JSON object is refused
-with a ``StructuralError`` that names it.
+Writes go through ``atomic_write`` (``write_json`` for JSON), reads through
+``open_text`` (CSV) or ``read_json`` (manifests, configs, checkpoints,
+reports), always as UTF-8.  Writers create the target's directory.  A file
+that cannot be written, or is missing, unreadable, not UTF-8 or, for
+``read_json``, not a JSON object, is a ``StructuralError`` naming it.
+``envelope`` and ``open_envelope`` put on and check the ``format``/``version``
+header of manifests, checkpoints and reports.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .errors import StructuralError
@@ -24,17 +26,46 @@ def atomic_write(path, newline: str | None = None):
     The text goes to a temporary file beside ``path`` that ``os.replace``
     renames over it at the end, so a reader never sees a half-written file,
     and a write that fails midway leaves the old file as it was and no
-    temporary file behind.
+    temporary file behind.  Any ``OSError`` on the way, from creating the
+    directory to the rename, becomes a ``StructuralError`` naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):  # e.g. the parent is a file: no temporary file exists
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise StructuralError(f"{path}: cannot write ({exc.strerror or exc})") from exc
         raise
+
+
+def write_json(path, doc, indent: int | None = 2) -> None:
+    """Write ``doc`` as JSON and one newline; it is serialised before the
+    file is opened, so a value JSON cannot hold leaves the old file as it was."""
+    text = json.dumps(doc, indent=indent) + "\n"
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
+def envelope(fmt: str, version: int, body: dict) -> dict:
+    """``body`` behind a ``format``/``version`` header."""
+    return {"format": fmt, "version": version, **body}
+
+
+def open_envelope(doc, fmt: str, version: int, where: str) -> dict:
+    """The body of ``doc``, an ``envelope`` from ``where``.  Another format, or a
+    version that is not the int ``version`` itself (``true``, ``1.0``), is refused."""
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise StructuralError(f"{where}: not an {fmt} document")
+    got = doc.get("version")
+    if type(got) is not int or got != version:
+        raise StructuralError(f"{where}: unsupported version {got!r}, expected {version}")
+    return {k: v for k, v in doc.items() if k not in ("format", "version")}
 
 
 @contextmanager

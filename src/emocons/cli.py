@@ -33,7 +33,7 @@ from .annotations import (
     write_gold_csv,
     write_trace_csv,
 )
-from .atomic import atomic_write, read_json
+from .atomic import read_json, write_json
 from .ccc import POOLINGS, ccc_loss
 from .codec import from_dict, to_dict
 from .consensus import (
@@ -347,10 +347,7 @@ def _require(value: str, what: str, hint: str) -> str:
 
 
 def _write_cli_config(dirpath: Path, cfg: CliConfig) -> None:
-    dirpath.mkdir(parents=True, exist_ok=True)
-    with atomic_write(dirpath / "cli_config.json") as fh:
-        json.dump(to_dict(cfg), fh, indent=2)
-        fh.write("\n")
+    write_json(dirpath / "cli_config.json", to_dict(cfg))
 
 
 def _cmd_simulate(cfg: CliConfig, ns) -> int:

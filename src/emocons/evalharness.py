@@ -10,10 +10,11 @@ with their median.
 evaluate() lives in ``predictor``, where the training loop's validation
 also calls it, and is re-exported here.
 
-A report.json is a format/version envelope around ``codec.to_dict`` of the
-Report; load_report() reads it through ``atomic.read_json`` and decodes it
-with ``codec.from_dict``, so a malformed file is a StructuralError naming
-the file and the offending field.
+A report.json is an ``atomic.envelope`` around ``codec.to_dict`` of the
+Report, written by ``atomic.write_json``; load_report() reads it through
+``atomic.read_json``, checks the envelope with ``atomic.open_envelope`` and
+decodes the body with ``codec.from_dict``, so a malformed file is a
+StructuralError naming the file and the offending field.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import contextlib
 import ctypes
 import dataclasses
 import itertools
-import json
 import logging
 import math
 import os
@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .annotations import Dataset, SourceData
-from .atomic import atomic_write, read_json
+from .atomic import envelope, open_envelope, read_json, write_json
 from .codec import from_dict, to_dict
 from .errors import ConfigError, ContractError, StructuralError
 from .predictor import evaluate
@@ -189,19 +189,13 @@ def make_report(
 
 
 def report_to_dict(report: Report) -> dict:
-    return {"format": REPORT_FORMAT, "version": REPORT_VERSION, **to_dict(report)}
+    return envelope(REPORT_FORMAT, REPORT_VERSION, to_dict(report))
 
 
 def report_from_dict(payload: dict, where: str = "report") -> Report:
     """Rebuild a Report from ``report_to_dict``'s form; ``where`` names its
     source in the StructuralError that refuses anything else."""
-    if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
-        raise StructuralError(f"{where}: not an {REPORT_FORMAT} payload")
-    if payload.get("version") != REPORT_VERSION:
-        raise StructuralError(
-            f"{where}: unsupported report version {payload.get('version')!r}"
-        )
-    body = {k: v for k, v in payload.items() if k not in ("format", "version")}
+    body = open_envelope(payload, REPORT_FORMAT, REPORT_VERSION, where)
     try:
         return from_dict(Report, body)
     except (ConfigError, ContractError) as exc:
@@ -209,10 +203,7 @@ def report_from_dict(payload: dict, where: str = "report") -> Report:
 
 
 def save_report(path, report: Report) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(report_to_dict(report), indent=2) + "\n")
+    write_json(path, report_to_dict(report))
 
 
 def load_report(path) -> Report:

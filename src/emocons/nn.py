@@ -5,19 +5,22 @@ accumulators (``grad_*``) and Adam moments (``m_*``/``v_*``); ``backward``
 adds into the accumulators so several loss terms can contribute to one
 optimizer step.  Caches from the most recent ``forward`` are stored on the
 layers, so forward/backward pairs must not be interleaved across inputs.
+
+Checkpoints are ``atomic`` envelopes; on load each layer is decoded with
+``codec.from_dict``, so a wrong JSON type or an unknown key is refused.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write, read_json
-from .errors import ContractError, StructuralError
+from .atomic import envelope, open_envelope, read_json, write_json
+from .codec import from_dict
+from .errors import ConfigError, ContractError, StructuralError
 
 CHECKPOINT_FORMAT = "emocons-checkpoint"
 CHECKPOINT_VERSION = 2
@@ -238,15 +241,6 @@ def _layer_to_json(layer: DenseLayer) -> dict:
     }
 
 
-def _layer_from_json(d: dict) -> DenseLayer:
-    return DenseLayer(
-        weights=np.array(d["weights"], dtype=np.float64),
-        bias=np.array(d["bias"], dtype=np.float64),
-        activation=d["activation"],
-        trainable=bool(d["trainable"]),
-    )
-
-
 def save_checkpoint(path: str | Path, nets: dict[str, Network], meta: dict) -> None:
     """Write named networks plus metadata as versioned JSON.
 
@@ -254,36 +248,29 @@ def save_checkpoint(path: str | Path, nets: dict[str, Network], meta: dict) -> N
     trainable flag, weights and bias.  Optimizer state, gradient
     accumulators and forward caches are not saved.
     """
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
+    body = {
         "meta": meta,
         "networks": {
             name: {"layers": [_layer_to_json(l) for l in net.layers]}
             for name, net in nets.items()
         },
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh)
+    write_json(path, envelope(CHECKPOINT_FORMAT, CHECKPOINT_VERSION, body), indent=None)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Network], dict]:
     """Read a file written by ``save_checkpoint``; anything else is a StructuralError."""
     doc = read_json(path, "checkpoint")
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise StructuralError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise StructuralError(
-            f"{path}: unsupported version {doc.get('version')!r}, expected {CHECKPOINT_VERSION}"
-        )
+    body = open_envelope(doc, CHECKPOINT_FORMAT, CHECKPOINT_VERSION, str(path))
     try:
-        nets = {
-            name: Network(layers=[_layer_from_json(l) for l in entry["layers"]])
-            for name, entry in doc["networks"].items()
-        }
-        meta = doc["meta"]
+        nets = {}
+        for name, entry in body["networks"].items():
+            at = f"{path} networks.{name}.layers"
+            layers = [from_dict(DenseLayer, l, f"{at}[{i}]") for i, l in enumerate(entry["layers"])]
+            nets[name] = Network(layers=layers)
+        meta = body["meta"]
         if not isinstance(meta, dict):
             raise TypeError("meta must be an object")
-    except (AttributeError, KeyError, TypeError, ValueError, ContractError) as exc:
+    except (AttributeError, KeyError, TypeError, ConfigError, ContractError) as exc:
         raise StructuralError(f"{path}: malformed checkpoint ({exc!r})") from None
     return nets, meta

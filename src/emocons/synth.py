@@ -61,6 +61,10 @@ class AnnotatorProfile:
     drift_sd: float = 0.0
 
     def __post_init__(self):
+        for name in ("bias", "scale", "noise_sd", "drift_sd"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ContractError(f"{name} must be finite, got {value}")
         if self.scale <= 0:
             raise ContractError(f"scale must be positive, got {self.scale}")
         if self.noise_sd < 0:
@@ -131,8 +135,8 @@ class SynthConfig:
             raise ContractError(
                 f"frames_per_source must be >= 2, got {self.frames_per_source}"
             )
-        if self.rate_hz <= 0:
-            raise ContractError(f"rate_hz must be positive, got {self.rate_hz}")
+        if not (math.isfinite(self.rate_hz) and self.rate_hz > 0):
+            raise ContractError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         if self.annotators < 2:
             raise ContractError(f"annotators must be >= 2, got {self.annotators}")
         profiles = self.profiles or {
@@ -164,9 +168,9 @@ class SynthConfig:
                     f"profiles[{dim!r}] has {len(self.profiles[dim])} entries, "
                     f"expected {self.annotators}"
                 )
-            if self.feature_snr[dim] < 0:
+            if not (math.isfinite(self.feature_snr[dim]) and self.feature_snr[dim] >= 0):
                 raise ContractError(
-                    f"feature_snr[{dim!r}] must be >= 0, got {self.feature_snr[dim]}"
+                    f"feature_snr[{dim!r}] must be finite and >= 0, got {self.feature_snr[dim]}"
                 )
 
     @property

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .annotations import SourceData, WindowSpec, window_bounds
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 from .ccc import POOLINGS, ccc_batch_loss
 from .codec import from_dict, to_dict
 from .consensus import (
@@ -565,9 +565,7 @@ def write_epochs_csv(path, records: Sequence[EpochRecord]) -> None:
 def save_run(run_dir, run: TrainRun, cfg: TrainConfig) -> None:
     """Persist a run directory: config.json, epochs.csv, checkpoint.json."""
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_write(run_dir / "config.json") as fh:
-        json.dump(to_dict(cfg), fh, indent=2)
+    write_json(run_dir / "config.json", to_dict(cfg))
     write_epochs_csv(run_dir / "epochs.csv", run.epochs)
     nets = {"predictor": run.model.predictor.net}
     for dim, acn in run.model.acns.items():

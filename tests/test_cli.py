@@ -650,6 +650,54 @@ class TestExitCodes:
         assert "alpha must be finite" in capsys.readouterr().err
         assert not r.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("synth.feature_snr.valence", "nan", "feature_snr['valence']"),
+            ("synth.rate_hz", "inf", "rate_hz"),
+        ],
+    )
+    def test_non_finite_synth_value_is_exit_1_before_any_file(
+        self, tmp_path, capsys, flag, value, field
+    ):
+        out = tmp_path / "d"
+        assert parse_and_dispatch(["simulate", "--out", str(out), f"--{flag}", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field} must be" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["aggregate", "predict", "simulate", "train"])
+    def test_unwritable_output_is_exit_1(self, tmp_path, capsys, command):
+        # the OSError used to escape as an internal error naming the temporary file
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = blocker / ("d" if command == "simulate" else "x.csv")
+        d = make_dataset(tmp_path)
+        ann = d / "source_00" / "annotations_arousal.csv"
+        if command == "aggregate":
+            argv = ["aggregate", "--in", str(ann), "--out", str(out)]
+        elif command == "simulate":
+            argv = ["simulate", "--out", str(out), "--synth.sources", "1",
+                    "--synth.frames_per_source", "50"]
+        else:
+            run = tmp_path / "run" if command == "predict" else blocker / "r"
+            c = write_config(
+                tmp_path, dataset_dir=str(d), run_dir=str(run), train=tiny_train_section()
+            )
+            argv = ["train", "--config", str(c)]
+            if command == "predict":
+                assert parse_and_dispatch(argv) == 0
+                features = d / "source_00" / "features.csv"
+                argv = ["predict", "--run", str(run), "--features", str(features),
+                        "--out", str(out)]
+            else:
+                out = run
+        capsys.readouterr()
+        assert parse_and_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}") and "cannot write" in err
+        assert not list(tmp_path.rglob("*.tmp"))
+
     @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
     def test_unreadable_config_is_exit_1(self, tmp_path, capsys, kind):
         path = tmp_path / "c.json"

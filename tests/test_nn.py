@@ -384,6 +384,10 @@ class TestCheckpoint:
             ("bias", [0.0, 0.0]),
             ("bias", ...),  # key missing
             ("activation", "softmax"),
+            ("trainable", "false"),
+            ("trainable", 0),
+            ("activation", 1),
+            ("m_w", [[0.0, 0.0]]),  # optimizer state is not part of a layer
         ],
     )
     def test_malformed_layer_names_the_file(self, tmp_path, field, value):

@@ -17,26 +17,36 @@ OWN_READS = {
     # /proc/self/maps is not an artifact
     ("evalharness.py", "_blas_thread_setters"),
 }
-READ_CALLS = {"open", "read_text", "read_bytes"}
+# open() and these methods, on any object
+FILE_CALLS = {"open", "read_text", "read_bytes", "mkdir", "write_text", "write_bytes"}
+# these functions of the json module
+JSON_FILE_CALLS = {"dump", "load"}
 
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _file_reads(tree: ast.Module):
-    """(enclosing function, line) of every call to open() or a .open/.read_text/.read_bytes."""
+def _is_file_call(f: ast.expr) -> bool:
+    if isinstance(f, ast.Name):
+        return f.id == "open"
+    if not isinstance(f, ast.Attribute):
+        return False
+    on_json = isinstance(f.value, ast.Name) and f.value.id == "json"
+    return f.attr in FILE_CALLS or (on_json and f.attr in JSON_FILE_CALLS)
+
+
+def _file_calls(tree: ast.Module):
+    """(enclosing function, line) of every call that opens, reads, writes or makes a
+    file or directory: open(), .open/.read_*/.write_*/.mkdir and json.dump/json.load."""
 
     def walk(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from walk(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in READ_CALLS and (isinstance(f, ast.Attribute) or name == "open"):
-                    yield func, child.lineno
+            if isinstance(child, ast.Call) and _is_file_call(child.func):
+                yield func, child.lineno
             yield from walk(child, func)
 
     return list(walk(tree, None))
@@ -44,12 +54,28 @@ def _file_reads(tree: ast.Module):
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "atomic.py"], ids=lambda p: p.name)
 def test_files_are_read_only_through_atomic(path):
-    reads = [
+    calls = [
         (func, line)
-        for func, line in _file_reads(_parse(path))
+        for func, line in _file_calls(_parse(path))
         if (path.name, func) not in OWN_READS
     ]
-    assert reads == [], f"{path.name} reads files itself; use atomic.open_text or read_json"
+    assert calls == [], (
+        f"{path.name} touches files itself; use atomic.open_text, read_json, "
+        "atomic_write or write_json"
+    )
+
+
+def _format_keys(tree: ast.Module) -> list[int]:
+    """Lines that name the "format" key every artifact envelope starts with."""
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == "format"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "atomic.py"], ids=lambda p: p.name)
+def test_envelopes_are_made_and_checked_only_in_atomic(path):
+    assert _format_keys(_parse(path)) == [], (
+        f"{path.name} handles a format/version envelope itself; use atomic.envelope "
+        "and open_envelope"
+    )
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -77,5 +103,21 @@ def test_checks_catch_what_they_look_for():
         "import os\nfrom json import load, dumps\n"
         "def f(p):\n    return open(p), p.read_text(), dumps\n"
     )
-    assert _file_reads(tree) == [("f", 4), ("f", 4)]
+    assert _file_calls(tree) == [("f", 4), ("f", 4)]
     assert _unused_imports(tree) == ["load", "os"]
+
+
+def test_write_checks_catch_what_they_look_for():
+    tree = ast.parse(
+        "import json\n"
+        "def g(p, d, fh):\n"
+        "    p.parent.mkdir(parents=True)\n"
+        "    p.write_text('x')\n"
+        "    p.write_bytes(b'x')\n"
+        "    json.dump(d, fh)\n"
+        "    json.load(fh)\n"
+        "    return json.dumps(d), json.loads('{}'), d.load(), fh.write('x')\n"
+    )
+    assert _file_calls(tree) == [("g", 3), ("g", 4), ("g", 5), ("g", 6), ("g", 7)]
+    envelope = ast.parse('doc = {"format": "x", "version": 1}\nok = doc.get("format") == "x"\n')
+    assert _format_keys(envelope) == [1, 2]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,26 @@ class TestProfiles:
         a = sample_profiles(4, substream(2, "p"), **NOISY_ANNOTATORS)
         b = sample_profiles(4, substream(2, "p"), **NOISY_ANNOTATORS)
         assert a == b
+
+
+# Each non-finite value used to pass: a nan bias or drift_sd failed midway
+# through generation without naming the field, an infinite one saturated
+# the annotator at +-1, and an infinite rate_hz or snr built a config.
+NON_FINITE = {
+    "bias": lambda v: AnnotatorProfile(bias=v),
+    "scale": lambda v: AnnotatorProfile(scale=v),
+    "noise_sd": lambda v: AnnotatorProfile(noise_sd=v),
+    "drift_sd": lambda v: AnnotatorProfile(drift_sd=v),
+    "rate_hz": lambda v: tiny_config(rate_hz=v),
+    "feature_snr['valence']": lambda v: tiny_config(feature_snr={"arousal": 8.0, "valence": v}),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", list(NON_FINITE))
+def test_non_finite_values_refused(field, value):
+    with pytest.raises(ContractError, match=rf"^{re.escape(field)} must be [a-z ]*finite"):
+        NON_FINITE[field](value)
 
 
 class TestConfig:
