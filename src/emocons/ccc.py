@@ -15,14 +15,16 @@ the same expression can be differentiated with respect to either argument;
 both directions are needed because the joint training objective uses one CCC
 term with the consensus as second argument and one with it as first.
 
-Two implementations share these formulas.  ``ccc_stats``/``ccc_loss`` take
-one pair of series and accumulate moments with exactly-rounded compensated
-summation (``math.fsum``); they are the exact path that validation and
-evaluation score full traces with, and the oracle the tests hold the
-training kernel to.  ``ccc_batch_loss`` is the training kernel: it works on
-(windows, frames) arrays with a validity mask and uses centred two-pass
-numpy reductions, which agree with the fsum path to within 1e-12 on the
-windows training feeds it.
+Two implementations share these formulas, both with centred two-pass
+moments.  ``ccc_stats``/``ccc_loss`` take one pair of series and sum the
+deviations from the means with ``math.fsum``; they are the path that
+validation and evaluation score full traces with, and the oracle the tests
+hold the training kernel to.  The sums are exactly rounded, but the means
+and deviations are rounded first, so this path is accurate rather than
+exact.  ``ccc_batch_loss`` is the training kernel: it works on (windows,
+frames) arrays with a validity mask and uses numpy's pairwise reductions,
+which agree with the fsum path to within 1e-12 on the windows training
+feeds it.
 """
 
 from __future__ import annotations
@@ -83,6 +85,13 @@ def _as_series(v, name: str) -> np.ndarray:
     return arr
 
 
+def _mean(v: np.ndarray) -> float:
+    mu = math.fsum(v.tolist()) / v.size
+    # one correction pass recovers the rounding of the division, so a
+    # constant series has its own value as its mean and zero deviations
+    return mu + math.fsum((v - mu).tolist()) / v.size
+
+
 def ccc_stats(x, y) -> CccStats:
     """Population means, variances, and covariance of two aligned series.
 
@@ -97,19 +106,15 @@ def ccc_stats(x, y) -> CccStats:
     if n < 2:
         raise ContractError(f"need at least 2 samples, got {n}")
 
-    sx = math.fsum(x.tolist())
-    sy = math.fsum(y.tolist())
-    sxx = math.fsum((x * x).tolist())
-    syy = math.fsum((y * y).tolist())
-    sxy = math.fsum((x * y).tolist())
-
-    mu_x = sx / n
-    mu_y = sy / n
-    # one-pass moment formulas; the fsum totals are exact, so the only
-    # rounding happens in these final subtractions
-    var_x = max(sxx / n - mu_x * mu_x, 0.0)
-    var_y = max(syy / n - mu_y * mu_y, 0.0)
-    cov = sxy / n - mu_x * mu_y
+    # centred two-pass moments: the one-pass sxx/n - mu**2 cancels when the
+    # variance is small next to the squared mean, however exact the sums
+    mu_x = _mean(x)
+    mu_y = _mean(y)
+    dx = x - mu_x
+    dy = y - mu_y
+    var_x = math.fsum((dx * dx).tolist()) / n
+    var_y = math.fsum((dy * dy).tolist()) / n
+    cov = math.fsum((dx * dy).tolist()) / n
     return CccStats(mu_x=mu_x, mu_y=mu_y, var_x=var_x, var_y=var_y, cov=cov, n=n)
 
 

@@ -163,17 +163,19 @@ def forward_consensus(acn: Acn, matrix: np.ndarray) -> np.ndarray:
     return forward(acn.net, m).ravel()
 
 
-def backward_consensus(acn: Acn, grad: np.ndarray) -> np.ndarray:
+def backward_consensus(
+    acn: Acn, grad: np.ndarray, *, input_grad: bool = True
+) -> np.ndarray | None:
     """Accumulate gradients from a per-frame consensus gradient.
 
     Supports summed upstream gradients when several loss terms touch the
     same consensus output.  Returns the gradient with respect to the input
-    annotation matrix.
+    annotation matrix, or None without ``input_grad``.
     """
     g = np.asarray(grad, dtype=np.float64)
     if g.ndim != 1:
         raise ContractError(f"consensus gradient must be 1-D, got shape {g.shape}")
-    return backward(acn.net, g[:, None])
+    return backward(acn.net, g[:, None], input_grad=input_grad)
 
 
 # output activations for which negating the last layer negates the output

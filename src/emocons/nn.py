@@ -1,9 +1,12 @@
 """Minimal dense-network stack: forward, backprop, Adam, checkpoints.
 
-Everything is plain float64 numpy.  Layers keep their own gradient
-accumulators (``grad_*``) and Adam moments (``m_*``/``v_*``); ``backward``
-adds into the accumulators so several loss terms can contribute to one
-optimizer step.  Caches from the most recent ``forward`` are stored on the
+Parameters, gradient accumulators (``grad_*``) and Adam moments
+(``m_*``/``v_*``) are float64 numpy arrays kept on each layer.  ``forward``
+and ``backward`` compute in the dtype of their input, single or double
+precision, casting the parameters to it; ``backward`` adds the products
+into the float64 accumulators, so several loss terms can contribute to one
+optimizer step and a single-precision pass updates double-precision
+weights.  Caches from the most recent ``forward`` are stored on the
 layers, so forward/backward pairs must not be interleaved across inputs.
 
 Checkpoints are ``atomic`` envelopes; on load each layer is decoded with
@@ -25,11 +28,20 @@ from .errors import ConfigError, ContractError, StructuralError
 CHECKPOINT_FORMAT = "emocons-checkpoint"
 CHECKPOINT_VERSION = 2
 
-# activation -> (apply to pre-activation, derivative from the *output*)
+
+def _tanh_grad(a: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    dz = a * a
+    np.subtract(1.0, dz, out=dz)
+    dz *= dy
+    return dz
+
+
+# activation -> (apply to the pre-activation in place, gradient at the
+# pre-activation from the *output* and the gradient at the output)
 _ACTIVATIONS = {
-    "linear": (lambda z: z, lambda a: np.ones_like(a)),
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: (a > 0.0).astype(np.float64)),
+    "linear": (lambda z: z, lambda a, dy: dy),
+    "tanh": (lambda z: np.tanh(z, out=z), _tanh_grad),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a, dy: dy * (a > 0.0).astype(a.dtype)),
 }
 
 ACTIVATIONS = tuple(_ACTIVATIONS)
@@ -126,42 +138,56 @@ def init_network(
 
 
 def forward(net: Network, x: np.ndarray) -> np.ndarray:
-    """Run a batch of rows through the network, caching for ``backward``."""
-    x = np.asarray(x, dtype=np.float64)
+    """Run a batch of rows through the network, caching for ``backward``.
+
+    Single- or double-precision input is computed in its own dtype, with
+    each layer's parameters cast to it; any other input becomes float64.
+    """
+    x = np.asarray(x)
+    if not (x.dtype.kind == "f" and x.dtype.itemsize in (4, 8)):
+        x = x.astype(np.float64)
     if x.ndim != 2:
         raise ContractError(f"input must be 2-D (rows x features), got shape {x.shape}")
     if x.shape[1] != net.in_dim:
         raise ContractError(f"input width {x.shape[1]} does not match network input {net.in_dim}")
     for layer in net.layers:
         apply, _ = _ACTIVATIONS[layer.activation]
-        a = apply(x @ layer.weights.T + layer.bias)
+        a = x @ layer.weights.astype(x.dtype, copy=False).T
+        a += layer.bias.astype(x.dtype, copy=False)
+        apply(a)
         layer.cache_x = x
         layer.cache_a = a
         x = a
     return x
 
 
-def backward(net: Network, dy: np.ndarray) -> np.ndarray:
+def backward(net: Network, dy: np.ndarray, *, input_grad: bool = True) -> np.ndarray | None:
     """Accumulate parameter gradients for the last forward pass.
 
-    ``dy`` is the loss gradient at the network output.  Returns the gradient
-    at the network input.  Frozen layers accumulate nothing but still pass
-    the gradient through.
+    ``dy`` is the loss gradient at the network output; it is cast to the
+    dtype the forward pass ran in, and the products are added into the
+    float64 accumulators.  Returns the gradient at the network input, or
+    None without ``input_grad``, which saves the first layer's product for
+    callers that discard it.  Frozen layers accumulate nothing but still
+    pass the gradient through.
     """
-    dy = np.asarray(dy, dtype=np.float64)
-    for layer in reversed(net.layers):
-        if layer.cache_x is None or layer.cache_a is None:
-            raise ContractError("backward called before forward")
+    if any(l.cache_x is None or l.cache_a is None for l in net.layers):
+        raise ContractError("backward called before forward")
+    dy = np.asarray(dy, dtype=net.layers[-1].cache_a.dtype)
+    for i in reversed(range(len(net.layers))):
+        layer = net.layers[i]
         if dy.shape != layer.cache_a.shape:
             raise ContractError(
                 f"gradient shape {dy.shape} does not match output {layer.cache_a.shape}"
             )
-        _, deriv = _ACTIVATIONS[layer.activation]
-        dz = dy * deriv(layer.cache_a)
+        _, grad = _ACTIVATIONS[layer.activation]
+        dz = grad(layer.cache_a, dy)
         if layer.trainable:
             layer.grad_w += dz.T @ layer.cache_x
             layer.grad_b += dz.sum(axis=0)
-        dy = dz @ layer.weights
+        if i == 0 and not input_grad:
+            return None
+        dy = dz @ layer.weights.astype(dz.dtype, copy=False)
     return dy
 
 

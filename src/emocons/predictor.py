@@ -137,7 +137,7 @@ def forward_predictor(pred: Predictor, features: np.ndarray) -> np.ndarray:
 
 def backward_predictor(pred: Predictor, grad: np.ndarray) -> np.ndarray:
     """Accumulate gradients from d(loss)/d(output); returns input gradient."""
-    return backward(pred.net, np.asarray(grad, dtype=np.float64))
+    return backward(pred.net, grad)
 
 
 def evaluate(

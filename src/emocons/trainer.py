@@ -15,6 +15,13 @@ All randomness is drawn from named substreams of the config seed
 (init/predictor, init/acn/<dim>, shuffle/<epoch>), so two runs with one
 seed are identical and baseline/joint pairs share both their predictor
 initialization and their batch order.
+
+Precision: the training loop runs the predictor's forward and backward
+passes in float32 over float64 master weights.  It is the only place that
+picks float32: the weights, gradient accumulators, Adam state and clipping,
+the targets and the CCC loss, the consensus networks (whose output is the
+CCC target and is masked at DEGENERATE_VAR), validation and checkpoints
+all stay float64, as does everything ``prepare_data`` returns.
 """
 
 from __future__ import annotations
@@ -322,7 +329,7 @@ def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepStat
     items = batch.segments
     k = len(items)
     w = items[0].features.shape[0]
-    x = np.vstack([np.asarray(it.features, dtype=np.float64) for it in items])
+    x = np.vstack([it.features for it in items])
     preds = forward(model.predictor.net, x)
     grad_pred = np.zeros_like(preds)
     joint = cfg.mode == "acn"
@@ -356,8 +363,8 @@ def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepStat
             grad_cons = cfg.alpha * g1_cons
             if learn_cons_from_term2:
                 grad_cons = grad_cons + beta * g2_target
-            backward_consensus(model.acns[dim], grad_cons.ravel())
-    backward(model.predictor.net, grad_pred)
+            backward_consensus(model.acns[dim], grad_cons.ravel(), input_grad=False)
+    backward(model.predictor.net, grad_pred, input_grad=False)
     term2 = math.fsum(term2_parts)
     if not joint:
         return StepStats(term1=None, term2=None, total=term2, degenerate=degenerate)
@@ -429,6 +436,11 @@ def _check_items(data: TrainData, cfg: TrainConfig, need_annotations: bool) -> N
 def _train_loop(data: TrainData, cfg: TrainConfig, model: JointModel) -> TrainRun:
     dims = resolve_dimensions(cfg)
     started = time.perf_counter()
+    # the predictor's passes run in float32 (see the module docstring)
+    train = [
+        dataclasses.replace(it, features=np.asarray(it.features, dtype=np.float32))
+        for it in data.train
+    ]
     nets: list[Network] = [model.predictor.net] + [model.acns[d].net for d in dims if d in model.acns]
     steps: list[StepRecord] = []
     epochs: list[EpochRecord] = []
@@ -436,7 +448,7 @@ def _train_loop(data: TrainData, cfg: TrainConfig, model: JointModel) -> TrainRu
     global_step = 0
     for epoch in range(1, cfg.epochs + 1):
         batches = make_batches(
-            data.train, cfg.batch_size, derive_seed(cfg.seed, f"shuffle/{epoch:03d}")
+            train, cfg.batch_size, derive_seed(cfg.seed, f"shuffle/{epoch:03d}")
         )
         t1_acc, t2_acc, total_acc, weight_acc = [], [], [], 0
         for batch in batches:

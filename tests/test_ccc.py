@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from emocons.ccc import ccc_batch_loss, ccc_loss, ccc_stats
@@ -283,6 +283,9 @@ class TestBatch:
     pooling=st.sampled_from(["pooled", "per_window_mean"]),
 )
 @settings(max_examples=200, deadline=None)
+# a short window whose variance is small next to its squared mean: one-pass
+# moments cancel there and drift 1.1e-12 from the kernel
+@example(k=1, w=2, seed=2, mix=0.9527029135732921, shift=0.0, pooling="pooled")
 def test_batch_kernel_matches_fsum_oracle(k, w, seed, mix, shift, pooling):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, (k, w))

@@ -185,6 +185,90 @@ class TestBackward:
         with pytest.raises(ContractError):
             backward(net, np.zeros((4, 2)))
 
+    def test_skipping_the_input_gradient_keeps_parameter_grads(self):
+        net = small_net(13)
+        x = substream(14, "x").normal(size=(4, 3))
+        _, dy = loss_and_grad(net, x)
+        zero_grads(net)
+        assert backward(net, dy) is not None
+        full = [(l.grad_w.copy(), l.grad_b.copy()) for l in net.layers]
+        zero_grads(net)
+        assert backward(net, dy, input_grad=False) is None
+        for l, (gw, gb) in zip(net.layers, full):
+            np.testing.assert_array_equal(l.grad_w, gw)
+            np.testing.assert_array_equal(l.grad_b, gb)
+
+
+def naive_pass(net, x, dy):
+    """Forward and backward written out as the textbook formulas."""
+    xs, acts = [x], []
+    for l in net.layers:
+        z = xs[-1] @ l.weights.T + l.bias
+        a = np.tanh(z) if l.activation == "tanh" else z
+        acts.append(a)
+        xs.append(a)
+    grads = []
+    for l, xin, a in reversed(list(zip(net.layers, xs, acts))):
+        dz = dy * (1 - a * a) if l.activation == "tanh" else dy
+        grads.append((dz.T @ xin, dz.sum(axis=0)))
+        dy = dz @ l.weights
+    return acts[-1], grads[::-1], dy
+
+
+class TestPrecision:
+    def test_float64_pass_equals_the_naive_formulas_bitwise(self):
+        net = init_network((4, 6, 5, 2), ("tanh", "tanh", "linear"), substream(15, "t"))
+        x = substream(16, "x").normal(size=(7, 4))
+        dy = substream(16, "dy").normal(size=(7, 2))
+        y_ref, grads_ref, dx_ref = naive_pass(net, x, dy)
+        zero_grads(net)
+        np.testing.assert_array_equal(forward(net, x), y_ref)
+        np.testing.assert_array_equal(backward(net, dy), dx_ref)
+        for l, (gw, gb) in zip(net.layers, grads_ref):
+            np.testing.assert_array_equal(l.grad_w, gw)
+            np.testing.assert_array_equal(l.grad_b, gb)
+
+    @pytest.mark.parametrize("acts", [("tanh", "linear"), ("relu", "tanh")])
+    def test_float32_computes_in_float32_into_float64_grads(self, acts):
+        net = init_network((3, 16, 2), acts, substream(17, "t"))
+        x = substream(18, "x").normal(size=(64, 3))
+        dy = substream(18, "dy").normal(size=(64, 2))
+        zero_grads(net)
+        y64 = forward(net, x)
+        dx64 = backward(net, dy)
+        ref = [(l.grad_w.copy(), l.grad_b.copy()) for l in net.layers]
+        zero_grads(net)
+        y32 = forward(net, x.astype(np.float32))
+        assert [l.cache_a.dtype for l in net.layers] == [np.float32, np.float32]
+        assert y32.dtype == np.float32
+        dx32 = backward(net, dy)
+        assert dx32.dtype == np.float32
+        np.testing.assert_allclose(y32, y64, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(dx32, dx64, rtol=1e-4, atol=1e-6)
+        for l, (gw, gb) in zip(net.layers, ref):
+            assert l.weights.dtype == l.grad_w.dtype == l.grad_b.dtype == np.float64
+            # relative to the gradient's scale: a near-zero entry has no
+            # relative accuracy of its own
+            assert np.max(np.abs(l.grad_w - gw)) <= 1e-4 * np.max(np.abs(gw))
+            assert np.max(np.abs(l.grad_b - gb)) <= 1e-4 * np.max(np.abs(gb))
+
+    def test_other_dtypes_compute_in_float64(self):
+        net = small_net(19)
+        ints = np.arange(6).reshape(2, 3)
+        assert forward(net, ints).dtype == np.float64
+        np.testing.assert_array_equal(forward(net, ints), forward(net, ints.astype(np.float64)))
+        assert forward(net, ints.astype(np.float16)).dtype == np.float64
+
+    @pytest.mark.parametrize("acts", [("linear",), ("tanh", "linear"), ("relu",)])
+    def test_forward_results_never_alias(self, acts):
+        net = init_network((3,) * len(acts) + (3,), acts, substream(20, "t"))
+        x = substream(21, "x").normal(size=(4, 3))
+        first = forward(net, x)
+        second = forward(net, x)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, x)
+        np.testing.assert_array_equal(first, second)
+
 
 class TestOptimizer:
     def test_adam_matches_reference_on_scalar(self):

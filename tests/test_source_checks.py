@@ -36,20 +36,25 @@ def _is_file_call(f: ast.expr) -> bool:
     return f.attr in FILE_CALLS or (on_json and f.attr in JSON_FILE_CALLS)
 
 
-def _file_calls(tree: ast.Module):
-    """(enclosing function, line) of every call that opens, reads, writes or makes a
-    file or directory: open(), .open/.read_*/.write_*/.mkdir and json.dump/json.load."""
+def _located(tree: ast.Module, match) -> list:
+    """(enclosing function, line) of every node that ``match`` accepts."""
 
     def walk(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from walk(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and _is_file_call(child.func):
+            if match(child):
                 yield func, child.lineno
             yield from walk(child, func)
 
     return list(walk(tree, None))
+
+
+def _file_calls(tree: ast.Module):
+    """(enclosing function, line) of every call that opens, reads, writes or makes a
+    file or directory: open(), .open/.read_*/.write_*/.mkdir and json.dump/json.load."""
+    return _located(tree, lambda n: isinstance(n, ast.Call) and _is_file_call(n.func))
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "atomic.py"], ids=lambda p: p.name)
@@ -62,6 +67,35 @@ def test_files_are_read_only_through_atomic(path):
     assert calls == [], (
         f"{path.name} touches files itself; use atomic.open_text, read_json, "
         "atomic_write or write_json"
+    )
+
+
+# The one place that picks a training precision below float64.
+FLOAT32_OWNER = ("trainer.py", "_train_loop")
+FLOAT32_NAMES = {"float32", "single"}  # np.float32, np.single
+FLOAT32_STRINGS = {"float32", "f4"}  # dtype="float32", dtype="f4"
+
+
+def _names_float32(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr in FLOAT32_NAMES
+    if isinstance(node, ast.Name):
+        return node.id in FLOAT32_NAMES
+    if isinstance(node, ast.alias):
+        return node.name in FLOAT32_NAMES
+    return isinstance(node, ast.Constant) and node.value in FLOAT32_STRINGS
+
+
+def test_float32_is_named_only_in_the_training_loop():
+    found = [
+        (path.name, func, line)
+        for path in MODULES
+        for func, line in _located(_parse(path), _names_float32)
+    ]
+    assert found, "the training loop no longer picks float32"
+    assert all((name, func) == FLOAT32_OWNER for name, func, _ in found), (
+        f"float32 is named outside {'.'.join(FLOAT32_OWNER)}: {found}; the nets compute "
+        "in the dtype of their input, and only the training loop picks it"
     )
 
 
@@ -121,3 +155,13 @@ def test_write_checks_catch_what_they_look_for():
     assert _file_calls(tree) == [("g", 3), ("g", 4), ("g", 5), ("g", 6), ("g", 7)]
     envelope = ast.parse('doc = {"format": "x", "version": 1}\nok = doc.get("format") == "x"\n')
     assert _format_keys(envelope) == [1, 2]
+
+
+def test_float32_check_catches_what_it_looks_for():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import float32\n"
+        "def f(x):\n    return x.astype(np.float32), np.single, float32, x.astype('f4')\n"
+        "def g(x, heads='single'):\n"
+        "    return np.asarray(x, dtype='float32'), x.dtype.itemsize == 4, np.float64\n"
+    )
+    assert _located(tree, _names_float32) == [(None, 2)] + [("f", 4)] * 4 + [("g", 6)]

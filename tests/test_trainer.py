@@ -17,7 +17,13 @@ from emocons.consensus import (
 )
 from emocons.errors import ConfigError, ContractError
 from emocons.nn import OptimConfig, zero_grads
-from emocons.predictor import PredictorConfig, build_inputs, forward_predictor, init_predictor
+from emocons.predictor import (
+    PredictorConfig,
+    build_inputs,
+    evaluate,
+    forward_predictor,
+    init_predictor,
+)
 from emocons.rng import substream
 from emocons.synth import (
     MILD_ANNOTATORS,
@@ -782,6 +788,25 @@ class TestArtifacts:
             TrainConfig, json.loads((tmp_path / "run" / "config.json").read_text())
         )
         assert saved_cfg == cfg
+
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_float32_training_keeps_float64_models(self, mode, tmp_path):
+        corpus = small_corpus()
+        cfg = small_train_config(mode=mode)
+        train, val = split(corpus)
+        data = prepare_data(train, val, cfg)
+        run = run_training(data, cfg)
+        # the training loop computes on float32 copies; the caller's windows stay
+        assert {it.features.dtype for it in data.train} == {np.dtype(np.float64)}
+        nets = [run.model.predictor.net] + [a.net for a in run.model.acns.values()]
+        for net in nets:
+            for l in net.layers:
+                assert l.weights.dtype == l.bias.dtype == np.float64
+                assert l.m_w.dtype == l.v_w.dtype == l.grad_w.dtype == np.float64
+        save_run(tmp_path / "run", run, cfg)
+        model, _ = load_run_model(tmp_path / "run")
+        dims = trainer.resolve_dimensions(cfg)
+        assert evaluate(model.predictor, val, dims) == evaluate(run.model.predictor, val, dims)
 
 
 class TestAcnOrientation:
