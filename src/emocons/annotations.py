@@ -30,6 +30,7 @@ windows; training and per-window scoring both slice by its bounds.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import warnings
@@ -80,6 +81,14 @@ def _finite_readonly(a, container: str) -> np.ndarray:
     return out
 
 
+def _finite_trace(values, container: str) -> np.ndarray:
+    """``_finite_readonly`` of ``values``, refused unless they are 1-D and non-empty."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or v.shape[0] < 1:
+        raise ContractError(f"values must be 1-D and nonempty, got shape {v.shape}")
+    return _finite_readonly(v, container)
+
+
 @dataclass(frozen=True, eq=False)
 class AnnotationMatrix:
     """Frame-aligned traces from several annotators, one column each."""
@@ -126,14 +135,11 @@ class GoldStandardTrack:
     def __post_init__(self):
         _check_dimension(self.dimension)
         _check_rate(self.rate_hz)
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.shape[0] < 1:
-            raise ContractError(f"values must be 1-D and nonempty, got shape {v.shape}")
         if self.provenance not in PROVENANCES:
             raise ContractError(
                 f"unknown provenance {self.provenance!r}, expected one of {PROVENANCES}"
             )
-        object.__setattr__(self, "values", _finite_readonly(v, "GoldStandardTrack"))
+        object.__setattr__(self, "values", _finite_trace(self.values, "GoldStandardTrack"))
 
     @property
     def frames(self) -> int:
@@ -195,12 +201,20 @@ class WindowSpec:
 
 
 # ---------------------------------------------------------------------------
-# CSV parsing
+# CSV reading and writing
 #
 # A file is read once: csv.reader takes the header from its first non-blank
 # row and np.loadtxt parses the numeric body in one call.  Only when that
 # parse, or a check on the parsed array, fails is the file scanned row by
 # row to name the offending line (1-based, blank lines counted).
+#
+# A file is written as csv.writer's header row, then a body whose every
+# value reads as ``"%.6f"`` prints it.  The body is built by a numpy kernel
+# (_fixed6_rows): each value's digits go into fixed-width slots of one byte
+# buffer through 1000-entry three-digit tables, unused slots are NUL, and
+# one boolean compaction drops them.  One ``%`` format of the whole table
+# (_percent_rows) gives the same text and is kept only as the fallback for
+# a table the kernel does not cover.
 
 
 def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -410,19 +424,114 @@ def load_features_csv(path: str | Path) -> FeatureSequence:
     return _load_features(Path(path), None)
 
 
+# Below this magnitude v * 1e6 rounds to an integer that float64 holds exactly.
+_FIXED6_LIMIT = 2.0**52 / 1e6
+
+# Values per kernel call: small enough for its temporaries to stay in cache,
+# which formats a default corpus in about 40% less time than one call per
+# table does.
+_FIXED6_BLOCK = 8192
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Four-byte words for every k in 0..999, as little-endian uint32 tables.
+
+    ``full`` is NUL then k's three digits; ``lead`` is the same with k's
+    leading zeros NUL (0 keeps its last digit); ``dot`` is ``.`` then the
+    three digits; ``comma`` is the three digits then ``,``.
+    """
+    k = np.arange(1000)
+    digits = (k[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    full = np.zeros((1000, 4), np.uint8)
+    full[:, 1:] = digits
+    lead = full * (k[:, None] >= np.array([1000, 100, 10, 0]))
+    dot = np.insert(digits, 0, ord("."), axis=1)
+    comma = np.insert(digits, 3, ord(","), axis=1)
+    words = tuple(np.ascontiguousarray(t).view("<u4").ravel() for t in (full, lead, dot, comma))
+    for w in words:
+        w.flags.writeable = False  # one copy serves every caller
+    return words
+
+
+def _fixed6_rows(table: np.ndarray) -> str | None:
+    """A non-empty ``table`` as CSV rows ending in CRLF, each value as ``"%.6f"`` prints it.
+
+    With p = v * 1e6 and q = rint(p), q is the integer ``"%.6f"`` prints
+    (as digits with six after the point) when |v| < 2**52 / 1e6 and p lies
+    more than |p| * 2**-52, at least one ulp, from a half-integer: there the
+    rounding of the product cannot move p across the half-integer that
+    decides the digit.  Returns None when any value of the table is outside
+    that domain (also a nan or an infinity).
+
+    Each value takes ``groups`` words for its integer part (three digits a
+    word, the sign in the first word's spare byte), ``.ddd`` and ``ddd,``;
+    each row ends in one more word holding ``\n``, and its last ``,``
+    becomes ``\r``.  Leading zeros and spare bytes are NUL and dropped.
+    """
+    n, width = table.shape
+    v = table.ravel()
+    if not (-_FIXED6_LIMIT < v.min() and v.max() < _FIXED6_LIMIT):
+        return None
+    p = v * 1e6
+    q = np.rint(p)
+    # |p - q| plus a bound on one ulp of p must stay below half
+    slack = np.abs(p)
+    slack *= 2.0**-52
+    off = p - q
+    slack += np.abs(off, out=off)
+    if not slack.max() < 0.5:
+        return None
+    micros = np.abs(q).astype(np.int64)
+    whole = micros // 1_000_000
+    frac = micros - whole * 1_000_000
+    groups = -(-len(str(whole.max())) // 3)
+    full, lead, dot, comma = _digit_words()
+    words = np.empty((n, width * (groups + 2) + 1), "<u4")
+    cells = words[:, :-1].reshape(n, width, groups + 2)
+    for k in range(groups):
+        scale = 1000 ** (groups - 1 - k)
+        group = whole // scale
+        if k == 0:
+            word = lead[group]
+        else:
+            group %= 1000
+            word = np.where(whole >= 1000 * scale, full[group], lead[group])
+        if scale > 1:
+            word[whole < scale] = 0
+        cells[:, :, k] = word.reshape(n, width)
+    cells[:, :, 0] |= np.signbit(v).reshape(n, width) * np.uint32(ord("-"))
+    high = frac // 1000
+    cells[:, :, groups] = dot[high].reshape(n, width)
+    cells[:, :, groups + 1] = comma[frac - 1000 * high].reshape(n, width)
+    words[:, -1] = ord("\n")
+    text = words.view(np.uint8)
+    text[:, -5] = ord("\r")
+    return text[text != 0].tobytes().decode("ascii")
+
+
+def _percent_rows(table: np.ndarray) -> str:
+    """The text of _fixed6_rows by one ``%`` format of the whole table: the fallback."""
+    row = ",".join(["%.6f"] * table.shape[1]) + "\r\n"
+    return row * table.shape[0] % tuple(table.ravel().tolist())
+
+
 def _write_table(path: Path, header: list[str], rate_hz: float, columns: np.ndarray) -> None:
     """Write the header, then one CRLF row per frame: its time, then ``columns``.
 
-    csv.writer writes the header, so ids that need it are quoted; the body is
-    one ``%.6f`` format of the whole table, the bytes csv.writer gives for
-    ``f"{v:.6f}"`` fields.
+    csv.writer writes the header, so ids that need it are quoted.  The body
+    holds the bytes csv.writer gives for ``f"{v:.6f}"`` fields: the digit
+    kernel writes it, or the ``%`` fallback when a value lies outside the
+    kernel's domain.
     """
-    n, width = columns.shape
+    n = columns.shape[0]
     table = np.column_stack([np.arange(n) / rate_hz, columns])
-    row = ",".join(["%.6f"] * (width + 1)) + "\r\n"
+    rows = max(1, _FIXED6_BLOCK // table.shape[1])
+    blocks = [_fixed6_rows(table[i : i + rows]) for i in range(0, n, rows)]
+    body = _percent_rows(table) if None in blocks else "".join(blocks)
     with atomic_write(path, newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write(row * n % tuple(table.ravel().tolist()))
+        fh.write(body)
 
 
 def write_annotation_csv(path: str | Path, ann: AnnotationMatrix) -> None:
@@ -430,8 +539,13 @@ def write_annotation_csv(path: str | Path, ann: AnnotationMatrix) -> None:
 
 
 def write_trace_csv(path: str | Path, values: np.ndarray, rate_hz: float) -> None:
-    """Write one trace in the ``time,value`` layout that load_gold_csv reads."""
-    _write_table(Path(path), ["time", "value"], rate_hz, np.asarray(values)[:, None])
+    """Write one trace in the ``time,value`` layout that load_gold_csv reads.
+
+    The values must be 1-D, non-empty and finite and the rate positive and
+    finite, or nothing is written.
+    """
+    _check_rate(rate_hz)
+    _write_table(Path(path), ["time", "value"], rate_hz, _finite_trace(values, "trace")[:, None])
 
 
 def write_gold_csv(path: str | Path, gold: GoldStandardTrack) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emocons.annotations as annotations
@@ -31,8 +31,10 @@ from emocons.annotations import (
     write_dataset,
     write_features_csv,
     write_gold_csv,
+    write_trace_csv,
 )
 from emocons.errors import ContractError, ParseError, StructuralError
+from emocons.synth import default_synth_config, generate_source
 
 
 def write(tmp_path, name, text):
@@ -155,6 +157,33 @@ class TestGoldAndFeatures:
         assert isinstance(f, FeatureSequence)
         assert f.frames == 2 and f.dim == 2
         np.testing.assert_allclose(f.data, [[1.5, -2.0], [0.5, 3.0]])
+
+
+class TestWriteTrace:
+    """write_trace_csv refuses, before a file is made, what load_gold_csv would."""
+
+    def test_written_trace_loads_back(self, tmp_path):
+        write_trace_csv(tmp_path / "t.csv", [0.1, -0.2, 0.3], 25.0)
+        g = load_gold_csv(tmp_path / "t.csv", "valence")
+        np.testing.assert_array_equal(g.values, [0.1, -0.2, 0.3])
+        assert g.rate_hz == pytest.approx(25.0)
+
+    @pytest.mark.parametrize(
+        "values, rate, match",
+        [
+            ([0.1, float("nan"), 0.2], 25.0, "trace values must be finite"),
+            ([0.1, float("inf")], 25.0, "trace values must be finite"),
+            ([0.1, 0.2], 0.0, "sampling rate must be positive"),
+            ([0.1, 0.2], -5.0, "sampling rate must be positive"),
+            ([[0.1, 0.2], [0.3, 0.4]], 25.0, "must be 1-D"),
+            ([], 25.0, "nonempty"),
+        ],
+        ids=["nan", "inf", "zero_rate", "negative_rate", "two_d", "empty"],
+    )
+    def test_bad_trace_refused(self, tmp_path, values, rate, match):
+        with pytest.raises(ContractError, match=match):
+            write_trace_csv(tmp_path / "t.csv", np.array(values), rate)
+        assert list(tmp_path.iterdir()) == []
 
 
 def make_aligned(frames, rate=25.0, dim=4, annotators=2):
@@ -280,9 +309,22 @@ def old_parse(text):
 header_ids = st.text(
     alphabet=st.sampled_from(list("ab,\" x_1\t")), min_size=1, max_size=6
 )
+# The digit kernel's domain ends at 2**52 / 1e6; past it _write_table falls back.
+KERNEL_LIMIT = 2.0**52 / 1e6
+
 table_values = st.one_of(
-    st.sampled_from([0.0, -0.0, -4e-7, 4e-7, 5e-7, -5e-7, 1e6, -1e6, 0.5, 1.0000005]),
+    st.sampled_from([0.0, -0.0, -4e-7, 4e-7, 5e-7, -5e-7, 1e6, -1e6, 0.5, 1.0000005, 1e9, -1e9]),
     st.floats(-1e6, 1e6, allow_nan=False),
+    # dyadic values: k / 2**7 with k odd is an exact tie at the sixth decimal
+    st.integers(-(10**6), 10**6).map(lambda k: k / 2**7),
+    st.integers(-(10**9), 10**9).map(lambda k: k / 2**20),
+    # products v * 1e6 within an ulp of a half-integer
+    st.integers(-(10**9), 10**9).map(lambda k: (k + 0.5) / 1e6),
+    # magnitudes on both sides of the kernel's limit
+    st.sampled_from([KERNEL_LIMIT, float(np.nextafter(KERNEL_LIMIT, 0))]),
+    st.floats(0.99 * KERNEL_LIMIT, 1.01 * KERNEL_LIMIT).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    ),
 )
 
 
@@ -303,6 +345,56 @@ def test_write_table_bytes_match_per_value_writer(tmp_path_factory, n, ids, rate
     old_write_table(d / "old.csv", ["time", *ids], rate, cols)
     _write_table(d / "new.csv", ["time", *ids], rate, cols)
     assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+def in_kernel_domain(v):
+    """Whether v lies inside the digit kernel's domain with a margin: |v| below
+    the limit and v * 1e6 more than two ulps from a half-integer."""
+    p = v * 1e6
+    return abs(v) < KERNEL_LIMIT and abs(abs(p - round(p)) - 0.5) > 2 * np.spacing(abs(p))
+
+
+@given(st.lists(table_values.filter(in_kernel_domain), min_size=1, max_size=60), st.integers(1, 4))
+@example([-0.0, -4e-7, 5.0, 12.25, -999.9999994, 1000.0, -123456.789, 1e9, -1098765432.1], 3)
+@settings(max_examples=150, deadline=None)
+def test_kernel_formats_tables_of_its_domain(values, width):
+    """A table whose every value lies inside the domain takes the kernel's
+    fast path, whatever mix of signs and magnitudes it holds."""
+    width = min(width, len(values))
+    table = np.array(values[: len(values) // width * width]).reshape(-1, width)
+    want = "".join(",".join(f"{v:.6f}" for v in row) + "\r\n" for row in table)
+    assert annotations._fixed6_rows(table) == want
+
+
+@pytest.mark.parametrize(
+    "v",
+    [1 / 128, -3 / 128, 5e-7, KERNEL_LIMIT, -KERNEL_LIMIT, float("nan"), float("inf")],
+)
+def test_kernel_leaves_a_table_outside_its_domain_to_the_fallback(tmp_path, v):
+    cols = np.array([[0.25, 0.5], [v, -0.75]])
+    assert annotations._fixed6_rows(np.column_stack([[0.0, 0.04], cols])) is None
+    _write_table(tmp_path / "t.csv", ["time", "a", "b"], 25.0, cols)
+    old_write_table(tmp_path / "old.csv", ["time", "a", "b"], 25.0, cols)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_default_synth_source_takes_the_kernel(tmp_path, monkeypatch):
+    """Every table of a default synthetic source is formatted by the digit
+    kernel: a kernel that always fell back would pass the byte tests."""
+
+    def fallback(table):
+        raise AssertionError(f"a {table.shape} table fell back to the % format")
+
+    source = generate_source(default_synth_config(seed=5), 0)
+    monkeypatch.setattr(annotations, "_percent_rows", fallback)
+    write_dataset(tmp_path, Dataset([source]))
+    assert sorted(p.name for p in (tmp_path / source.source_id).iterdir()) == [
+        "annotations_arousal.csv",
+        "annotations_valence.csv",
+        "features.csv",
+        "gold_arousal.csv",
+        "gold_valence.csv",
+    ]
 
 
 @st.composite
