@@ -522,9 +522,12 @@ def _write_table(path: Path, header: list[str], rate_hz: float, columns: np.ndar
     csv.writer writes the header, so ids that need it are quoted.  The body
     holds the bytes csv.writer gives for ``f"{v:.6f}"`` fields: the digit
     kernel writes it, or the ``%`` fallback when a value lies outside the
-    kernel's domain.
+    kernel's domain.  Fewer than 2 rows are refused before a file is made,
+    since every loader infers the sampling rate from the first two times.
     """
     n = columns.shape[0]
+    if n < 2:
+        raise ContractError(f"{path}: need at least 2 rows to write, got {n}")
     table = np.column_stack([np.arange(n) / rate_hz, columns])
     rows = max(1, _FIXED6_BLOCK // table.shape[1])
     blocks = [_fixed6_rows(table[i : i + rows]) for i in range(0, n, rows)]
@@ -541,7 +544,8 @@ def write_annotation_csv(path: str | Path, ann: AnnotationMatrix) -> None:
 def write_trace_csv(path: str | Path, values: np.ndarray, rate_hz: float) -> None:
     """Write one trace in the ``time,value`` layout that load_gold_csv reads.
 
-    The values must be 1-D, non-empty and finite and the rate positive and
+    The values must be 1-D and finite, at least 2 of them (load_gold_csv
+    infers the rate from the first two rows), and the rate positive and
     finite, or nothing is written.
     """
     _check_rate(rate_hz)

@@ -1,4 +1,4 @@
-"""Concordance Correlation Coefficient: statistics, loss, and analytic gradients.
+"""Concordance Correlation Coefficient: one kernel for the loss and its analytic gradients.
 
 The agreement between two equal-length series x and y is measured as
 
@@ -15,21 +15,17 @@ the same expression can be differentiated with respect to either argument;
 both directions are needed because the joint training objective uses one CCC
 term with the consensus as second argument and one with it as first.
 
-Two implementations share these formulas, both with centred two-pass
-moments.  ``ccc_stats``/``ccc_loss`` take one pair of series and sum the
-deviations from the means with ``math.fsum``; they are the path that
-validation and evaluation score full traces with, and the oracle the tests
-hold the training kernel to.  The sums are exactly rounded, but the means
-and deviations are rounded first, so this path is accurate rather than
-exact.  ``ccc_batch_loss`` is the training kernel: it works on (windows,
-frames) arrays with a validity mask and uses numpy's pairwise reductions,
-which agree with the fsum path to within 1e-12 on the windows training
-feeds it.
+One kernel computes the moments, the ratio and the gradients.
+``ccc_batch_loss`` runs it on (windows, frames) arrays with a validity
+mask, and ``ccc_loss`` runs it on one pair of series as a (1, n) batch, so
+training, validation, evaluation and annotator weighting all score with
+the same arithmetic.  Moments are centred two-pass with numpy's pairwise
+reductions, and each mean gets one correction pass; the tests hold the
+kernel to an independent pure-Python reference with exactly rounded sums.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,31 +37,6 @@ EPSILON = 1e-8
 #: Pooling modes for batched CCC: one CCC over all concatenated frames, or
 #: the mean of per-window losses.
 POOLINGS = ("pooled", "per_window_mean")
-
-
-@dataclass(frozen=True)
-class CccStats:
-    """Population moments of a pair of series.
-
-    ``cov`` equals ``rho * sigma_x * sigma_y``; together with the means and
-    variances it is everything the CCC needs.
-    """
-
-    mu_x: float
-    mu_y: float
-    var_x: float
-    var_y: float
-    cov: float
-    n: int
-
-    def __post_init__(self):
-        if self.var_x < 0 or self.var_y < 0:
-            raise ContractError("variances must be nonnegative")
-        bound = math.sqrt(self.var_x * self.var_y) + 1e-12
-        if abs(self.cov) > bound:
-            raise ContractError(
-                f"covariance {self.cov} exceeds Cauchy-Schwarz bound {bound}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,41 +56,33 @@ def _as_series(v, name: str) -> np.ndarray:
     return arr
 
 
-def _mean(v: np.ndarray) -> float:
-    mu = math.fsum(v.tolist()) / v.size
-    # one correction pass recovers the rounding of the division, so a
+def _ccc(x, y, axis, norm: int, want_grad_x: bool, want_grad_y: bool):
+    """The kernel: CCC of (rows, frames) arrays ``x`` and ``y`` per row
+    (``axis=1``) or over the whole block (``axis=None``), kept 2-D, and the
+    gradients of ``sum(1 - ccc) / norm`` when asked for, else None."""
+    mu_x = x.mean(axis=axis, keepdims=True)
+    mu_y = y.mean(axis=axis, keepdims=True)
+    # one correction pass recovers the rounding of the one-pass mean, so a
     # constant series has its own value as its mean and zero deviations
-    return mu + math.fsum((v - mu).tolist()) / v.size
-
-
-def ccc_stats(x, y) -> CccStats:
-    """Population means, variances, and covariance of two aligned series.
-
-    Raises ContractError if the lengths differ or fewer than 2 samples are
-    given (a single point has no defined correlation).
-    """
-    x = _as_series(x, "x")
-    y = _as_series(y, "y")
-    n = x.size
-    if y.size != n:
-        raise ContractError(f"length mismatch: {n} vs {y.size}")
-    if n < 2:
-        raise ContractError(f"need at least 2 samples, got {n}")
-
+    mu_x += (x - mu_x).mean(axis=axis, keepdims=True)
+    mu_y += (y - mu_y).mean(axis=axis, keepdims=True)
     # centred two-pass moments: the one-pass sxx/n - mu**2 cancels when the
-    # variance is small next to the squared mean, however exact the sums
-    mu_x = _mean(x)
-    mu_y = _mean(y)
+    # variance is small next to the squared mean
     dx = x - mu_x
     dy = y - mu_y
-    var_x = math.fsum((dx * dx).tolist()) / n
-    var_y = math.fsum((dy * dy).tolist()) / n
-    cov = math.fsum((dx * dy).tolist()) / n
-    return CccStats(mu_x=mu_x, mu_y=mu_y, var_x=var_x, var_y=var_y, cov=cov, n=n)
-
-
-def ccc_from_stats(s: CccStats) -> float:
-    return 2.0 * s.cov / (s.var_x + s.var_y + (s.mu_x - s.mu_y) ** 2 + EPSILON)
+    dmu = mu_x - mu_y
+    denom = (
+        (dx * dx).mean(axis=axis, keepdims=True)
+        + (dy * dy).mean(axis=axis, keepdims=True)
+        + dmu * dmu
+        + EPSILON
+    )
+    ccc = 2.0 * (dx * dy).mean(axis=axis, keepdims=True) / denom
+    frames = x.shape[1] if axis == 1 else x.size
+    scale = 2.0 / (frames * norm * denom)
+    grad_x = scale * (ccc * (dx + dmu) - dy) if want_grad_x else None
+    grad_y = scale * (ccc * (dy - dmu) - dx) if want_grad_y else None
+    return ccc, grad_x, grad_y
 
 
 def ccc_loss(x, y, want_grad_x: bool = False, want_grad_y: bool = False) -> CccResult:
@@ -131,23 +94,24 @@ def ccc_loss(x, y, want_grad_x: bool = False, want_grad_y: bool = False) -> CccR
 
         d loss / d x_k = (2 / (n*D)) * (ccc*((x_k - mu_x) + (mu_x - mu_y)) - (y_k - mu_y))
 
-    and symmetrically for y.
+    and symmetrically for y.  Raises ContractError unless x and y are 1-D,
+    of equal length and hold at least 2 samples (a single point has no
+    defined correlation).
     """
     x = _as_series(x, "x")
     y = _as_series(y, "y")
-    s = ccc_stats(x, y)
-    denom = s.var_x + s.var_y + (s.mu_x - s.mu_y) ** 2 + EPSILON
-    ccc = 2.0 * s.cov / denom
-
-    grad_x = grad_y = None
-    if want_grad_x or want_grad_y:
-        scale = 2.0 / (s.n * denom)
-        dmu = s.mu_x - s.mu_y
-        if want_grad_x:
-            grad_x = scale * (ccc * ((x - s.mu_x) + dmu) - (y - s.mu_y))
-        if want_grad_y:
-            grad_y = scale * (ccc * ((y - s.mu_y) - dmu) - (x - s.mu_x))
-    return CccResult(ccc=ccc, loss=1.0 - ccc, grad_x=grad_x, grad_y=grad_y)
+    if y.size != x.size:
+        raise ContractError(f"length mismatch: {x.size} vs {y.size}")
+    if x.size < 2:
+        raise ContractError(f"need at least 2 samples, got {x.size}")
+    ccc, grad_x, grad_y = _ccc(x[None], y[None], 1, 1, want_grad_x, want_grad_y)
+    value = float(ccc[0, 0])
+    return CccResult(
+        ccc=value,
+        loss=1.0 - value,
+        grad_x=None if grad_x is None else grad_x[0],
+        grad_y=None if grad_y is None else grad_y[0],
+    )
 
 
 def ccc_batch_loss(
@@ -190,29 +154,11 @@ def ccc_batch_loss(
     if not valid.any():
         return 0.0, grad_x, grad_y
 
-    xv, yv = x[valid], y[valid]
     # per_window_mean reduces each row; pooled reduces the whole valid block
-    axis = 1 if pooling == "per_window_mean" else None
-    mu_x = xv.mean(axis=axis, keepdims=True)
-    mu_y = yv.mean(axis=axis, keepdims=True)
-    dx = xv - mu_x
-    dy = yv - mu_y
-    dmu = mu_x - mu_y
-    denom = (
-        (dx * dx).mean(axis=axis, keepdims=True)
-        + (dy * dy).mean(axis=axis, keepdims=True)
-        + dmu * dmu
-        + EPSILON
-    )
-    ccc = 2.0 * (dx * dy).mean(axis=axis, keepdims=True) / denom
-    if axis is None:
-        loss = 1.0 - float(ccc[0, 0])
-        scale = 2.0 / (xv.size * denom)
-    else:
-        loss = float(np.sum(1.0 - ccc)) / k
-        scale = 2.0 / (w * k * denom)
+    axis, norm = (1, k) if pooling == "per_window_mean" else (None, 1)
+    ccc, gx, gy = _ccc(x[valid], y[valid], axis, norm, want_grad_x, want_grad_y)
     if want_grad_x:
-        grad_x[valid] = scale * (ccc * (dx + dmu) - dy)
+        grad_x[valid] = gx
     if want_grad_y:
-        grad_y[valid] = scale * (ccc * (dy - dmu) - dx)
-    return loss, grad_x, grad_y
+        grad_y[valid] = gy
+    return float(np.sum(1.0 - ccc)) / norm, grad_x, grad_y

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,27 @@ class TestWriteTrace:
         assert list(tmp_path.iterdir()) == []
 
 
+def _one_row_writes():
+    """Each CSV writer with a 1-row table, which no loader could read back."""
+    ann = AnnotationMatrix(np.array([[0.1, 0.2]]), ("a0", "a1"), "valence", 25.0)
+    gold = GoldStandardTrack("valence", 25.0, np.array([0.1]), "external_gold")
+    feats = FeatureSequence(np.zeros((0, 3)), 25.0)
+    return {
+        "trace": lambda p: write_trace_csv(p, [0.1], 25.0),
+        "gold": lambda p: write_gold_csv(p, gold),
+        "annotations": lambda p: write_annotation_csv(p, ann),
+        "features": lambda p: write_features_csv(p, feats),
+    }
+
+
+@pytest.mark.parametrize("writer", sorted(_one_row_writes()))
+def test_writers_refuse_fewer_than_two_rows(tmp_path, writer):
+    path = tmp_path / "one.csv"
+    with pytest.raises(ContractError, match=re.escape(f"{path}: need at least 2 rows")):
+        _one_row_writes()[writer](path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def make_aligned(frames, rate=25.0, dim=4, annotators=2):
     rng = np.random.default_rng(1)
     feats = FeatureSequence(rng.normal(size=(frames, dim)), rate)
@@ -329,7 +351,8 @@ table_values = st.one_of(
 
 
 @given(
-    st.integers(0, 30),
+    # fewer than 2 rows are refused (test_writers_refuse_fewer_than_two_rows)
+    st.integers(2, 30),
     st.lists(header_ids, min_size=1, max_size=4),
     st.sampled_from(RATES),
     st.data(),

@@ -5,21 +5,30 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from emocons.ccc import ccc_batch_loss, ccc_loss, ccc_stats
+from emocons.ccc import ccc_batch_loss, ccc_loss
 from emocons.errors import ContractError
 
 EPS = 1e-8
 
 
-def reference_ccc(x, y):
-    """Independent single-pass oracle: plain fsum moments, covariance form."""
+def reference_ccc(x, y, grads=False):
+    """Independent oracle in pure Python: ``math.fsum`` moments, the covariance
+    form, and with ``grads`` the closed-form gradients of ``1 - ccc`` from
+    ``ccc_loss``'s docstring, as ``(ccc, grad_x, grad_y)`` lists."""
     n = len(x)
     mx = math.fsum(x) / n
     my = math.fsum(y) / n
     vx = math.fsum((a - mx) ** 2 for a in x) / n
     vy = math.fsum((b - my) ** 2 for b in y) / n
     cov = math.fsum((a - mx) * (b - my) for a, b in zip(x, y)) / n
-    return 2.0 * cov / (vx + vy + (mx - my) ** 2 + EPS)
+    denom = vx + vy + (mx - my) ** 2 + EPS
+    ccc = 2.0 * cov / denom
+    if not grads:
+        return ccc
+    scale = 2.0 / (n * denom)
+    gx = [scale * (ccc * ((a - mx) + (mx - my)) - (b - my)) for a, b in zip(x, y)]
+    gy = [scale * (ccc * ((b - my) - (mx - my)) - (a - mx)) for a, b in zip(x, y)]
+    return ccc, gx, gy
 
 
 def central_diff_grad(f, x, h=1e-5):
@@ -42,37 +51,21 @@ def rel_grad_error(analytic, numeric):
     return np.max(np.abs(analytic - numeric) / denom)
 
 
-class TestStats:
-    def test_hand_computed_moments(self):
-        # x=[1,2,3], y=[2,4,6]: population moments computed by hand
-        s = ccc_stats([1, 2, 3], [2, 4, 6])
-        assert s.n == 3
-        assert s.mu_x == pytest.approx(2.0, abs=1e-12)
-        assert s.mu_y == pytest.approx(4.0, abs=1e-12)
-        assert s.var_x == pytest.approx(2 / 3, abs=1e-12)
-        assert s.var_y == pytest.approx(8 / 3, abs=1e-12)
-        assert s.cov == pytest.approx(4 / 3, abs=1e-12)
-
-    def test_constant_sequences(self):
-        s = ccc_stats([5, 5, 5, 5], [5, 5, 5, 5])
-        assert s.var_x == 0.0
-        assert s.var_y == 0.0
-        assert s.cov == 0.0
-
-    def test_anticorrelated_cov(self):
-        s = ccc_stats([1, 2, 3], [3, 2, 1])
-        assert s.cov == pytest.approx(-2 / 3, abs=1e-12)
-
+class TestLoss:
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ContractError):
-            ccc_stats([1, 2], [1, 2, 3])
+        with pytest.raises(ContractError, match="length mismatch"):
+            ccc_loss([1, 2], [1, 2, 3])
 
     def test_too_short_rejected(self):
-        with pytest.raises(ContractError):
-            ccc_stats([1], [1])
+        with pytest.raises(ContractError, match="at least 2"):
+            ccc_loss([1], [1])
 
+    def test_non_1d_rejected(self):
+        with pytest.raises(ContractError, match="one-dimensional"):
+            ccc_loss([[1, 2], [3, 4]], [1, 2])
+        with pytest.raises(ContractError, match="one-dimensional"):
+            ccc_loss([1, 2], 3.0)
 
-class TestLoss:
     def test_identity_pair(self):
         r = ccc_loss([0.1, -0.4, 0.7], [0.1, -0.4, 0.7])
         assert r.loss <= 1e-7
@@ -104,6 +97,11 @@ class TestLoss:
         r = ccc_loss([0.2, 0.2, 0.2], [0.7, 0.7, 0.7])
         assert r.ccc == 0.0
         assert r.loss == 1.0
+
+    def test_constant_sequences(self):
+        r = ccc_loss([5, 5, 5, 5], [5, 5, 5, 5], want_grad_x=True, want_grad_y=True)
+        assert r.ccc == 0.0
+        assert not r.grad_x.any() and not r.grad_y.any()
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(7)
@@ -162,23 +160,23 @@ def test_shift_penalty_strictly_decreasing():
 
 
 def batch_oracle(x, y, valid, pooling):
-    """Masked batch loss and gradients built from the fsum ``ccc_loss``."""
+    """Masked batch loss and gradients built from the pure-Python ``reference_ccc``."""
     k, w = x.shape
     gx, gy = np.zeros_like(x), np.zeros_like(y)
     idx = np.flatnonzero(valid)
     if idx.size == 0:
         return 0.0, gx, gy
     if pooling == "pooled":
-        r = ccc_loss(x[idx].ravel(), y[idx].ravel(), want_grad_x=True, want_grad_y=True)
-        gx[idx] = r.grad_x.reshape(idx.size, w)
-        gy[idx] = r.grad_y.reshape(idx.size, w)
-        return r.loss, gx, gy
+        ccc, rx, ry = reference_ccc(x[idx].ravel().tolist(), y[idx].ravel().tolist(), True)
+        gx[idx] = np.reshape(rx, (idx.size, w))
+        gy[idx] = np.reshape(ry, (idx.size, w))
+        return 1.0 - ccc, gx, gy
     losses = []
     for i in idx:
-        r = ccc_loss(x[i], y[i], want_grad_x=True, want_grad_y=True)
-        losses.append(r.loss)
-        gx[i] = r.grad_x / k
-        gy[i] = r.grad_y / k
+        ccc, rx, ry = reference_ccc(x[i].tolist(), y[i].tolist(), True)
+        losses.append(1.0 - ccc)
+        gx[i] = np.divide(rx, k)
+        gy[i] = np.divide(ry, k)
     return math.fsum(losses) / k, gx, gy
 
 
@@ -296,3 +294,28 @@ def test_batch_kernel_matches_fsum_oracle(k, w, seed, mix, shift, pooling):
     assert abs(loss - ref_loss) <= 1e-12
     np.testing.assert_allclose(gx, ref_gx, rtol=0, atol=1e-12)
     np.testing.assert_allclose(gy, ref_gy, rtol=0, atol=1e-12)
+
+
+@given(
+    n=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+    mix=st.floats(-1.0, 1.0),
+    shift=st.floats(-0.5, 0.5),
+    strided=st.booleans(),
+    pooling=st.sampled_from(["pooled", "per_window_mean"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_ccc_loss_is_the_batch_kernel(n, seed, mix, shift, strided, pooling):
+    # ccc_loss scores, weights and orients; ccc_batch_loss trains: one arithmetic
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, n)
+    y = mix * x + (1 - abs(mix)) * rng.uniform(-1, 1, n) + shift
+    if strided:  # matrix columns, as compute_reliability_weights passes them
+        m = np.column_stack([x, y])
+        x, y = m[:, 0], m[:, 1]
+    r = ccc_loss(x, y, want_grad_x=True, want_grad_y=True)
+    loss, gx, gy = ccc_batch_loss(x[None], y[None], [True], pooling, True, True)
+    assert r.loss == loss
+    assert r.loss == 1.0 - r.ccc
+    np.testing.assert_array_equal(r.grad_x, gx[0])
+    np.testing.assert_array_equal(r.grad_y, gy[0])

@@ -11,7 +11,7 @@ import pytest
 
 from emocons import evalharness
 from emocons.annotations import WindowSpec, window_count
-from emocons.ccc import ccc_from_stats, ccc_stats
+from emocons.ccc import ccc_loss
 from emocons.consensus import AcnConfig
 from emocons.errors import ContractError, StructuralError
 from emocons.evalharness import (
@@ -185,7 +185,7 @@ class TestEvaluate:
         pred = linear_readout_predictor(6, [0.3, -0.2, 0.1, 0.05, 0.0, 0.4])
         got = evaluate(pred, [self.src], ["arousal"])["arousal"]
         yhat = (self.src.features.data @ np.array([0.3, -0.2, 0.1, 0.05, 0.0, 0.4]))
-        want = ccc_from_stats(ccc_stats(self.src.gold["arousal"].values, yhat))
+        want = ccc_loss(self.src.gold["arousal"].values, yhat).ccc
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_mean_over_sources(self):
@@ -211,7 +211,7 @@ class TestEvaluate:
         vals = []
         for k in range(window_count(gold.size, w, s)):
             a, b = k * s, k * s + w
-            vals.append(ccc_from_stats(ccc_stats(gold[a:b], yhat[a:b])))
+            vals.append(ccc_loss(gold[a:b], yhat[a:b]).ccc)
         assert got["valence"] == pytest.approx(np.mean(vals), abs=1e-12)
 
     def test_per_window_pooling_needs_window(self):

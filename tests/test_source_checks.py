@@ -99,6 +99,28 @@ def test_float32_is_named_only_in_the_training_loop():
     )
 
 
+# The CCC ratio is written once: its denominator is the only reader of EPSILON.
+EPSILON_OWNER = "ccc.py"
+
+
+def _reads_epsilon(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id == "EPSILON" and isinstance(node.ctx, ast.Load)
+    return isinstance(node, ast.Attribute) and node.attr == "EPSILON"
+
+
+def test_the_ccc_ratio_is_written_once():
+    found = [
+        (path.name, func, line)
+        for path in MODULES
+        for func, line in _located(_parse(path), _reads_epsilon)
+    ]
+    assert len(found) == 1 and found[0][0] == EPSILON_OWNER, (
+        f"EPSILON is read at {found}; the CCC ratio belongs in one kernel in "
+        f"{EPSILON_OWNER}, which ccc_loss and ccc_batch_loss share"
+    )
+
+
 def _format_keys(tree: ast.Module) -> list[int]:
     """Lines that name the "format" key every artifact envelope starts with."""
     return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == "format"]
@@ -165,3 +187,11 @@ def test_float32_check_catches_what_it_looks_for():
         "    return np.asarray(x, dtype='float32'), x.dtype.itemsize == 4, np.float64\n"
     )
     assert _located(tree, _names_float32) == [(None, 2)] + [("f", 4)] * 4 + [("g", 6)]
+
+
+def test_epsilon_check_catches_what_it_looks_for():
+    tree = ast.parse(
+        "EPSILON = 1e-8\nfrom .ccc import EPSILON\n"
+        "def f(a, b):\n    return a / (b + EPSILON), ccc.EPSILON, 'EPSILON'\n"
+    )
+    assert _located(tree, _reads_epsilon) == [("f", 4), ("f", 4)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from emocons.annotations import AnnotationMatrix, Dataset, load_dataset, write_dataset
-from emocons.ccc import ccc_from_stats, ccc_stats
+from emocons.ccc import ccc_loss
 from emocons.errors import ContractError
 from emocons.rng import substream
 from emocons.synth import (
@@ -41,7 +41,7 @@ def tiny_config(seed=0, **over):
 
 
 def ccc(a, b):
-    return ccc_from_stats(ccc_stats(a, b))
+    return ccc_loss(a, b).ccc
 
 
 class TestProfiles:
