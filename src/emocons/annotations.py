@@ -526,8 +526,7 @@ def _write_table(path: Path, header: list[str], rate_hz: float, columns: np.ndar
     since every loader infers the sampling rate from the first two times.
     """
     n = columns.shape[0]
-    if n < 2:
-        raise ContractError(f"{path}: need at least 2 rows to write, got {n}")
+    _check_rows(path, n)
     table = np.column_stack([np.arange(n) / rate_hz, columns])
     rows = max(1, _FIXED6_BLOCK // table.shape[1])
     blocks = [_fixed6_rows(table[i : i + rows]) for i in range(0, n, rows)]
@@ -535,6 +534,11 @@ def _write_table(path: Path, header: list[str], rate_hz: float, columns: np.ndar
     with atomic_write(path, newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.write(body)
+
+
+def _check_rows(path: Path, n: int) -> None:
+    if n < 2:
+        raise ContractError(f"{path}: need at least 2 rows to write, got {n}")
 
 
 def write_annotation_csv(path: str | Path, ann: AnnotationMatrix) -> None:
@@ -642,18 +646,24 @@ def write_dataset(root: str | Path, dataset: Dataset) -> None:
 
     Each file is written atomically, and the manifest last, so a directory
     whose manifest is new holds every file it names.  Source ids that
-    load_dataset would refuse are refused before anything is written.
+    load_dataset would refuse, and streams of fewer than 2 frames, are
+    refused before anything is written.
     """
     for sid in dataset.source_ids:
         if not _is_plain_name(sid):
             raise ContractError(f"source id {sid!r} is not a plain directory name")
     root = Path(root)
+    tables = []
     for s in dataset.sources:
         d = root / s.source_id
-        write_features_csv(d / "features.csv", s.features)
+        tables.append((write_features_csv, d / "features.csv", s.features))
         for dim in s.dimensions:
-            write_gold_csv(d / f"gold_{dim}.csv", s.gold[dim])
-            write_annotation_csv(d / f"annotations_{dim}.csv", s.annotations[dim])
+            tables.append((write_gold_csv, d / f"gold_{dim}.csv", s.gold[dim]))
+            tables.append((write_annotation_csv, d / f"annotations_{dim}.csv", s.annotations[dim]))
+    for _, path, stream in tables:
+        _check_rows(path, stream.frames)
+    for write, path, stream in tables:
+        write(path, stream)
     body = {
         "sources": list(dataset.source_ids),
         "dimensions": list(dataset.dimensions),

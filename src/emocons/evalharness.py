@@ -8,7 +8,8 @@ process; ab_compare() is one run per seed for each of two training modes,
 its folds spread over worker processes, and reports per-seed score deltas
 with their median.
 evaluate() lives in ``predictor``, where the training loop's validation
-also calls it, and is re-exported here.
+calls it, and is re-exported here; a fold is scored by its run's last
+validation, whose sources are the fold's held-out ones.
 
 A report.json is an ``atomic.envelope`` around ``codec.to_dict`` of the
 Report, written by ``atomic.write_json``; load_report() reads it through
@@ -35,7 +36,7 @@ from .annotations import Dataset, SourceData
 from .atomic import envelope, open_envelope, read_json, write_json
 from .codec import from_dict, to_dict
 from .errors import ConfigError, ContractError, StructuralError
-from .predictor import evaluate
+from . import predictor
 from .trainer import (
     TrainConfig,
     config_hash,
@@ -46,6 +47,9 @@ from .trainer import (
 )
 
 logger = logging.getLogger("emocons.evalharness")
+
+# re-exported, so callers of this module score through the same function
+evaluate = predictor.evaluate
 
 FOLD_SCHEMES = ("leave_one_source_out", "fixed_split")
 
@@ -284,16 +288,21 @@ def _fold_sources(
 
 
 def _run_fold(train, test, cfg: TrainConfig, fold: int, run_dir) -> FoldScore:
-    """Train one fold, save it under ``run_dir`` if set, and score it."""
+    """Train one fold, save it under ``run_dir`` if set, and score it.
+
+    The held-out sources are the run's validation sources, so the score is
+    the last epoch's validation CCC: ``evaluate`` on the trained predictor.
+    """
     run = run_training(prepare_data(train, test, cfg), cfg)
     if run_dir is not None:
         save_run(run_dir, run, cfg)
+    last = run.epochs[-1]
     return FoldScore(
         mode=cfg.mode,
         seed=cfg.seed,
         fold=fold,
         test_sources=tuple(s.source_id for s in test),
-        ccc=evaluate(run.model.predictor, test, resolve_dimensions(cfg)),
+        ccc={dim: getattr(last, f"val_ccc_{dim}") for dim in run.dimensions},
     )
 
 

@@ -9,6 +9,18 @@ optimizer step and a single-precision pass updates double-precision
 weights.  Caches from the most recent ``forward`` are stored on the
 layers, so forward/backward pairs must not be interleaved across inputs.
 
+Work buffers: the network keeps arrays that its passes write into, per
+dtype, grown to the largest size asked of them and reused from call to
+call, so a training step pages in no fresh memory.  Each hidden layer has
+its own output buffer, since the outputs are the caches ``backward``
+reads; a new ``forward`` overwrites them, which the forward/backward
+pairing above already assumes.  ``backward`` writes every layer's
+activation gradient into one shared buffer and every gradient passed down
+into another, as each is dead once the next layer down has used it, so a
+step touches less memory than with one buffer per layer.  What is handed
+to a caller is always a fresh array: the output of ``forward`` and the
+input gradient of ``backward``.  The buffers are not saved in checkpoints.
+
 Checkpoints are ``atomic`` envelopes; on load each layer is decoded with
 ``codec.from_dict``, so a wrong JSON type or an unknown key is refused.
 """
@@ -29,19 +41,25 @@ CHECKPOINT_FORMAT = "emocons-checkpoint"
 CHECKPOINT_VERSION = 2
 
 
-def _tanh_grad(a: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    dz = a * a
-    np.subtract(1.0, dz, out=dz)
-    dz *= dy
-    return dz
+def _tanh_grad(a: np.ndarray, dy: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.multiply(a, a, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= dy
+    return out
+
+
+def _relu_grad(a: np.ndarray, dy: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.greater(a, 0.0, out=out)
+    return np.multiply(dy, out, out=out)
 
 
 # activation -> (apply to the pre-activation in place, gradient at the
-# pre-activation from the *output* and the gradient at the output)
+# pre-activation from the *output* and the gradient at the output, written
+# into ``out``; None where that gradient is the output gradient itself)
 _ACTIVATIONS = {
-    "linear": (lambda z: z, lambda a, dy: dy),
+    "linear": (lambda z: z, None),
     "tanh": (lambda z: np.tanh(z, out=z), _tanh_grad),
-    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a, dy: dy * (a > 0.0).astype(a.dtype)),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), _relu_grad),
 }
 
 ACTIVATIONS = tuple(_ACTIVATIONS)
@@ -104,10 +122,20 @@ class DenseLayer:
 class Network:
     layers: list[DenseLayer]
     step: int = 0
+    # (key, dtype) -> flat work buffer; see the module docstring
+    _work: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def in_dim(self) -> int:
         return self.layers[0].in_dim
+
+    def _buffer(self, key, dtype: np.dtype, rows: int, cols: int) -> np.ndarray:
+        """A (rows, cols) view of the ``key`` work buffer, grown to the most asked of it."""
+        n = rows * cols
+        buf = self._work.get((key, dtype))
+        if buf is None or buf.size < n:
+            buf = self._work[key, dtype] = np.empty(n, dtype)
+        return buf[:n].reshape(rows, cols)
 
 
 def init_network(
@@ -150,9 +178,12 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
         raise ContractError(f"input must be 2-D (rows x features), got shape {x.shape}")
     if x.shape[1] != net.in_dim:
         raise ContractError(f"input width {x.shape[1]} does not match network input {net.in_dim}")
-    for layer in net.layers:
+    last = len(net.layers) - 1
+    for i, layer in enumerate(net.layers):
         apply, _ = _ACTIVATIONS[layer.activation]
-        a = x @ layer.weights.astype(x.dtype, copy=False).T
+        w = layer.weights.astype(x.dtype, copy=False).T
+        out = None if i == last else net._buffer(("a", i), x.dtype, x.shape[0], w.shape[1])
+        a = np.matmul(x, w, out=out)
         a += layer.bias.astype(x.dtype, copy=False)
         apply(a)
         layer.cache_x = x
@@ -181,13 +212,19 @@ def backward(net: Network, dy: np.ndarray, *, input_grad: bool = True) -> np.nda
                 f"gradient shape {dy.shape} does not match output {layer.cache_a.shape}"
             )
         _, grad = _ACTIVATIONS[layer.activation]
-        dz = grad(layer.cache_a, dy)
+        dtype = dy.dtype
+        dz = dy
+        if grad is not None:
+            dz = grad(layer.cache_a, dy, net._buffer("dz", dtype, *dy.shape))
         if layer.trainable:
             layer.grad_w += dz.T @ layer.cache_x
             layer.grad_b += dz.sum(axis=0)
         if i == 0 and not input_grad:
             return None
-        dy = dz @ layer.weights.astype(dz.dtype, copy=False)
+        # a linear layer's dz is dy, which may sit in the "dx" buffer; numpy
+        # then computes through a temporary, as for any overlapping output
+        out = None if i == 0 else net._buffer("dx", dtype, dy.shape[0], layer.in_dim)
+        dy = np.matmul(dz, layer.weights.astype(dtype, copy=False), out=out)
     return dy
 
 

@@ -595,6 +595,14 @@ class TestDatasetManifest:
             write_dataset(tmp_path / "root" / "d", ds)
         assert list(tmp_path.rglob("*")) == []
 
+    def test_short_later_source_leaves_nothing_behind(self, tmp_path):
+        ds = Dataset([make_source(100, source_id="s0"), make_source(1, source_id="s1")])
+        root = tmp_path / "d"
+        want = re.escape(f"{root / 's1' / 'features.csv'}: need at least 2 rows to write, got 1")
+        with pytest.raises(ContractError, match=want):
+            write_dataset(root, ds)
+        assert list(tmp_path.rglob("*")) == []
+
     def test_sources_must_be_a_list(self, tmp_path):
         root = self._write_with_manifest(tmp_path, sources="s0")
         with pytest.raises(StructuralError, match="sources must be a list"):

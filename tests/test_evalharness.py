@@ -36,7 +36,7 @@ from emocons.nn import DenseLayer, Network, OptimConfig, load_checkpoint
 from emocons.predictor import Predictor, PredictorConfig
 from emocons.rng import substream
 from emocons.synth import MILD_ANNOTATORS, SynthConfig, generate_corpus, sample_profiles
-from emocons.trainer import TrainConfig, config_hash
+from emocons.trainer import TrainConfig, config_hash, load_run_model
 
 
 def tiny_corpus(seed=0, sources=3, frames=600, annotators=3, feature_dim=6):
@@ -267,6 +267,27 @@ class TestRunCv:
             assert (tmp_path / "cv" / f"fold_{i:02d}" / "epochs.csv").exists()
             assert (tmp_path / "cv" / f"fold_{i:02d}" / "checkpoint.json").exists()
         assert load_report(tmp_path / "cv" / "report.json") == report
+
+    @pytest.mark.parametrize(
+        "mode, dims, heads", [("baseline", "valence", "single"), ("acn", "both", "dual")]
+    )
+    def test_fold_score_is_evaluate_on_the_saved_model(self, tmp_path, mode, dims, heads):
+        corpus = tiny_corpus()
+        predictor = PredictorConfig(encoder_dims=(8,), heads=heads)
+        cfg = tiny_cfg(mode=mode, dimensions=dims, predictor=predictor)
+        report = run_cv(corpus, cfg, run_root=tmp_path / "cv")
+        by_id = {s.source_id: s for s in corpus.sources}
+        rescored = []
+        for e in report.entries:
+            model, _ = load_run_model(tmp_path / "cv" / f"fold_{e.fold:02d}")
+            test = [by_id[sid] for sid in e.test_sources]
+            ccc = evaluate(model.predictor, test, list(e.ccc))
+            assert {d: repr(v) for d, v in ccc.items()} == {d: repr(v) for d, v in e.ccc.items()}
+            rescored.append(dataclasses.replace(e, ccc=ccc))
+        rescored_report = dataclasses.replace(report, entries=tuple(rescored))
+        save_report(tmp_path / "rescored.json", rescored_report)
+        saved = (tmp_path / "cv" / "report.json").read_bytes()
+        assert (tmp_path / "rescored.json").read_bytes() == saved
 
     def test_failed_fold_preserves_partial_results(self, tmp_path, monkeypatch):
         corpus = tiny_corpus()

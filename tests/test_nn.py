@@ -215,18 +215,26 @@ def naive_pass(net, x, dy):
     return acts[-1], grads[::-1], dy
 
 
+def assert_matches_naive_pass(acts):
+    net = init_network((4, 6, 5, 2), acts, substream(15, "t"))
+    x = substream(16, "x").normal(size=(7, 4))
+    dy = substream(16, "dy").normal(size=(7, 2))
+    y_ref, grads_ref, dx_ref = naive_pass(net, x, dy)
+    zero_grads(net)
+    np.testing.assert_array_equal(forward(net, x), y_ref)
+    np.testing.assert_array_equal(backward(net, dy), dx_ref)
+    for l, (gw, gb) in zip(net.layers, grads_ref):
+        np.testing.assert_array_equal(l.grad_w, gw)
+        np.testing.assert_array_equal(l.grad_b, gb)
+
+
 class TestPrecision:
     def test_float64_pass_equals_the_naive_formulas_bitwise(self):
-        net = init_network((4, 6, 5, 2), ("tanh", "tanh", "linear"), substream(15, "t"))
-        x = substream(16, "x").normal(size=(7, 4))
-        dy = substream(16, "dy").normal(size=(7, 2))
-        y_ref, grads_ref, dx_ref = naive_pass(net, x, dy)
-        zero_grads(net)
-        np.testing.assert_array_equal(forward(net, x), y_ref)
-        np.testing.assert_array_equal(backward(net, dy), dx_ref)
-        for l, (gw, gb) in zip(net.layers, grads_ref):
-            np.testing.assert_array_equal(l.grad_w, gw)
-            np.testing.assert_array_equal(l.grad_b, gb)
+        assert_matches_naive_pass(("tanh", "tanh", "linear"))
+
+    def test_hidden_linear_layer_equals_the_naive_formulas_bitwise(self):
+        # its gradient is passed down through the buffer it was read from
+        assert_matches_naive_pass(("tanh", "linear", "tanh"))
 
     @pytest.mark.parametrize("acts", [("tanh", "linear"), ("relu", "tanh")])
     def test_float32_computes_in_float32_into_float64_grads(self, acts):
@@ -268,6 +276,75 @@ class TestPrecision:
         assert not np.shares_memory(first, second)
         assert not np.shares_memory(first, x)
         np.testing.assert_array_equal(first, second)
+
+
+def rebuilt(net):
+    """A net with ``net``'s parameters and none of its caches or buffers."""
+    return Network(
+        layers=[DenseLayer(l.weights, l.bias, l.activation, l.trainable) for l in net.layers]
+    )
+
+
+def buffers(net):
+    return list(net._work.values())
+
+
+class TestWorkBuffers:
+    def make(self):
+        return init_network(
+            (10, 64, 32, 16, 2), ("tanh", "relu", "linear", "tanh"), substream(30, "t")
+        )
+
+    def test_interleaved_shapes_and_dtypes_match_a_fresh_net_bitwise(self):
+        net = self.make()
+        rng = substream(31, "x")
+        for rows in (4000, 750, 4000):
+            x = rng.normal(size=(rows, 10)).astype(np.float32)
+            dy = rng.normal(size=(rows, 2)).astype(np.float32)
+            fresh = rebuilt(net)
+            zero_grads(net)
+            np.testing.assert_array_equal(forward(net, x), forward(fresh, x))
+            np.testing.assert_array_equal(backward(net, dy), backward(fresh, dy))
+            for l, l_ref in zip(net.layers, fresh.layers):
+                np.testing.assert_array_equal(l.grad_w, l_ref.grad_w)
+                np.testing.assert_array_equal(l.grad_b, l_ref.grad_b)
+            optimizer_step(net, OptimConfig(learning_rate=1e-2))
+            # a float64 pass between float32 steps, as validation runs between epochs
+            val = rng.normal(size=(1500, 10))
+            np.testing.assert_array_equal(forward(net, val), forward(rebuilt(net), val))
+
+    def test_same_shape_forwards_share_hidden_caches(self):
+        net = self.make()
+        x = substream(32, "x").normal(size=(40, 10))
+        forward(net, x)
+        first = [l.cache_a for l in net.layers]
+        forward(net, x[:25])
+        for l, a in zip(net.layers[:-1], first):
+            assert np.shares_memory(l.cache_a, a)
+        assert not np.shares_memory(net.layers[-1].cache_a, first[-1])
+
+    def test_returned_arrays_alias_nothing(self):
+        net = self.make()
+        rng = substream(33, "x")
+        returned = []
+        for rows in (40, 40, 25):
+            returned.append(forward(net, rng.normal(size=(rows, 10))))
+            returned.append(backward(net, rng.normal(size=(rows, 2))))
+        for i, a in enumerate(returned):
+            for b in returned[i + 1 :] + buffers(net):
+                assert not np.shares_memory(a, b)
+
+    def test_checkpoint_bytes_ignore_the_buffers(self, tmp_path):
+        net = self.make()
+        rng = substream(34, "x")
+        for rows in (64, 32):
+            forward(net, rng.normal(size=(rows, 10)).astype(np.float32))
+            backward(net, rng.normal(size=(rows, 2)))
+            optimizer_step(net, OptimConfig())
+        assert buffers(net)
+        save_checkpoint(tmp_path / "trained.json", {"n": net}, {})
+        save_checkpoint(tmp_path / "rebuilt.json", {"n": rebuilt(net)}, {})
+        assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "rebuilt.json").read_bytes()
 
 
 class TestOptimizer:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from emocons.consensus import (
     make_mean_acn,
 )
 from emocons.errors import ConfigError, ContractError
-from emocons.nn import OptimConfig, zero_grads
+from emocons.nn import OptimConfig, optimizer_step, zero_grads
 from emocons.predictor import (
     PredictorConfig,
     build_inputs,
@@ -95,6 +96,15 @@ def split(corpus):
 
 def net_params(net):
     return [(l.weights.copy(), l.bias.copy()) for l in net.layers]
+
+
+def net_arrays(net):
+    """Every array a network holds: parameters, optimizer state, caches and
+    work buffers."""
+    for l in net.layers:
+        yield from (l.weights, l.bias, l.grad_w, l.grad_b, l.m_w, l.v_w, l.m_b, l.v_b)
+        yield from (l.cache_x, l.cache_a)
+    yield from net._work.values()
 
 
 def assert_params_equal(net, snapshot):
@@ -366,6 +376,19 @@ class TestGradientPaths:
         run = train_joint(data, cfg, acn_init={"valence": fresh})
         assert_params_equal(run.model.acns["valence"].net, snapshot)
 
+    def test_acn_init_copy_shares_no_memory_with_the_callers_net(self):
+        corpus = small_corpus()
+        cfg = small_train_config()
+        data = prepare_data(*split(corpus), cfg)
+        mine = init_acn(dataclasses.replace(cfg.acn, annotators=3), substream(3, "mine"))
+        forward_consensus(mine, data.train[0].annotations["valence"])
+        run = train_joint(data, cfg, acn_init={"valence": mine})
+        copied = run.model.acns["valence"]
+        assert copied.net._work
+        for a in net_arrays(copied.net):
+            for b in net_arrays(mine.net):
+                assert not np.shares_memory(a, b)
+
     def test_alpha_zero_without_detach_moves_acn(self):
         corpus = small_corpus()
         cfg = small_train_config(alpha=0.0, beta=1.0)
@@ -377,6 +400,40 @@ class TestGradientPaths:
             run.model.acns["valence"].net.layers[0].weights,
             fresh.net.layers[0].weights,
         )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults as Linux does")
+@pytest.mark.parametrize("mode", TRAIN_MODES)
+def test_steady_training_steps_page_in_no_fresh_memory(mode):
+    """A 4000-row step (32 windows of 5 s at 25 Hz, as in the default
+    protocol) reuses its layers' work buffers; fresh per-step activation
+    arrays cost several hundred minor faults a step."""
+    import resource
+
+    corpus = small_corpus(frames=1500)
+    cfg = TrainConfig(mode=mode, dimensions="valence")
+    data = prepare_data(*split(corpus), cfg)
+    model = init_models(data, cfg)
+    # float32 features, as _train_loop casts them
+    items = [
+        dataclasses.replace(it, features=it.features.astype(np.float32)) for it in data.train
+    ]
+    batch = Batch(segments=items[:32])
+    assert sum(it.features.shape[0] for it in batch.segments) == 4000
+    nets = [model.predictor.net] + [acn.net for acn in model.acns.values()]
+
+    def step():
+        compute_batch(model, batch, cfg)
+        for net in nets:
+            optimizer_step(net, cfg.optim)
+
+    for _ in range(3):
+        step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 20 < 50
 
 
 class TestLossAccounting:
