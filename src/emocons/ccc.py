@@ -134,8 +134,10 @@ def ccc_batch_loss(
     """
     if pooling not in POOLINGS:
         raise ContractError(f"unknown pooling {pooling!r}, expected one of {POOLINGS}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    # C order, as the x[valid] copies of the masked path are, so both paths
+    # reduce in the same order
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
     if x.ndim != 2 or x.shape != y.shape:
         raise ContractError(
@@ -149,13 +151,16 @@ def ccc_batch_loss(
     if valid.shape != (k,):
         raise ContractError(f"valid must have shape ({k},), got {valid.shape}")
 
+    # per_window_mean reduces each row; pooled reduces the whole valid block
+    axis, norm = (1, k) if pooling == "per_window_mean" else (None, 1)
+    if valid.all():
+        ccc, grad_x, grad_y = _ccc(x, y, axis, norm, want_grad_x, want_grad_y)
+        return float(np.sum(1.0 - ccc)) / norm, grad_x, grad_y
+
     grad_x = np.zeros_like(x) if want_grad_x else None
     grad_y = np.zeros_like(y) if want_grad_y else None
     if not valid.any():
         return 0.0, grad_x, grad_y
-
-    # per_window_mean reduces each row; pooled reduces the whole valid block
-    axis, norm = (1, k) if pooling == "per_window_mean" else (None, 1)
     ccc, gx, gy = _ccc(x[valid], y[valid], axis, norm, want_grad_x, want_grad_y)
     if want_grad_x:
         grad_x[valid] = gx

@@ -34,7 +34,8 @@ from .annotations import (
     write_trace_csv,
 )
 from .atomic import read_json, write_json
-from .ccc import POOLINGS, ccc_loss
+from . import ccc
+from .ccc import POOLINGS
 from .codec import from_dict, to_dict
 from .consensus import (
     AGGREGATORS,
@@ -455,7 +456,7 @@ def _cmd_predict(cfg: CliConfig, ns) -> int:
 def _cmd_metrics(cfg: CliConfig, ns) -> int:
     x = load_gold_csv(ns.x, ns.dimension).values
     y = load_gold_csv(ns.y, ns.dimension).values
-    result = ccc_loss(x, y)
+    result = ccc.ccc_loss(x, y)
     print(f"ccc={round(result.ccc, 6)} loss={round(result.loss, 6)}")
     return 0
 

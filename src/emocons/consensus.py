@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotations import AnnotationMatrix, GoldStandardTrack
-from .ccc import ccc_loss
+from . import ccc
 from .errors import ContractError
 from .nn import DenseLayer, Network, backward, forward, init_network
 
@@ -89,7 +89,7 @@ def compute_reliability_weights(matrix: np.ndarray, reference: np.ndarray) -> np
     ref = np.asarray(reference, dtype=np.float64)
     if ref.shape != (m.shape[0],):
         raise ContractError(f"reference shape {ref.shape} does not match {m.shape[0]} frames")
-    w = np.array([max(0.0, ccc_loss(m[:, j], ref).ccc) for j in range(m.shape[1])])
+    w = np.array([max(0.0, ccc.ccc_loss(m[:, j], ref).ccc) for j in range(m.shape[1])])
     total = float(np.sum(w))
     if total <= 0:
         return np.full(m.shape[1], 1.0 / m.shape[1])
@@ -195,8 +195,8 @@ def orient_acn(acn: Acn, matrix: np.ndarray) -> bool:
         return False
     m = _as_matrix(matrix)
     cons = forward_consensus(acn, m)
-    if ccc_loss(m.mean(axis=1), cons).ccc >= 0.0:
+    if ccc.ccc_loss(m.mean(axis=1), cons).ccc >= 0.0:
         return False
-    out.weights = -out.weights
-    out.bias = -out.bias
+    np.negative(out.weights, out=out.weights)
+    np.negative(out.bias, out=out.bias)
     return True

@@ -1,13 +1,25 @@
 """Minimal dense-network stack: forward, backprop, Adam, checkpoints.
 
-Parameters, gradient accumulators (``grad_*``) and Adam moments
-(``m_*``/``v_*``) are float64 numpy arrays kept on each layer.  ``forward``
-and ``backward`` compute in the dtype of their input, single or double
-precision, casting the parameters to it; ``backward`` adds the products
-into the float64 accumulators, so several loss terms can contribute to one
-optimizer step and a single-precision pass updates double-precision
-weights.  Caches from the most recent ``forward`` are stored on the
-layers, so forward/backward pairs must not be interleaved across inputs.
+``forward`` and ``backward`` compute in the dtype of their input, single
+or double precision, casting the parameters to it; ``backward`` adds the
+products into float64 gradient accumulators, so several loss terms can
+contribute to one optimizer step and a single-precision pass updates
+double-precision weights.  Caches from the most recent ``forward`` are
+stored on the layers, so forward/backward pairs must not be interleaved
+across inputs.
+
+Parameter state: a ``Network`` keeps four flat float64 vectors, one each
+for its parameters, gradient accumulators (``grad_*``) and Adam moments
+(``m_*``/``v_*``).  On construction it copies its layers' arrays into them
+and rebinds each layer's ``weights``, ``bias``, ``grad_*``, ``m_*`` and
+``v_*`` to views of those vectors, layer by layer, weights before bias.
+``optimizer_step`` then checks, clips, updates and zeroes each span of
+trainable layers with one vector operation apiece.  Never rebind a
+parameter field of an adopted layer: write into it (``w[:] = ...``,
+``w *= ...``, ``np.negative(w, out=w)``).  A rebound field is detached
+from the network's vectors, so the optimizer would update arrays that the
+passes no longer read.  A deep copy of a network builds vectors of its
+own.
 
 Work buffers: the network keeps arrays that its passes write into, per
 dtype, grown to the largest size asked of them and reused from call to
@@ -17,9 +29,10 @@ reads; a new ``forward`` overwrites them, which the forward/backward
 pairing above already assumes.  ``backward`` writes every layer's
 activation gradient into one shared buffer and every gradient passed down
 into another, as each is dead once the next layer down has used it, so a
-step touches less memory than with one buffer per layer.  What is handed
-to a caller is always a fresh array: the output of ``forward`` and the
-input gradient of ``backward``.  The buffers are not saved in checkpoints.
+step touches less memory than with one buffer per layer; Adam keeps its
+temporaries in one more.  What is handed to a caller is always a fresh
+array: the output of ``forward`` and the input gradient of ``backward``.
+The buffers are neither copied with the network nor saved in checkpoints.
 
 Checkpoints are ``atomic`` envelopes; on load each layer is decoded with
 ``codec.from_dict``, so a wrong JSON type or an unknown key is refused.
@@ -27,6 +40,7 @@ Checkpoints are ``atomic`` envelopes; on load each layer is decoded with
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,12 +132,49 @@ class DenseLayer:
         return self.weights.shape[1]
 
 
+# each pair of layer fields and the flat network vector they are views of
+_STATE = (
+    ("weights", "bias", "_param"),
+    ("grad_w", "grad_b", "_grad"),
+    ("m_w", "m_b", "_m"),
+    ("v_w", "v_b", "_v"),
+)
+
+
 @dataclass(eq=False)
 class Network:
     layers: list[DenseLayer]
     step: int = 0
+    # flat parameter state and each layer's (start, end) in it; see the
+    # module docstring
+    _param: np.ndarray = field(init=False, repr=False)
+    _grad: np.ndarray = field(init=False, repr=False)
+    _m: np.ndarray = field(init=False, repr=False)
+    _v: np.ndarray = field(init=False, repr=False)
+    _extent: list = field(init=False, repr=False)
     # (key, dtype) -> flat work buffer; see the module docstring
     _work: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self._extent = []
+        end = 0
+        for layer in self.layers:
+            start, end = end, end + layer.weights.size + layer.bias.size
+            self._extent.append((start, end))
+        for w_name, b_name, vec_name in _STATE:
+            vec = np.empty(end)
+            for layer, (start, stop) in zip(self.layers, self._extent):
+                split = start + layer.weights.size
+                for name, lo, hi in ((w_name, start, split), (b_name, split, stop)):
+                    view = vec[lo:hi].reshape(getattr(layer, name).shape)
+                    view[...] = getattr(layer, name)
+                    setattr(layer, name, view)
+            setattr(self, vec_name, vec)
+
+    def __deepcopy__(self, memo):
+        # the copied layers' fields are copies of the views; adopting them
+        # gives the copy vectors of its own (work buffers are not copied)
+        return Network(layers=copy.deepcopy(self.layers, memo), step=self.step)
 
     @property
     def in_dim(self) -> int:
@@ -224,20 +275,26 @@ def backward(net: Network, dy: np.ndarray, *, input_grad: bool = True) -> np.nda
         # a linear layer's dz is dy, which may sit in the "dx" buffer; numpy
         # then computes through a temporary, as for any overlapping output
         out = None if i == 0 else net._buffer("dx", dtype, dy.shape[0], layer.in_dim)
-        dy = np.matmul(dz, layer.weights.astype(dtype, copy=False), out=out)
+        w = layer.weights.astype(dtype, copy=False)
+        if w.shape[0] == 1:
+            # one output: the product is an outer product, one multiply per
+            # element as in matmul, without its fixed cost
+            dy = np.multiply(dz, w, out=out)
+        else:
+            dy = np.matmul(dz, w, out=out)
     return dy
 
 
 def zero_grads(net: Network) -> None:
-    for layer in net.layers:
-        layer.grad_w[:] = 0.0
-        layer.grad_b[:] = 0.0
+    net._grad.fill(0.0)
 
 
 def clip_gradients(net: Network, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the norm before clipping.
+    Returns the norm before clipping.  When the squares overflow, the norm
+    is taken of the gradients divided by their largest magnitude, so finite
+    gradients are clipped, never zeroed.
     """
     if max_norm <= 0:
         raise ContractError(f"max_norm must be positive, got {max_norm}")
@@ -246,12 +303,27 @@ def clip_gradients(net: Network, max_norm: float) -> float:
         for l in net.layers
     )
     norm = math.sqrt(total)
+    if math.isinf(norm):
+        big = float(np.max(np.abs(net._grad)))
+        if math.isfinite(big):
+            unit = net._grad / big
+            norm = big * math.sqrt(float(np.dot(unit, unit)))
     if norm > max_norm:
-        scale = max_norm / norm
-        for l in net.layers:
-            l.grad_w *= scale
-            l.grad_b *= scale
+        net._grad *= max_norm / norm
     return norm
+
+
+def _trainable_spans(net: Network) -> list[tuple[int, int]]:
+    """(start, end) in the flat vectors of each maximal run of trainable layers."""
+    spans: list[tuple[int, int]] = []
+    for layer, (start, end) in zip(net.layers, net._extent):
+        if not layer.trainable:
+            continue
+        if spans and spans[-1][1] == start:
+            spans[-1] = (spans[-1][0], end)
+        else:
+            spans.append((start, end))
+    return spans
 
 
 def adam_step(
@@ -261,30 +333,41 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Apply one Adam update from the accumulated gradients."""
+    """Apply one Adam update from the accumulated gradients.
+
+    Each span of trainable layers is updated as one vector, element by
+    element as in ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v +
+    (1-beta2)*g*g``, ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, with the
+    temporaries in work buffers.  Frozen layers are not touched.
+    """
     net.step += 1
     t = net.step
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    for layer in net.layers:
-        if not layer.trainable:
-            continue
-        for param, grad, m, v in (
-            (layer.weights, layer.grad_w, layer.m_w, layer.v_w),
-            (layer.bias, layer.grad_b, layer.m_b, layer.v_b),
-        ):
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            v += (1.0 - beta2) * grad * grad
-            param -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    for start, end in _trainable_spans(net):
+        p, g, m, v = (vec[start:end] for vec in (net._param, net._grad, net._m, net._v))
+        tmp, upd = net._buffer("adam", np.float64, 2, end - start)
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=tmp)
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, c1, out=upd)
+        upd *= lr
+        upd /= tmp
+        p -= upd
 
 
 def optimizer_step(net: Network, cfg: OptimConfig) -> None:
     """One full update: finiteness check, optional clip, Adam, grads zeroed."""
-    for i, layer in enumerate(net.layers):
-        if not (np.all(np.isfinite(layer.grad_w)) and np.all(np.isfinite(layer.grad_b))):
-            raise ContractError(f"non-finite gradient in layer {i} ({layer.activation})")
+    if not np.isfinite(net._grad).all():
+        for i, layer in enumerate(net.layers):
+            if not (np.all(np.isfinite(layer.grad_w)) and np.all(np.isfinite(layer.grad_b))):
+                raise ContractError(f"non-finite gradient in layer {i} ({layer.activation})")
     if cfg.grad_clip_norm is not None:
         clip_gradients(net, cfg.grad_clip_norm)
     adam_step(net, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)

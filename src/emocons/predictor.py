@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .annotations import SourceData, WindowSpec, window_bounds
-from .ccc import POOLINGS, ccc_loss
+from . import ccc
+from .ccc import POOLINGS
 from .errors import ContractError
 from .nn import ACTIVATIONS, Network, backward, forward, init_network
 
@@ -178,10 +179,10 @@ def evaluate(
             gold = src.gold[dim].values
             yhat = out[:, col]
             if pooling == "pooled":
-                vals.append(ccc_loss(gold, yhat).ccc)
+                vals.append(ccc.ccc_loss(gold, yhat).ccc)
             else:
                 for a, b in window_bounds(gold.size, window, src.features.rate_hz):
-                    vals.append(ccc_loss(gold[a:b], yhat[a:b]).ccc)
+                    vals.append(ccc.ccc_loss(gold[a:b], yhat[a:b]).ccc)
         if not vals:
             longest = max(sources, key=lambda src: src.features.frames)
             w, _ = window.frames(longest.features.rate_hz)

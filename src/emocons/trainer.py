@@ -329,7 +329,7 @@ def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepStat
     items = batch.segments
     k = len(items)
     w = items[0].features.shape[0]
-    x = np.vstack([it.features for it in items])
+    x = np.concatenate([it.features for it in items])
     preds = forward(model.predictor.net, x)
     grad_pred = np.zeros_like(preds)
     joint = cfg.mode == "acn"
@@ -343,7 +343,7 @@ def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepStat
         valid = gold.var(axis=1) >= DEGENERATE_VAR
         target = gold
         if joint:
-            m = np.vstack([np.asarray(it.annotations[dim], dtype=np.float64) for it in items])
+            m = np.concatenate([it.annotations[dim] for it in items], dtype=np.float64)
             target = forward_consensus(model.acns[dim], m).reshape(k, w)
             valid &= target.var(axis=1) >= DEGENERATE_VAR
         degenerate += k - int(np.count_nonzero(valid))

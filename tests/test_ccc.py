@@ -297,6 +297,30 @@ def test_batch_kernel_matches_fsum_oracle(k, w, seed, mix, shift, pooling):
 
 
 @given(
+    k=st.integers(1, 12),
+    w=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    mix=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_all_valid_batch_equals_the_masked_path_bitwise(k, w, seed, mix):
+    # pooled, where a masked extra row leaves the norm as it is
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (k, w))
+    y = mix * x + (1 - abs(mix)) * rng.uniform(-1, 1, (k, w))
+    loss, gx, gy = ccc_batch_loss(x, y, np.ones(k, bool), "pooled", True, True)
+    masked = np.append(np.ones(k, bool), False)
+    junk = rng.uniform(-1, 1, (2, w))
+    m_loss, m_gx, m_gy = ccc_batch_loss(
+        np.vstack([x, junk[:1]]), np.vstack([y, junk[1:]]), masked, "pooled", True, True
+    )
+    assert loss == m_loss
+    np.testing.assert_array_equal(gx, m_gx[:k])
+    np.testing.assert_array_equal(gy, m_gy[:k])
+    assert not (m_gx[k].any() or m_gy[k].any())
+
+
+@given(
     n=st.integers(2, 400),
     seed=st.integers(0, 2**32 - 1),
     mix=st.floats(-1.0, 1.0),

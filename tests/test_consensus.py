@@ -254,6 +254,22 @@ class TestOrientAcn:
         np.testing.assert_allclose(new, -old, rtol=0, atol=1e-14)
         assert ccc_loss(m.mean(axis=1), new).ccc > 0.0
 
+    def test_flipped_net_trains_on_the_flipped_weights(self):
+        acn, m, _ = self._anti_correlated()
+        assert orient_acn(acn, m) is True
+        out = acn.net.layers[-1]
+        flipped = out.weights.copy()
+        cfg = OptimConfig(learning_rate=1e-3)
+        zero_grads(acn.net)
+        cons = forward_consensus(acn, m)
+        backward_consensus(acn, ccc_loss(m.mean(axis=1), cons, want_grad_y=True).grad_y)
+        optimizer_step(acn.net, cfg)
+        # Adam's first step moves each weight by about the learning rate,
+        # away from the flipped values rather than from the pre-flip ones
+        step = np.abs(out.weights - flipped)
+        assert np.all(step > 0.0) and np.all(step < 2 * cfg.learning_rate)
+        assert ccc_loss(m.mean(axis=1), forward_consensus(acn, m)).ccc > 0.0
+
     def test_aligned_net_untouched(self):
         acn = make_mean_acn(4)
         m = substream(61, "data").uniform(-1.0, 1.0, (200, 4))

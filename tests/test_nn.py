@@ -1,9 +1,12 @@
+import copy
 import inspect
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emocons.errors import ContractError, StructuralError
 from emocons.nn import (
@@ -200,10 +203,11 @@ class TestBackward:
 
 
 def naive_pass(net, x, dy):
-    """Forward and backward written out as the textbook formulas."""
+    """Forward and backward written out as the textbook formulas, in the
+    dtype of ``x`` with the parameters cast to it."""
     xs, acts = [x], []
     for l in net.layers:
-        z = xs[-1] @ l.weights.T + l.bias
+        z = xs[-1] @ l.weights.astype(x.dtype).T + l.bias.astype(x.dtype)
         a = np.tanh(z) if l.activation == "tanh" else z
         acts.append(a)
         xs.append(a)
@@ -211,14 +215,14 @@ def naive_pass(net, x, dy):
     for l, xin, a in reversed(list(zip(net.layers, xs, acts))):
         dz = dy * (1 - a * a) if l.activation == "tanh" else dy
         grads.append((dz.T @ xin, dz.sum(axis=0)))
-        dy = dz @ l.weights
+        dy = dz @ l.weights.astype(x.dtype)
     return acts[-1], grads[::-1], dy
 
 
-def assert_matches_naive_pass(acts):
-    net = init_network((4, 6, 5, 2), acts, substream(15, "t"))
-    x = substream(16, "x").normal(size=(7, 4))
-    dy = substream(16, "dy").normal(size=(7, 2))
+def assert_matches_naive_pass(acts, dims=(4, 6, 5, 2), dtype=np.float64):
+    net = init_network(dims, acts, substream(15, "t"))
+    x = substream(16, "x").normal(size=(7, dims[0])).astype(dtype)
+    dy = substream(16, "dy").normal(size=(7, dims[-1])).astype(dtype)
     y_ref, grads_ref, dx_ref = naive_pass(net, x, dy)
     zero_grads(net)
     np.testing.assert_array_equal(forward(net, x), y_ref)
@@ -235,6 +239,22 @@ class TestPrecision:
     def test_hidden_linear_layer_equals_the_naive_formulas_bitwise(self):
         # its gradient is passed down through the buffer it was read from
         assert_matches_naive_pass(("tanh", "linear", "tanh"))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "dims, acts",
+        [
+            ((4, 6, 1), ("tanh", "tanh")),
+            ((4, 6, 1), ("tanh", "linear")),
+            ((4, 6, 1, 2), ("tanh", "tanh", "linear")),
+            # the one-output layer's gradient is read from the buffer it writes
+            ((4, 6, 1, 2), ("tanh", "linear", "tanh")),
+            ((4, 1, 3), ("linear", "tanh")),
+        ],
+    )
+    def test_one_output_layers_equal_the_naive_formulas_bitwise(self, dims, acts, dtype):
+        # a one-output layer passes its gradient down as an outer product
+        assert_matches_naive_pass(acts, dims, dtype)
 
     @pytest.mark.parametrize("acts", [("tanh", "linear"), ("relu", "tanh")])
     def test_float32_computes_in_float32_into_float64_grads(self, acts):
@@ -347,6 +367,143 @@ class TestWorkBuffers:
         assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "rebuilt.json").read_bytes()
 
 
+LAYER_STATE = ("weights", "bias", "grad_w", "grad_b", "m_w", "v_w", "m_b", "v_b")
+
+
+def layer_state(net):
+    """Copies of every layer's parameter state, layer by layer."""
+    return [{name: getattr(l, name).copy() for name in LAYER_STATE} for l in net.layers]
+
+
+def reference_optimizer_step(state, trainable, step, cfg):
+    """The optimizer step written per layer and per array, on ``layer_state``
+    copies; returns the new step count."""
+    total = math.fsum(
+        float(np.sum(s["grad_w"] * s["grad_w"])) + float(np.sum(s["grad_b"] * s["grad_b"]))
+        for s in state
+    )
+    norm = math.sqrt(total)
+    if cfg.grad_clip_norm is not None and norm > cfg.grad_clip_norm:
+        for s in state:
+            s["grad_w"] *= cfg.grad_clip_norm / norm
+            s["grad_b"] *= cfg.grad_clip_norm / norm
+    step += 1
+    c1 = 1.0 - cfg.beta1**step
+    c2 = 1.0 - cfg.beta2**step
+    for s, train in zip(state, trainable):
+        if not train:
+            continue
+        for p, g, m, v in (("weights", "grad_w", "m_w", "v_w"), ("bias", "grad_b", "m_b", "v_b")):
+            s[m] = cfg.beta1 * s[m] + (1.0 - cfg.beta1) * s[g]
+            s[v] = cfg.beta2 * s[v] + (1.0 - cfg.beta2) * s[g] * s[g]
+            s[p] = s[p] - cfg.learning_rate * (s[m] / c1) / (np.sqrt(s[v] / c2) + cfg.eps)
+    for s in state:
+        s["grad_w"] = np.zeros_like(s["grad_w"])
+        s["grad_b"] = np.zeros_like(s["grad_b"])
+    return step
+
+
+def assert_state_equal(net, state):
+    for l, s in zip(net.layers, state):
+        for name in LAYER_STATE:
+            np.testing.assert_array_equal(getattr(l, name), s[name], err_msg=name)
+
+
+def train_steps(net, seed, steps=3, rows=6, cfg=OptimConfig(learning_rate=1e-2)):
+    rng = substream(seed, "steps")
+    for _ in range(steps):
+        y = forward(net, rng.normal(size=(rows, net.in_dim)))
+        backward(net, y + rng.normal(size=y.shape))
+        optimizer_step(net, cfg)
+
+
+class TestFlatState:
+    def test_layer_fields_are_views_of_the_network_vectors(self):
+        net = init_network((3, 5, 4, 2), ("tanh", "relu", "linear"), substream(40, "t"))
+        for vec, pair in (
+            (net._param, ("weights", "bias")),
+            (net._grad, ("grad_w", "grad_b")),
+            (net._m, ("m_w", "m_b")),
+            (net._v, ("v_w", "v_b")),
+        ):
+            assert vec.dtype == np.float64 and vec.size == 3 * 5 + 5 + 5 * 4 + 4 + 4 * 2 + 2
+            parts = [getattr(l, name) for l in net.layers for name in pair]
+            assert all(np.shares_memory(p, vec) for p in parts)
+            np.testing.assert_array_equal(np.concatenate([p.ravel() for p in parts]), vec)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+        frozen=st.lists(st.booleans(), min_size=4, max_size=4),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        clip=st.sampled_from([None, 0.5, 5.0]),
+        steps=st.integers(1, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_adam_equals_the_per_layer_reference_bitwise(
+        self, seed, widths, frozen, scale, clip, steps
+    ):
+        acts = ("tanh",) * (len(widths) - 1)
+        net = init_network(widths, acts, substream(seed, "t"))
+        for l, f in zip(net.layers, frozen):
+            l.trainable = not f
+        trainable = [l.trainable for l in net.layers]
+        cfg = OptimConfig(learning_rate=1e-2, grad_clip_norm=clip)
+        state, step = layer_state(net), 0
+        rng = substream(seed, "g")
+        for _ in range(steps):
+            for l, s in zip(net.layers, state):
+                if l.trainable:  # backward accumulates into trainable layers only
+                    for name in ("grad_w", "grad_b"):
+                        g = rng.normal(scale=scale, size=s[name].shape)
+                        getattr(l, name)[...] += g
+                        s[name] += g
+            optimizer_step(net, cfg)
+            step = reference_optimizer_step(state, trainable, step, cfg)
+            assert_state_equal(net, state)
+        assert net.step == step
+
+    def test_frozen_middle_layer_is_never_touched(self):
+        net = init_network((3, 5, 4, 2), ("tanh", "tanh", "linear"), substream(41, "t"))
+        train_steps(net, 41)
+        net.layers[1].trainable = False
+        before = layer_state(net)
+        train_steps(net, 42)
+        after = layer_state(net)
+        for name in ("weights", "bias", "m_w", "v_w", "m_b", "v_b"):
+            np.testing.assert_array_equal(after[1][name], before[1][name])
+            for i in (0, 2):
+                assert not np.array_equal(after[i][name], before[i][name])
+
+    def test_frozen_net_with_moments_is_never_touched(self):
+        net = init_network((3, 4, 1), ("tanh", "tanh"), substream(43, "t"))
+        train_steps(net, 43)
+        frozen = copy.deepcopy(net)
+        for l in frozen.layers:
+            l.trainable = False
+        before = layer_state(frozen)
+        assert all(np.any(s["m_w"] != 0.0) and np.any(s["v_w"] != 0.0) for s in before)
+        train_steps(frozen, 44)
+        assert_state_equal(frozen, before)
+
+    def test_deep_copy_trains_on_its_own_vectors(self):
+        net = init_network((3, 5, 2), ("tanh", "linear"), substream(45, "t"))
+        train_steps(net, 45)
+        original = layer_state(net)
+        twin = copy.deepcopy(net)
+        assert twin.step == net.step
+        assert_state_equal(twin, original)
+        train_steps(twin, 46)
+        assert_state_equal(net, original)
+        x = substream(47, "x").normal(size=(4, 3))
+        # the twin's passes read the weights its optimizer moved
+        for l, s in zip(twin.layers, original):
+            assert not np.array_equal(l.weights, s["weights"])
+            assert np.shares_memory(l.weights, twin._param)
+        np.testing.assert_array_equal(forward(twin, x), forward(rebuilt(twin), x))
+        assert not np.array_equal(forward(twin, x), forward(net, x))
+
+
 class TestOptimizer:
     def test_adam_matches_reference_on_scalar(self):
         # y = w*x + b with x=1, loss = y^2; both parameters share the gradient 2y
@@ -395,6 +552,17 @@ class TestOptimizer:
             sum(float(np.sum(l.grad_w**2) + np.sum(l.grad_b**2)) for l in net.layers)
         )
         assert clipped == pytest.approx(5.0)
+
+    def test_clip_survives_squares_that_overflow(self):
+        net = init_network((2, 1), ("linear",), substream(16, "t"))
+        zero_grads(net)
+        net.layers[0].grad_w[:] = 1e160
+        with np.errstate(over="ignore"):
+            norm = clip_gradients(net, 5.0)
+        assert math.isfinite(norm)
+        assert norm == pytest.approx(math.sqrt(2.0) * 1e160, rel=1e-15)
+        np.testing.assert_allclose(net.layers[0].grad_w, [[5.0 / math.sqrt(2.0)] * 2], rtol=1e-15)
+        assert np.all(net.layers[0].grad_b == 0.0)
 
     def test_clip_below_threshold_is_identity(self):
         net = small_net(16)

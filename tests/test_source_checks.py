@@ -121,6 +121,50 @@ def test_the_ccc_ratio_is_written_once():
     )
 
 
+# Layer fields that are views of their network's flat vectors: only nn.py,
+# which makes the views, may bind them; elsewhere they are written in place.
+LAYER_STATE = {"weights", "bias", "grad_w", "grad_b", "m_w", "v_w", "m_b", "v_b"}
+
+
+def _targets(node: ast.expr):
+    if isinstance(node, (ast.Tuple, ast.List)):
+        for elt in node.elts:
+            yield from _targets(elt)
+    elif isinstance(node, ast.Starred):
+        yield from _targets(node.value)
+    else:
+        yield node
+
+
+def _binds_layer_state(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Attribute) and t.attr in LAYER_STATE
+        for target in node.targets
+        for t in _targets(target)
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "nn.py"], ids=lambda p: p.name)
+def test_layer_state_is_bound_only_in_nn(path):
+    assert _located(_parse(path), _binds_layer_state) == [], (
+        f"{path.name} binds a new array to a layer's parameter state, detaching it from "
+        "the network's flat vectors; write into it in place"
+    )
+
+
+# The benchmark counts ccc_loss calls by patching ccc.ccc_loss, which a caller
+# that bound the name at import would not see.
+def _imports_ccc_loss(node: ast.AST) -> bool:
+    return isinstance(node, ast.ImportFrom) and any(a.name == "ccc_loss" for a in node.names)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_ccc_loss_is_called_through_its_module(path):
+    assert _located(_parse(path), _imports_ccc_loss) == []
+
+
 def _format_keys(tree: ast.Module) -> list[int]:
     """Lines that name the "format" key every artifact envelope starts with."""
     return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value == "format"]
@@ -195,3 +239,21 @@ def test_epsilon_check_catches_what_it_looks_for():
         "def f(a, b):\n    return a / (b + EPSILON), ccc.EPSILON, 'EPSILON'\n"
     )
     assert _located(tree, _reads_epsilon) == [("f", 4), ("f", 4)]
+
+
+def test_layer_state_checks_catch_what_they_look_for():
+    tree = ast.parse(
+        "from .ccc import POOLINGS, ccc_loss\n"
+        "from . import ccc\n"
+        "def f(layer, out, np):\n"
+        "    layer.weights = -layer.weights\n"
+        "    out.bias, n = out.bias * 2, 1\n"
+        "    layer.weights[:] = 0.0\n"
+        "    layer.m_w *= 0.5\n"
+        "    np.negative(out.bias, out=out.bias)\n"
+        "    weights = layer.weights\n"
+        "    layer.trainable = False\n"
+        "    return ccc.ccc_loss(weights, weights)\n"
+    )
+    assert _located(tree, _binds_layer_state) == [("f", 4), ("f", 5)]
+    assert _located(tree, _imports_ccc_loss) == [(None, 1)]

@@ -12,6 +12,7 @@ from emocons.codec import from_dict, to_dict
 from emocons.consensus import (
     AcnConfig,
     aggregate_baseline,
+    backward_consensus,
     forward_consensus,
     init_acn,
     make_mean_acn,
@@ -388,6 +389,24 @@ class TestGradientPaths:
         for a in net_arrays(copied.net):
             for b in net_arrays(mine.net):
                 assert not np.shares_memory(a, b)
+
+    def test_frozen_acn_init_keeps_its_parameters_and_moments(self):
+        corpus = small_corpus()
+        cfg = small_train_config()
+        data = prepare_data(*split(corpus), cfg)
+        mine = init_acn(dataclasses.replace(cfg.acn, annotators=3), substream(4, "mine"))
+        m = data.train[0].annotations["valence"]
+        for _ in range(3):  # leave non-zero Adam moments on the net
+            cons = forward_consensus(mine, m)
+            backward_consensus(mine, cons - m.mean(axis=1))
+            optimizer_step(mine.net, cfg.optim)
+        names = ("weights", "bias", "m_w", "v_w", "m_b", "v_b")
+        before = [[getattr(l, n).copy() for n in names] for l in mine.net.layers]
+        assert all(np.any(arrays[2] != 0.0) for arrays in before)
+        run = train_joint(data, cfg, acn_init={"valence": mine}, freeze_acn=True)
+        for layer, arrays in zip(run.model.acns["valence"].net.layers, before):
+            for name, want in zip(names, arrays):
+                np.testing.assert_array_equal(getattr(layer, name), want)
 
     def test_alpha_zero_without_detach_moves_acn(self):
         corpus = small_corpus()
