@@ -18,8 +18,8 @@ trainable layers with one vector operation apiece.  Never rebind a
 parameter field of an adopted layer: write into it (``w[:] = ...``,
 ``w *= ...``, ``np.negative(w, out=w)``).  A rebound field is detached
 from the network's vectors, so the optimizer would update arrays that the
-passes no longer read.  A deep copy of a network builds vectors of its
-own.
+passes no longer read.  A copy of a network, deep or shallow, and an
+unpickled one build vectors of their own.
 
 Work buffers: the network keeps arrays that its passes write into, per
 dtype, grown to the largest size asked of them and reused from call to
@@ -30,9 +30,13 @@ pairing above already assumes.  ``backward`` writes every layer's
 activation gradient into one shared buffer and every gradient passed down
 into another, as each is dead once the next layer down has used it, so a
 step touches less memory than with one buffer per layer; Adam keeps its
-temporaries in one more.  What is handed to a caller is always a fresh
-array: the output of ``forward`` and the input gradient of ``backward``.
-The buffers are neither copied with the network nor saved in checkpoints.
+temporaries in one more.  A vector of ones, filled when it grows, turns
+each bias gradient into one BLAS product (``ones @ dz``): numpy's
+``dz.sum(axis=0)`` runs one short loop per row, several times slower on
+the thousands of rows a training step has.  What is handed to a caller is
+always a fresh array: the output of ``forward`` and the input gradient of
+``backward``.  The buffers are neither copied, pickled nor saved in
+checkpoints.
 
 Checkpoints are ``atomic`` envelopes; on load each layer is decoded with
 ``codec.from_dict``, so a wrong JSON type or an unknown key is refused.
@@ -171,21 +175,29 @@ class Network:
                     setattr(layer, name, view)
             setattr(self, vec_name, vec)
 
-    def __deepcopy__(self, memo):
-        # the copied layers' fields are copies of the views; adopting them
-        # gives the copy vectors of its own (work buffers are not copied)
-        return Network(layers=copy.deepcopy(self.layers, memo), step=self.step)
+    def __reduce__(self):
+        # a deep copy or an unpickled net gets copies of the layers, whose
+        # fields are copies of the views; adopting them again gives it
+        # vectors of its own (work buffers are left behind)
+        return Network, (self.layers, self.step)
+
+    def __copy__(self):
+        # rebuilding from the same layers would take their fields from self
+        return copy.deepcopy(self)
 
     @property
     def in_dim(self) -> int:
         return self.layers[0].in_dim
 
-    def _buffer(self, key, dtype: np.dtype, rows: int, cols: int) -> np.ndarray:
-        """A (rows, cols) view of the ``key`` work buffer, grown to the most asked of it."""
+    def _buffer(self, key, dtype: np.dtype, rows: int, cols: int, fill=None) -> np.ndarray:
+        """A (rows, cols) view of the ``key`` work buffer, grown to the most
+        asked of it; ``fill``, if given, is written when the buffer grows."""
         n = rows * cols
         buf = self._work.get((key, dtype))
         if buf is None or buf.size < n:
             buf = self._work[key, dtype] = np.empty(n, dtype)
+            if fill is not None:
+                buf.fill(fill)
         return buf[:n].reshape(rows, cols)
 
 
@@ -268,8 +280,10 @@ def backward(net: Network, dy: np.ndarray, *, input_grad: bool = True) -> np.nda
         if grad is not None:
             dz = grad(layer.cache_a, dy, net._buffer("dz", dtype, *dy.shape))
         if layer.trainable:
+            # the bias gradient is dz's column sum, taken as a BLAS product
+            ones = net._buffer("ones", dtype, 1, len(dz), fill=1.0)[0]
             layer.grad_w += dz.T @ layer.cache_x
-            layer.grad_b += dz.sum(axis=0)
+            layer.grad_b += ones @ dz
         if i == 0 and not input_grad:
             return None
         # a linear layer's dz is dy, which may sit in the "dx" buffer; numpy
@@ -278,8 +292,9 @@ def backward(net: Network, dy: np.ndarray, *, input_grad: bool = True) -> np.nda
         w = layer.weights.astype(dtype, copy=False)
         if w.shape[0] == 1:
             # one output: the product is an outer product, one multiply per
-            # element as in matmul, without its fixed cost
-            dy = np.multiply(dz, w, out=out)
+            # element as in matmul, without its fixed cost (einsum's outer
+            # loop is faster than a broadcast multiply)
+            dy = np.einsum("i,j->ij", dz[:, 0], w[0], out=out)
         else:
             dy = np.matmul(dz, w, out=out)
     return dy

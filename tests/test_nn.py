@@ -214,7 +214,8 @@ def naive_pass(net, x, dy):
     grads = []
     for l, xin, a in reversed(list(zip(net.layers, xs, acts))):
         dz = dy * (1 - a * a) if l.activation == "tanh" else dy
-        grads.append((dz.T @ xin, dz.sum(axis=0)))
+        # the column sum as a product with ones, the order BLAS sums in
+        grads.append((dz.T @ xin, np.ones(len(dz), dz.dtype) @ dz))
         dy = dz @ l.weights.astype(x.dtype)
     return acts[-1], grads[::-1], dy
 
@@ -332,6 +333,8 @@ class TestWorkBuffers:
             # a float64 pass between float32 steps, as validation runs between epochs
             val = rng.normal(size=(1500, 10))
             np.testing.assert_array_equal(forward(net, val), forward(rebuilt(net), val))
+        # the bias gradients' ones vector is read, never written
+        np.testing.assert_array_equal(net._work["ones", np.dtype(np.float32)], 1.0)
 
     def test_same_shape_forwards_share_hidden_caches(self):
         net = self.make()
@@ -353,6 +356,21 @@ class TestWorkBuffers:
         for i, a in enumerate(returned):
             for b in returned[i + 1 :] + buffers(net):
                 assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bias_gradient_is_the_column_sum_to_summation_accuracy(self, dtype):
+        # a linear layer's dz is dy itself; a large common offset makes the
+        # rounding of a running sum show
+        rows = 4000
+        net = init_network((3, 64), ("linear",), substream(36, "t"))
+        rng = substream(36, "x")
+        dy = (1e4 + rng.normal(size=(rows, 64))).astype(dtype)
+        forward(net, rng.normal(size=(rows, 3)).astype(dtype))
+        backward(net, dy, input_grad=False)
+        cols = dy.astype(np.float64).T
+        exact = np.array([math.fsum(c) for c in cols])
+        bound = rows * np.finfo(dtype).eps * np.abs(cols).sum(axis=1)
+        assert np.all(np.abs(net.layers[0].grad_b - exact) <= bound)
 
     def test_checkpoint_bytes_ignore_the_buffers(self, tmp_path):
         net = self.make()
@@ -502,6 +520,16 @@ class TestFlatState:
             assert np.shares_memory(l.weights, twin._param)
         np.testing.assert_array_equal(forward(twin, x), forward(rebuilt(twin), x))
         assert not np.array_equal(forward(twin, x), forward(net, x))
+
+    def test_shallow_copy_trains_on_its_own_vectors(self):
+        net = init_network((3, 5, 2), ("tanh", "linear"), substream(48, "t"))
+        train_steps(net, 48)
+        original = layer_state(net)
+        twin = copy.copy(net)
+        train_steps(twin, 49)
+        assert_state_equal(net, original)
+        assert twin.step == net.step + 3
+        assert not np.shares_memory(twin._param, net._param)
 
 
 class TestOptimizer:

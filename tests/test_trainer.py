@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -453,6 +455,38 @@ def test_steady_training_steps_page_in_no_fresh_memory(mode):
         step()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / 20 < 50
+
+
+def test_unpickled_model_trains_like_a_deep_copy():
+    """Unpickling adopts the layers into vectors of the new net's own, so a
+    step moves the weights its passes read, exactly as in a deep copy."""
+    corpus = small_corpus()
+    cfg = small_train_config()
+    data = prepare_data(*split(corpus), cfg)
+    model = init_models(data, cfg)
+    batch = Batch(segments=data.train[:8])
+
+    def nets(m):
+        return [m.predictor.net] + [acn.net for acn in m.acns.values()]
+
+    before = [net_params(net) for net in nets(model)]
+    thawed = pickle.loads(pickle.dumps(model))
+    twin = copy.deepcopy(model)
+    for m in (thawed, twin):
+        assert all(not net._work for net in nets(m))
+        compute_batch(m, batch, cfg)
+        for net in nets(m):
+            optimizer_step(net, cfg.optim)
+    for net, twin_net, snapshot in zip(nets(thawed), nets(twin), before):
+        assert net.step == twin_net.step == 1
+        for vec in ("_param", "_grad", "_m", "_v"):
+            np.testing.assert_array_equal(getattr(net, vec), getattr(twin_net, vec))
+        for l in net.layers:
+            assert np.shares_memory(l.weights, net._param)
+            assert np.shares_memory(l.bias, net._param)
+        assert not all(np.array_equal(l.weights, w) for l, (w, _) in zip(net.layers, snapshot))
+    for net, snapshot in zip(nets(model), before):
+        assert_params_equal(net, snapshot)
 
 
 class TestLossAccounting:
