@@ -371,14 +371,7 @@ def _cmd_train(cfg: CliConfig, ns) -> int:
     save_run(run_dir, run, cfg.train)
     _write_cli_config(Path(run_dir), cfg)
     last = run.epochs[-1]
-    vals = " ".join(
-        f"val_{dim}={v:.4f}"
-        for dim, v in (
-            ("arousal", last.val_ccc_arousal),
-            ("valence", last.val_ccc_valence),
-        )
-        if v is not None
-    )
+    vals = " ".join(f"val_{dim}={v:.4f}" for dim, v in last.val_ccc.items())
     print(
         f"trained {run.mode} for {len(run.epochs)} epochs "
         f"(loss {last.total:.6f} {vals}) -> {run_dir}"

@@ -128,7 +128,10 @@ class Acn:
     """Trainable consensus network over a fixed annotator panel."""
 
     net: Network
-    annotators: int
+
+    @property
+    def annotators(self) -> int:
+        return self.net.in_dim
 
 
 def init_acn(config: AcnConfig, rng: np.random.Generator) -> Acn:
@@ -136,7 +139,7 @@ def init_acn(config: AcnConfig, rng: np.random.Generator) -> Acn:
         raise ContractError("annotator count not resolved; set annotators before init")
     dims = (config.annotators, *config.hidden_dims, 1)
     acts = (config.activation,) * len(config.hidden_dims) + (config.output_activation,)
-    return Acn(net=init_network(dims, acts, rng), annotators=config.annotators)
+    return Acn(net=init_network(dims, acts, rng))
 
 
 def make_mean_acn(annotators: int) -> Acn:
@@ -148,7 +151,7 @@ def make_mean_acn(annotators: int) -> Acn:
         bias=np.zeros(1),
         activation="linear",
     )
-    return Acn(net=Network(layers=[layer]), annotators=annotators)
+    return Acn(net=Network(layers=[layer]))
 
 
 def forward_consensus(acn: Acn, matrix: np.ndarray) -> np.ndarray:

@@ -296,13 +296,12 @@ def _run_fold(train, test, cfg: TrainConfig, fold: int, run_dir) -> FoldScore:
     run = run_training(prepare_data(train, test, cfg), cfg)
     if run_dir is not None:
         save_run(run_dir, run, cfg)
-    last = run.epochs[-1]
     return FoldScore(
         mode=cfg.mode,
         seed=cfg.seed,
         fold=fold,
         test_sources=tuple(s.source_id for s in test),
-        ccc={dim: getattr(last, f"val_ccc_{dim}") for dim in run.dimensions},
+        ccc=dict(run.epochs[-1].val_ccc),
     )
 
 

@@ -39,7 +39,8 @@ always a fresh array: the output of ``forward`` and the input gradient of
 checkpoints.
 
 Checkpoints are ``atomic`` envelopes; on load each layer is decoded with
-``codec.from_dict``, so a wrong JSON type or an unknown key is refused.
+``codec.from_dict``, so a wrong JSON type or an unknown key is refused, and
+a network without layers or whose layer widths do not chain is refused too.
 """
 
 from __future__ import annotations
@@ -135,6 +136,10 @@ class DenseLayer:
     def in_dim(self) -> int:
         return self.weights.shape[1]
 
+    @property
+    def out_dim(self) -> int:
+        return self.weights.shape[0]
+
 
 # each pair of layer fields and the flat network vector they are views of
 _STATE = (
@@ -160,6 +165,13 @@ class Network:
     _work: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if not self.layers:
+            raise ContractError("a network needs at least one layer")
+        for i, (below, above) in enumerate(zip(self.layers, self.layers[1:]), 1):
+            if above.in_dim != below.out_dim:
+                raise ContractError(
+                    f"layer {i} takes {above.in_dim} inputs, layer {i - 1} gives {below.out_dim}"
+                )
         self._extent = []
         end = 0
         for layer in self.layers:
@@ -188,6 +200,10 @@ class Network:
     @property
     def in_dim(self) -> int:
         return self.layers[0].in_dim
+
+    @property
+    def out_dim(self) -> int:
+        return self.layers[-1].out_dim
 
     def _buffer(self, key, dtype: np.dtype, rows: int, cols: int, fill=None) -> np.ndarray:
         """A (rows, cols) view of the ``key`` work buffer, grown to the most

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .annotations import SourceData, WindowSpec, window_bounds
+from .annotations import DIMENSIONS, SourceData, WindowSpec, window_bounds
 from . import ccc
 from .ccc import POOLINGS
 from .errors import ContractError
@@ -30,7 +30,7 @@ FRONTENDS = ("identity", "fixed_random_projection")
 HEADS = ("single", "dual")
 
 # fixed output column order in dual mode
-DUAL_DIMENSIONS = ("arousal", "valence")
+DUAL_DIMENSIONS = DIMENSIONS
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .annotations import SourceData, WindowSpec, window_bounds
+from .annotations import DIMENSIONS, SourceData, WindowSpec, window_bounds
 from .atomic import atomic_write, write_json
 from .ccc import POOLINGS, ccc_batch_loss
 from .codec import from_dict, to_dict
@@ -62,7 +62,6 @@ from .nn import (
     save_checkpoint,
 )
 from .predictor import (
-    DUAL_DIMENSIONS,
     Predictor,
     PredictorConfig,
     build_inputs,
@@ -73,7 +72,7 @@ from .predictor import (
 from .rng import derive_seed, substream
 
 TRAIN_MODES = ("baseline", "acn")
-DIMENSION_CHOICES = ("arousal", "valence", "both")
+DIMENSION_CHOICES = (*DIMENSIONS, "both")
 
 # Window geometries used by the reference protocols.
 WINDOW_REGIMES = {
@@ -87,7 +86,7 @@ WINDOW_REGIMES = {
 DEGENERATE_VAR = 1e-10
 
 EPOCHS_CSV_COLUMNS = (
-    "epoch", "term1", "term2", "total", "val_ccc_arousal", "val_ccc_valence",
+    "epoch", "term1", "term2", "total", *(f"val_ccc_{dim}" for dim in DIMENSIONS),
 )
 
 
@@ -131,7 +130,7 @@ class TrainConfig:
 
 
 def resolve_dimensions(cfg: TrainConfig) -> tuple[str, ...]:
-    return DUAL_DIMENSIONS if cfg.dimensions == "both" else (cfg.dimensions,)
+    return DIMENSIONS if cfg.dimensions == "both" else (cfg.dimensions,)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +308,16 @@ def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
 
 
 @dataclass(frozen=True)
-class StepStats:
+class StepRecord:
+    """The loss terms of one optimizer step and its count of masked windows."""
+
     term1: float | None
     term2: float | None
     total: float
     degenerate: int
 
 
-def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepStats:
+def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepRecord:
     """Forward/backward for one batch; gradients accumulate into the nets.
 
     All windows go through single forward passes and are scored as
@@ -367,9 +368,9 @@ def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepStat
     backward(model.predictor.net, grad_pred, input_grad=False)
     term2 = math.fsum(term2_parts)
     if not joint:
-        return StepStats(term1=None, term2=None, total=term2, degenerate=degenerate)
+        return StepRecord(term1=None, term2=None, total=term2, degenerate=degenerate)
     term1 = math.fsum(term1_parts)
-    return StepStats(
+    return StepRecord(
         term1=term1,
         term2=term2,
         total=cfg.alpha * term1 + beta * term2,
@@ -382,23 +383,14 @@ def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepStat
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    epoch: int
-    step: int
-    term1: float | None
-    term2: float | None
-    total: float
-    degenerate: int
-
-
-@dataclass(frozen=True)
 class EpochRecord:
     epoch: int
     term1: float | None
     term2: float | None
     total: float
-    val_ccc_arousal: float | None
-    val_ccc_valence: float | None
+    # validation CCC per dimension, as ``evaluate`` returns it (empty
+    # without validation sources)
+    val_ccc: Mapping[str, float]
 
 
 @dataclass(eq=False)
@@ -407,8 +399,8 @@ class TrainRun:
     mode: str
     dimensions: tuple[str, ...]
     epochs: tuple[EpochRecord, ...]
+    # compute_batch's records in order: step i is steps[i - 1]
     steps: tuple[StepRecord, ...]
-    degenerate_windows: int
     wall_clock_s: float
     model: JointModel
 
@@ -416,8 +408,12 @@ class TrainRun:
         if [e.epoch for e in self.epochs] != list(range(1, len(self.epochs) + 1)):
             raise ContractError("epoch records must be numbered 1..n in order")
 
+    @property
+    def degenerate_windows(self) -> int:
+        return sum(s.degenerate for s in self.steps)
 
-def _check_items(data: TrainData, cfg: TrainConfig, need_annotations: bool) -> None:
+
+def _check_items(data: TrainData, cfg: TrainConfig) -> None:
     dims = resolve_dimensions(cfg)
     if not data.train:
         raise ContractError("no training windows")
@@ -427,7 +423,7 @@ def _check_items(data: TrainData, cfg: TrainConfig, need_annotations: bool) -> N
                 raise ContractError(
                     f"window of {item.source_id!r} is missing gold for {dim!r}"
                 )
-            if need_annotations and dim not in item.annotations:
+            if cfg.mode == "acn" and dim not in item.annotations:
                 raise ContractError(
                     f"window of {item.source_id!r} is missing annotations for {dim!r}"
                 )
@@ -444,35 +440,22 @@ def _train_loop(data: TrainData, cfg: TrainConfig, model: JointModel) -> TrainRu
     nets: list[Network] = [model.predictor.net] + [model.acns[d].net for d in dims if d in model.acns]
     steps: list[StepRecord] = []
     epochs: list[EpochRecord] = []
-    degenerate_total = 0
-    global_step = 0
     for epoch in range(1, cfg.epochs + 1):
         batches = make_batches(
             train, cfg.batch_size, derive_seed(cfg.seed, f"shuffle/{epoch:03d}")
         )
         t1_acc, t2_acc, total_acc, weight_acc = [], [], [], 0
         for batch in batches:
-            stats = compute_batch(model, batch, cfg)
+            step = compute_batch(model, batch, cfg)
             for net in nets:
                 optimizer_step(net, cfg.optim)
-            global_step += 1
-            degenerate_total += stats.degenerate
-            steps.append(
-                StepRecord(
-                    epoch=epoch,
-                    step=global_step,
-                    term1=stats.term1,
-                    term2=stats.term2,
-                    total=stats.total,
-                    degenerate=stats.degenerate,
-                )
-            )
+            steps.append(step)
             kb = len(batch.segments)
             weight_acc += kb
-            total_acc.append(stats.total * kb)
-            if stats.term1 is not None:
-                t1_acc.append(stats.term1 * kb)
-                t2_acc.append(stats.term2 * kb)
+            total_acc.append(step.total * kb)
+            if step.term1 is not None:
+                t1_acc.append(step.term1 * kb)
+                t2_acc.append(step.term2 * kb)
         term1 = math.fsum(t1_acc) / weight_acc if t1_acc else None
         term2 = math.fsum(t2_acc) / weight_acc if t2_acc else None
         val = evaluate(model.predictor, data.val, dims) if data.val else {}
@@ -482,8 +465,7 @@ def _train_loop(data: TrainData, cfg: TrainConfig, model: JointModel) -> TrainRu
                 term1=term1,
                 term2=term2,
                 total=math.fsum(total_acc) / weight_acc,
-                val_ccc_arousal=val.get("arousal"),
-                val_ccc_valence=val.get("valence"),
+                val_ccc=val,
             )
         )
     return TrainRun(
@@ -492,7 +474,6 @@ def _train_loop(data: TrainData, cfg: TrainConfig, model: JointModel) -> TrainRu
         dimensions=dims,
         epochs=tuple(epochs),
         steps=tuple(steps),
-        degenerate_windows=degenerate_total,
         wall_clock_s=time.perf_counter() - started,
         model=model,
     )
@@ -502,7 +483,7 @@ def train_baseline(data: TrainData, cfg: TrainConfig) -> TrainRun:
     """Fit the predictor against the gold trace; alpha/beta are not used."""
     if cfg.mode != "baseline":
         raise ContractError(f"train_baseline needs mode='baseline', got {cfg.mode!r}")
-    _check_items(data, cfg, need_annotations=False)
+    _check_items(data, cfg)
     model = init_models(data, cfg)
     return _train_loop(data, cfg, model)
 
@@ -523,7 +504,7 @@ def train_joint(
     """
     if cfg.mode != "acn":
         raise ContractError(f"train_joint needs mode='acn', got {cfg.mode!r}")
-    _check_items(data, cfg, need_annotations=True)
+    _check_items(data, cfg)
     model = init_models(data, cfg)
     if acn_init:
         for dim, acn in acn_init.items():
@@ -562,16 +543,8 @@ def write_epochs_csv(path, records: Sequence[EpochRecord]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EPOCHS_CSV_COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.epoch,
-                    _cell(r.term1),
-                    _cell(r.term2),
-                    _cell(r.total),
-                    _cell(r.val_ccc_arousal),
-                    _cell(r.val_ccc_valence),
-                ]
-            )
+            vals = (r.val_ccc.get(dim) for dim in DIMENSIONS)
+            writer.writerow([r.epoch, *map(_cell, (r.term1, r.term2, r.total, *vals))])
 
 
 def save_run(run_dir, run: TrainRun, cfg: TrainConfig) -> None:
@@ -597,7 +570,8 @@ def save_run(run_dir, run: TrainRun, cfg: TrainConfig) -> None:
 def load_run_model(run_dir) -> tuple[JointModel, dict]:
     """Rebuild the trained networks saved by save_run.
 
-    A checkpoint without a predictor, its config or its dimensions is a
+    A checkpoint without a predictor, its config or its dimensions, or
+    whose networks do not have the widths their config implies, is a
     StructuralError naming the file.
     """
     path = Path(run_dir) / "checkpoint.json"
@@ -609,9 +583,18 @@ def load_run_model(run_dir) -> tuple[JointModel, dict]:
         raise StructuralError(f"{path}: checkpoint meta lacks predictor_config or dimensions")
     pcfg = from_dict(PredictorConfig, meta["predictor_config"], f"{path} predictor_config")
     predictor = Predictor(net=nets["predictor"], config=pcfg)
+    widths = {"predictor": (pcfg.feature_dim * (pcfg.context_frames + 1), pcfg.output_dim)}
     acns = {}
     for name, net in nets.items():
         if name.startswith("acn/"):
-            acns[name[len("acn/"):]] = Acn(net=net, annotators=net.in_dim)
+            acns[name[len("acn/"):]] = Acn(net=net)
+            widths[name] = (net.in_dim, 1)
+    for name, (n_in, n_out) in widths.items():
+        net = nets[name]
+        if (net.in_dim, net.out_dim) != (n_in, n_out):
+            raise StructuralError(
+                f"{path}: network {name!r} maps {net.in_dim} -> {net.out_dim} columns, "
+                f"its config needs {n_in} -> {n_out}"
+            )
     flipped = meta.get("acn_flipped", {})
     return JointModel(predictor=predictor, acns=acns, acn_flipped=flipped), meta

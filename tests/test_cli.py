@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -386,6 +387,63 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "checkpoint.json" in err and "predictor_config" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fault", ["no_layers", "unchained", "dual_on_one_output", "context_frames", "acn_outputs"]
+    )
+    def test_checkpoint_whose_nets_do_not_fit_is_exit_1(self, tmp_path, capsys, fault):
+        # each of these used to end in internal-error (exit 2) mid-command
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        ck = r / "checkpoint.json"
+        doc = json.loads(ck.read_text())
+        layers = doc["networks"]["predictor"]["layers"]
+        if fault == "no_layers":
+            layers.clear()
+        elif fault == "unchained":
+            layers[-1]["weights"] = [[0.1] * 5]
+        elif fault == "dual_on_one_output":
+            doc["meta"]["predictor_config"]["heads"] = "dual"
+        elif fault == "context_frames":
+            doc["meta"]["predictor_config"]["context_frames"] = 2
+        else:
+            head = doc["networks"]["acn/arousal"]["layers"][-1]
+            head["weights"] *= 2
+            head["bias"] *= 2
+        ck.write_text(json.dumps(doc))
+        capsys.readouterr()
+        src, out = d / "source_00", tmp_path / "out.csv"
+        for argv in (
+            ["predict", "--run", str(r), "--features", str(src / "features.csv"),
+             "--out", str(out)],
+            ["aggregate", "--in", str(src / "annotations_arousal.csv"), "--out", str(out),
+             "--method", "acn", "--checkpoint", str(r), "--dimension", "arousal"],
+            ["evaluate", "--run", str(r), "--dataset", str(d)],
+        ):
+            assert parse_and_dispatch(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "checkpoint.json" in err, (argv[0], err)
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, scores",
+        [
+            (["--train.dimensions", "both", "--train.predictor.heads", "dual"],
+             "val_arousal=\\S+ val_valence=\\S+"),
+            (["--train.dimensions", "valence"], "val_valence=\\S+"),
+        ],
+        ids=["both", "valence"],
+    )
+    def test_train_prints_each_trained_dimensions_score_in_order(
+        self, tmp_path, capsys, flags, scores
+    ):
+        d = make_dataset(tmp_path)
+        c = write_config(
+            tmp_path, dataset_dir=str(d), run_dir=str(tmp_path / "run"), train=tiny_train_section()
+        )
+        capsys.readouterr()
+        assert parse_and_dispatch(["train", "--config", str(c), *flags]) == 0
+        assert re.search(rf"\(loss \S+ {scores}\) ->", capsys.readouterr().out)
 
     @pytest.mark.parametrize("fault", ["directory", "not_utf8", "not_object"])
     def test_unreadable_run_config_is_exit_1(self, tmp_path, capsys, fault):

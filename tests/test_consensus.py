@@ -282,7 +282,7 @@ class TestOrientAcn:
         layer = DenseLayer(
             weights=np.full((1, 4), -0.25), bias=np.zeros(1), activation="relu"
         )
-        acn = Acn(net=Network(layers=[layer]), annotators=4)
+        acn = Acn(net=Network(layers=[layer]))
         _, m, _ = self._anti_correlated()
         assert ccc_loss(m.mean(axis=1), forward_consensus(acn, m)).ccc < 0.0
         assert orient_acn(acn, m) is False

@@ -70,6 +70,16 @@ class TestInit:
         with pytest.raises(ContractError):
             init_network((3, 4), ("sigmoid",), substream(0, "t"))
 
+    def test_network_refuses_layers_that_do_not_chain(self):
+        with pytest.raises(ContractError, match="at least one layer"):
+            Network(layers=[])
+        hidden = DenseLayer(np.zeros((3, 2)), np.zeros(3), "tanh")
+        head = DenseLayer(np.zeros((1, 4)), np.zeros(1), "linear")
+        with pytest.raises(ContractError, match="layer 1 takes 4 inputs, layer 0 gives 3"):
+            Network(layers=[hidden, head])
+        net = Network(layers=[hidden, DenseLayer(np.zeros((2, 3)), np.zeros(2), "linear")])
+        assert (net.in_dim, net.out_dim) == (2, 2)
+
 
 class TestForward:
     def test_linear_layer_is_affine(self):

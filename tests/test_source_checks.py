@@ -257,3 +257,56 @@ def test_layer_state_checks_catch_what_they_look_for():
     )
     assert _located(tree, _binds_layer_state) == [("f", 4), ("f", 5)]
     assert _located(tree, _imports_ccc_loss) == [(None, 1)]
+
+
+# A run's scores are keyed by dimension: only the epochs.csv writer in trainer.py
+# spells a dimension into a field name, and only annotations.py lists the names.
+def _spells_val_ccc(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        text = node.attr
+    elif isinstance(node, ast.Name):
+        text = node.id
+    elif isinstance(node, ast.keyword):
+        text = node.arg
+    elif isinstance(node, ast.Constant):
+        text = node.value
+    else:
+        return False
+    return isinstance(text, str) and "val_ccc_" in text
+
+
+def _lists_dimensions(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Tuple)
+        and all(isinstance(e, ast.Constant) for e in node.elts)
+        and [e.value for e in node.elts] == ["arousal", "valence"]
+    )
+
+
+@pytest.mark.parametrize(
+    "match, owner",
+    [(_spells_val_ccc, "trainer.py"), (_lists_dimensions, "annotations.py")],
+    ids=["val_ccc_", "dimension_tuple"],
+)
+def test_dimension_names_have_one_home(match, owner):
+    found = [
+        (path.name, func, line)
+        for path in MODULES
+        for func, line in _located(_parse(path), match)
+    ]
+    assert found and {name for name, _, _ in found} == {owner}, (
+        f"found at {found}; outside {owner}, read annotations.DIMENSIONS "
+        "or key scores by dimension"
+    )
+
+
+def test_dimension_checks_catch_what_they_look_for():
+    tree = ast.parse(
+        "DIMS = ('arousal', 'valence')\n"
+        "def f(r, dim):\n"
+        "    r.val_ccc_arousal, val_ccc_valence = 1, 2\n"
+        "    g(val_ccc_x=1, **r.val_ccc)\n"
+        "    return f'val_ccc_{dim}', ('valence', 'arousal'), ('arousal', dim), (*DIMS, 'x')\n"
+    )
+    assert _located(tree, _spells_val_ccc) == [("f", 3), ("f", 3), ("f", 4), ("f", 5)]
+    assert _located(tree, _lists_dimensions) == [(None, 1)]

@@ -507,8 +507,7 @@ class TestLossAccounting:
         run = train_joint(data, cfg)
         assert [e.epoch for e in run.epochs] == [1, 2, 3]
         for e in run.epochs:
-            assert e.val_ccc_valence is not None and -1 <= e.val_ccc_valence <= 1
-            assert e.val_ccc_arousal is None
+            assert list(e.val_ccc) == ["valence"] and -1 <= e.val_ccc["valence"] <= 1
 
     def test_baseline_records_have_no_terms(self):
         corpus = small_corpus()
@@ -751,7 +750,7 @@ class TestBaselineBehaviour:
         )
         data = prepare_data(list(corpus.sources[:3]), [corpus.sources[3]], cfg)
         run = train_baseline(data, cfg)
-        assert run.epochs[-1].val_ccc_valence > 0.95
+        assert run.epochs[-1].val_ccc["valence"] > 0.95
 
 
 class TestMeanAcnEquivalence:
@@ -785,7 +784,7 @@ class TestMeanAcnEquivalence:
         assert max(abs(a - b) for a, b in zip(base_steps, joint_steps)) <= 1e-10
         for eb, ej in zip(base_run.epochs, joint_run.epochs):
             assert abs(eb.total - ej.total) <= 1e-10
-            assert abs(eb.val_ccc_valence - ej.val_ccc_valence) <= 1e-10
+            assert abs(eb.val_ccc["valence"] - ej.val_ccc["valence"]) <= 1e-10
         # the frozen ACN never moved off the exact mean
         frozen = joint_run.model.acns["valence"]
         np.testing.assert_array_equal(
@@ -804,8 +803,7 @@ class TestBothDimensions:
         run = train_joint(data, cfg)
         assert set(run.model.acns) == {"arousal", "valence"}
         for e in run.epochs:
-            assert e.val_ccc_arousal is not None
-            assert e.val_ccc_valence is not None
+            assert list(e.val_ccc) == ["arousal", "valence"]
         pcfg = dataclasses.replace(cfg.predictor, feature_dim=6)
         fresh = init_predictor(pcfg, substream(cfg.seed, "init/predictor"))
         head, head0 = run.model.predictor.net.layers[-1], fresh.net.layers[-1]
@@ -861,8 +859,8 @@ class TestArtifacts:
         from emocons.trainer import EpochRecord
 
         records = [
-            EpochRecord(1, 0.5, 0.25, 0.375, 0.125, None),
-            EpochRecord(2, None, None, 0.5, None, -0.25),
+            EpochRecord(1, 0.5, 0.25, 0.375, {"arousal": 0.125}),
+            EpochRecord(2, None, None, 0.5, {"valence": -0.25}),
         ]
         path = tmp_path / "epochs.csv"
         write_epochs_csv(path, records)
@@ -898,6 +896,22 @@ class TestArtifacts:
             TrainConfig, json.loads((tmp_path / "run" / "config.json").read_text())
         )
         assert saved_cfg == cfg
+
+    @pytest.mark.parametrize("mode", TRAIN_MODES)
+    def test_checkpoint_counts_the_masked_windows_of_every_step(self, mode, tmp_path):
+        train, val = split(small_corpus())
+        first = train[0]
+        flat = first.gold["valence"].values.copy()
+        flat[:300] = 0.25
+        gold = dict(first.gold, valence=dataclasses.replace(first.gold["valence"], values=flat))
+        train[0] = dataclasses.replace(first, gold=gold)
+        cfg = small_train_config(mode=mode)
+        run = run_training(prepare_data(train, val, cfg), cfg)
+        masked = sum(s.degenerate for s in run.steps)
+        assert masked > 0
+        save_run(tmp_path / "run", run, cfg)
+        _, meta = load_run_model(tmp_path / "run")
+        assert meta["degenerate_windows"] == masked
 
     @pytest.mark.parametrize("mode", TRAIN_MODES)
     def test_float32_training_keeps_float64_models(self, mode, tmp_path):
