@@ -51,7 +51,6 @@ from .evalharness import (
     evaluate,
     format_comparison_table,
     make_fixed_split,
-    make_loso_plan,
 )
 from .predictor import forward_predictor, output_index
 from .synth import SynthConfig, generate_corpus
@@ -368,12 +367,12 @@ def _cmd_train(cfg: CliConfig, ns) -> int:
     # computed on the same sources (held-out scoring is evaluate/ab's job)
     data = prepare_data(ds.sources, ds.sources, cfg.train)
     run = run_training(data, cfg.train)
-    save_run(run_dir, run, cfg.train)
+    save_run(run_dir, run)
     _write_cli_config(Path(run_dir), cfg)
     last = run.epochs[-1]
     vals = " ".join(f"val_{dim}={v:.4f}" for dim, v in last.val_ccc.items())
     print(
-        f"trained {run.mode} for {len(run.epochs)} epochs "
+        f"trained {run.config.mode} for {len(run.epochs)} epochs "
         f"(loss {last.total:.6f} {vals}) -> {run_dir}"
     )
     return 0
@@ -457,10 +456,9 @@ def _cmd_metrics(cfg: CliConfig, ns) -> int:
 def _cmd_ab(cfg: CliConfig, ns) -> int:
     dataset_dir = _require(cfg.dataset_dir, "dataset_dir", "--dataset or --dataset_dir")
     ds = load_dataset(dataset_dir)
+    plan = None  # ab_compare's default: leave one source out
     if cfg.eval.scheme == "fixed_split":
         plan = make_fixed_split(cfg.eval.train_sources, cfg.eval.test_sources)
-    else:
-        plan = make_loso_plan([s.source_id for s in ds.sources])
     root = cfg.run_dir or None
     cmp = ab_compare(ds, cfg.train, cfg.eval.seeds, plan=plan, run_root=root)
     if root:

@@ -295,7 +295,7 @@ def _run_fold(train, test, cfg: TrainConfig, fold: int, run_dir) -> FoldScore:
     """
     run = run_training(prepare_data(train, test, cfg), cfg)
     if run_dir is not None:
-        save_run(run_dir, run, cfg)
+        save_run(run_dir, run)
     return FoldScore(
         mode=cfg.mode,
         seed=cfg.seed,

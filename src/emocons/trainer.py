@@ -261,11 +261,26 @@ def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
     """Build predictor (and per-dimension ACNs in acn mode) from the config.
 
     Sentinel fields (predictor.feature_dim == 0, acn.annotators == 0) are
-    resolved from the data; explicit values must match it.
+    resolved from the data; explicit values must match it.  Every window
+    must hold gold for each trained dimension and, in acn mode, its
+    annotations.
     """
     dims = resolve_dimensions(cfg)
     if len(dims) > 1 and cfg.predictor.heads != "dual":
-        raise ConfigError("training both dimensions requires a dual-head predictor")
+        raise ConfigError(
+            "training both dimensions requires a dual-head predictor: set "
+            "--train.predictor.heads dual, or train one --train.dimensions"
+        )
+    for item in data.train:
+        for dim in dims:
+            if dim not in item.gold:
+                raise ContractError(
+                    f"window of {item.source_id!r} is missing gold for {dim!r}"
+                )
+            if cfg.mode == "acn" and dim not in item.annotations:
+                raise ContractError(
+                    f"window of {item.source_id!r} is missing annotations for {dim!r}"
+                )
     pcfg = cfg.predictor
     feature_dim = data.feature_dim // (pcfg.context_frames + 1)
     if pcfg.feature_dim == 0:
@@ -279,11 +294,7 @@ def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
     flipped: dict[str, bool] = {}
     if cfg.mode == "acn":
         for dim in dims:
-            widths = {
-                item.annotations[dim].shape[1]
-                for item in data.train
-                if dim in item.annotations
-            }
+            widths = {item.annotations[dim].shape[1] for item in data.train}
             if len(widths) != 1:
                 raise ContractError(
                     f"inconsistent annotator counts for {dim!r}: {sorted(widths)}"
@@ -297,8 +308,8 @@ def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
                     f"config expects {acfg.annotators} annotators, data has {annotators}"
                 )
             acn = init_acn(acfg, substream(cfg.seed, f"init/acn/{dim}"))
-            probe = [it.annotations[dim] for it in data.train if dim in it.annotations]
-            flipped[dim] = orient_acn(acn, np.vstack(probe[:32]))
+            probe = [it.annotations[dim] for it in data.train[:32]]
+            flipped[dim] = orient_acn(acn, np.vstack(probe))
             acns[dim] = acn
     return JointModel(predictor=predictor, acns=acns, acn_flipped=flipped)
 
@@ -395,38 +406,16 @@ class EpochRecord:
 
 @dataclass(eq=False)
 class TrainRun:
-    config_hash: str
-    mode: str
-    dimensions: tuple[str, ...]
+    config: TrainConfig
     epochs: tuple[EpochRecord, ...]
     # compute_batch's records in order: step i is steps[i - 1]
     steps: tuple[StepRecord, ...]
     wall_clock_s: float
     model: JointModel
 
-    def __post_init__(self):
-        if [e.epoch for e in self.epochs] != list(range(1, len(self.epochs) + 1)):
-            raise ContractError("epoch records must be numbered 1..n in order")
-
     @property
     def degenerate_windows(self) -> int:
         return sum(s.degenerate for s in self.steps)
-
-
-def _check_items(data: TrainData, cfg: TrainConfig) -> None:
-    dims = resolve_dimensions(cfg)
-    if not data.train:
-        raise ContractError("no training windows")
-    for item in data.train:
-        for dim in dims:
-            if dim not in item.gold:
-                raise ContractError(
-                    f"window of {item.source_id!r} is missing gold for {dim!r}"
-                )
-            if cfg.mode == "acn" and dim not in item.annotations:
-                raise ContractError(
-                    f"window of {item.source_id!r} is missing annotations for {dim!r}"
-                )
 
 
 def _train_loop(data: TrainData, cfg: TrainConfig, model: JointModel) -> TrainRun:
@@ -469,9 +458,7 @@ def _train_loop(data: TrainData, cfg: TrainConfig, model: JointModel) -> TrainRu
             )
         )
     return TrainRun(
-        config_hash=config_hash(cfg),
-        mode=cfg.mode,
-        dimensions=dims,
+        config=cfg,
         epochs=tuple(epochs),
         steps=tuple(steps),
         wall_clock_s=time.perf_counter() - started,
@@ -483,7 +470,6 @@ def train_baseline(data: TrainData, cfg: TrainConfig) -> TrainRun:
     """Fit the predictor against the gold trace; alpha/beta are not used."""
     if cfg.mode != "baseline":
         raise ContractError(f"train_baseline needs mode='baseline', got {cfg.mode!r}")
-    _check_items(data, cfg)
     model = init_models(data, cfg)
     return _train_loop(data, cfg, model)
 
@@ -504,7 +490,6 @@ def train_joint(
     """
     if cfg.mode != "acn":
         raise ContractError(f"train_joint needs mode='acn', got {cfg.mode!r}")
-    _check_items(data, cfg)
     model = init_models(data, cfg)
     if acn_init:
         for dim, acn in acn_init.items():
@@ -547,18 +532,23 @@ def write_epochs_csv(path, records: Sequence[EpochRecord]) -> None:
             writer.writerow([r.epoch, *map(_cell, (r.term1, r.term2, r.total, *vals))])
 
 
-def save_run(run_dir, run: TrainRun, cfg: TrainConfig) -> None:
-    """Persist a run directory: config.json, epochs.csv, checkpoint.json."""
+def save_run(run_dir, run: TrainRun) -> None:
+    """Persist a run directory: config.json, epochs.csv, checkpoint.json.
+
+    The checkpoint meta's mode, dimensions and config_hash derive from
+    ``run.config``, the config that config.json holds.
+    """
     run_dir = Path(run_dir)
+    cfg = run.config
     write_json(run_dir / "config.json", to_dict(cfg))
     write_epochs_csv(run_dir / "epochs.csv", run.epochs)
     nets = {"predictor": run.model.predictor.net}
     for dim, acn in run.model.acns.items():
         nets[f"acn/{dim}"] = acn.net
     meta = {
-        "mode": run.mode,
-        "dimensions": list(run.dimensions),
-        "config_hash": run.config_hash,
+        "mode": cfg.mode,
+        "dimensions": list(resolve_dimensions(cfg)),
+        "config_hash": config_hash(cfg),
         "predictor_config": to_dict(run.model.predictor.config),
         "degenerate_windows": run.degenerate_windows,
         "acn_flipped": run.model.acn_flipped,
@@ -570,9 +560,10 @@ def save_run(run_dir, run: TrainRun, cfg: TrainConfig) -> None:
 def load_run_model(run_dir) -> tuple[JointModel, dict]:
     """Rebuild the trained networks saved by save_run.
 
-    A checkpoint without a predictor, its config or its dimensions, or
-    whose networks do not have the widths their config implies, is a
-    StructuralError naming the file.
+    A checkpoint without a predictor, its config or its dimensions, whose
+    dimensions are not distinct names from DIMENSIONS (more than one only
+    with a dual head), or whose networks do not have the widths their
+    config implies, is a StructuralError naming the file.
     """
     path = Path(run_dir) / "checkpoint.json"
     nets, meta = load_checkpoint(path)
@@ -582,6 +573,15 @@ def load_run_model(run_dir) -> tuple[JointModel, dict]:
     if not (isinstance(dims, list) and dims and "predictor_config" in meta):
         raise StructuralError(f"{path}: checkpoint meta lacks predictor_config or dimensions")
     pcfg = from_dict(PredictorConfig, meta["predictor_config"], f"{path} predictor_config")
+    if not all(d in DIMENSIONS for d in dims) or len(set(dims)) != len(dims):
+        raise StructuralError(
+            f"{path}: checkpoint dimensions {dims} are not distinct names from {DIMENSIONS}"
+        )
+    if len(dims) > 1 and pcfg.heads != "dual":
+        raise StructuralError(
+            f"{path}: checkpoint dimensions {dims} need a dual-head predictor, "
+            f"its config has heads={pcfg.heads!r}"
+        )
     predictor = Predictor(net=nets["predictor"], config=pcfg)
     widths = {"predictor": (pcfg.feature_dim * (pcfg.context_frames + 1), pcfg.output_dim)}
     acns = {}

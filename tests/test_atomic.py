@@ -22,7 +22,7 @@ from emocons.evalharness import FoldScore, load_report, make_report, save_report
 from emocons.nn import DenseLayer, Network, load_checkpoint, save_checkpoint
 from emocons.predictor import PredictorConfig
 from emocons.synth import SynthConfig, generate_corpus
-from emocons.trainer import TrainConfig, prepare_data, run_training, save_run, write_epochs_csv
+from emocons.trainer import TrainConfig, config_hash, prepare_data, run_training, save_run, write_epochs_csv
 
 
 def test_replaces_file_when_block_completes(tmp_path):
@@ -107,10 +107,10 @@ def artifacts():
         scheme="leave_one_source_out",
         task="arousal",
         seeds=(0,),
-        config_hashes={"baseline": run.config_hash},
+        config_hashes={"baseline": config_hash(run.config)},
         entries=(FoldScore("baseline", 0, 0, ("source_01",), {"arousal": 0.5}),),
     )
-    return SimpleNamespace(corpus=corpus, source=corpus.sources[0], run=run, cfg=cfg, report=report)
+    return SimpleNamespace(corpus=corpus, source=corpus.sources[0], run=run, report=report)
 
 
 WRITERS = {
@@ -120,7 +120,7 @@ WRITERS = {
     "epochs_csv": lambda p, a: write_epochs_csv(p, a.run.epochs),
     "checkpoint": lambda p, a: save_checkpoint(p, {"predictor": _net()}, {}),
     "report": lambda p, a: save_report(p, a.report),
-    "run": lambda p, a: save_run(p, a.run, a.cfg),
+    "run": lambda p, a: save_run(p, a.run),
     "dataset": lambda p, a: write_dataset(p, a.corpus),
 }
 
@@ -145,7 +145,7 @@ def test_missing_directories_are_created(tmp_path, artifacts, writer):
 
 
 def test_json_artifacts_end_with_one_newline(tmp_path, artifacts):
-    save_run(tmp_path / "run", artifacts.run, artifacts.cfg)
+    save_run(tmp_path / "run", artifacts.run)
     write_dataset(tmp_path / "d", artifacts.corpus)
     save_report(tmp_path / "report.json", artifacts.report)
     for p in [

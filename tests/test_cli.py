@@ -388,11 +388,21 @@ class TestPipeline:
         assert err.startswith("error:") and "checkpoint.json" in err and "predictor_config" in err
         assert not out.exists()
 
+    # meta dimensions a one-head arousal run cannot have
+    BAD_DIMENSIONS = {
+        "both_on_one_head": ["arousal", "valence"],
+        "unknown_dimension": ["dominance"],
+        "repeated_dimension": ["arousal", "arousal"],
+    }
+
     @pytest.mark.parametrize(
-        "fault", ["no_layers", "unchained", "dual_on_one_output", "context_frames", "acn_outputs"]
+        "fault",
+        ["no_layers", "unchained", "dual_on_one_output", "context_frames", "acn_outputs",
+         *BAD_DIMENSIONS],
     )
     def test_checkpoint_whose_nets_do_not_fit_is_exit_1(self, tmp_path, capsys, fault):
-        # each of these used to end in internal-error (exit 2) mid-command
+        # the network faults used to end in internal-error (exit 2) mid-command; the
+        # dimension faults exited 0, scoring the arousal column under another name
         d = make_dataset(tmp_path)
         r = self._train(tmp_path, d)
         ck = r / "checkpoint.json"
@@ -406,10 +416,12 @@ class TestPipeline:
             doc["meta"]["predictor_config"]["heads"] = "dual"
         elif fault == "context_frames":
             doc["meta"]["predictor_config"]["context_frames"] = 2
-        else:
+        elif fault == "acn_outputs":
             head = doc["networks"]["acn/arousal"]["layers"][-1]
             head["weights"] *= 2
             head["bias"] *= 2
+        else:
+            doc["meta"]["dimensions"] = self.BAD_DIMENSIONS[fault]
         ck.write_text(json.dumps(doc))
         capsys.readouterr()
         src, out = d / "source_00", tmp_path / "out.csv"
@@ -424,6 +436,30 @@ class TestPipeline:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "checkpoint.json" in err, (argv[0], err)
             assert not out.exists()
+
+    def test_evaluate_refuses_an_unknown_source(self, tmp_path, capsys):
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        capsys.readouterr()
+        rc = parse_and_dispatch(
+            ["evaluate", "--run", str(r), "--dataset", str(d), "--sources", "source_00,nope"]
+        )
+        assert rc == 1
+        assert "unknown sources: ['nope']" in capsys.readouterr().err
+
+    def test_aggregate_acn_refuses_a_dimension_without_a_consensus_net(self, tmp_path, capsys):
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        out = tmp_path / "cons.csv"
+        capsys.readouterr()
+        rc = parse_and_dispatch(
+            ["aggregate", "--in", str(d / "source_00" / "annotations_valence.csv"),
+             "--out", str(out), "--method", "acn", "--checkpoint", str(r),
+             "--dimension", "valence"]
+        )
+        assert rc == 1
+        assert "no consensus net for 'valence'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, scores",
@@ -585,6 +621,34 @@ class TestPipeline:
         report = load_report(root / "report.json")
         assert report.seeds == (1, 2, 3)
         assert (root / "cli_config.json").exists()
+
+    def test_ab_fixed_split(self, tmp_path, capsys):
+        d = make_dataset(tmp_path, sources=3, frames=300)
+        root = tmp_path / "ab"
+        c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        rc = parse_and_dispatch(
+            ["ab", "--config", str(c), "--out", str(root), "--eval.seeds", "1,2,3",
+             "--eval.scheme", "fixed_split", "--eval.train_sources", "source_00,source_01",
+             "--eval.test_sources", "source_02"]
+        )
+        assert rc == 0
+        runs = sorted(root.glob("seed_*/*/report.json"))
+        assert len(runs) == 6
+        for path in runs:
+            report = load_report(path)
+            assert report.scheme == "fixed_split"
+            assert [e.test_sources for e in report.entries] == [("source_02",)]
+
+    def test_ab_fixed_split_needs_train_sources(self, tmp_path, capsys):
+        d = make_dataset(tmp_path, sources=3, frames=300)
+        c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        capsys.readouterr()
+        rc = parse_and_dispatch(
+            ["ab", "--config", str(c), "--eval.seeds", "1,2,3", "--eval.scheme", "fixed_split",
+             "--eval.test_sources", "source_02"]
+        )
+        assert rc == 1
+        assert "each fold needs sources on both sides" in capsys.readouterr().err
 
 
 class TestExitCodes:

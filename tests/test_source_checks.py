@@ -310,3 +310,36 @@ def test_dimension_checks_catch_what_they_look_for():
     )
     assert _located(tree, _spells_val_ccc) == [("f", 3), ("f", 3), ("f", 4), ("f", 5)]
     assert _located(tree, _lists_dimensions) == [(None, 1)]
+
+
+# _train_loop numbers a run's epochs 1..n as it makes them, so TrainRun checks
+# nothing itself: it is built in no other place.
+TRAIN_RUN_OWNER = ("trainer.py", "_train_loop")
+
+
+def _builds_train_run(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return getattr(f, "id", None) == "TrainRun" or getattr(f, "attr", None) == "TrainRun"
+
+
+def test_train_runs_are_built_only_in_the_training_loop():
+    found = [
+        (path.name, func, line)
+        for path in MODULES
+        for func, line in _located(_parse(path), _builds_train_run)
+    ]
+    assert found and {(name, func) for name, func, _ in found} == {TRAIN_RUN_OWNER}, (
+        f"TrainRun is built at {found}; only {'.'.join(TRAIN_RUN_OWNER)} numbers its epochs"
+    )
+
+
+def test_train_run_check_catches_what_it_looks_for():
+    tree = ast.parse(
+        "from .trainer import TrainRun\n"
+        "run = TrainRun(config=None)\n"
+        "def f(t):\n"
+        "    return t.TrainRun(), TrainRun, isinstance(t, TrainRun), TrainRunner()\n"
+    )
+    assert _located(tree, _builds_train_run) == [(None, 2), ("f", 4)]

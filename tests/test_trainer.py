@@ -336,7 +336,7 @@ class TestModelSetup:
         corpus = small_corpus()
         cfg = small_train_config(dimensions="both")
         data = prepare_data(*split(corpus), cfg)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="--train.predictor.heads dual.*--train.dimensions"):
             init_models(data, cfg)
 
     def test_baseline_has_no_acn(self):
@@ -344,6 +344,37 @@ class TestModelSetup:
         cfg = small_train_config(mode="baseline")
         data = prepare_data(*split(corpus), cfg)
         assert init_models(data, cfg).acns == {}
+
+    def test_annotator_counts_must_agree_across_windows(self):
+        cfg = small_train_config()
+        train = prepare_data(*split(small_corpus()), cfg).train
+        narrow = dataclasses.replace(
+            train[3], annotations={"valence": train[3].annotations["valence"][:, :2]}
+        )
+        with pytest.raises(ContractError, match=r"inconsistent annotator counts .* \[2, 3\]"):
+            init_models(TrainData(train=(*train[:3], narrow, *train[4:])), cfg)
+
+    def test_explicit_annotators_must_match_the_data(self):
+        cfg = small_train_config(acn=AcnConfig(annotators=5, hidden_dims=(4,)))
+        data = prepare_data(*split(small_corpus()), cfg)
+        with pytest.raises(ContractError, match="config expects 5 annotators, data has 3"):
+            init_models(data, cfg)
+
+    def test_no_training_windows_refused(self):
+        with pytest.raises(ContractError, match="no training windows"):
+            init_models(TrainData(train=()), small_train_config())
+
+    @pytest.mark.parametrize(
+        "mode, target", [("baseline", "gold"), ("acn", "gold"), ("acn", "annotations")]
+    )
+    def test_every_window_needs_its_targets(self, mode, target):
+        # a hand-built window without them used to reach compute_batch as a KeyError
+        cfg = small_train_config(mode=mode)
+        train = prepare_data(*split(small_corpus()), cfg).train
+        bare = dataclasses.replace(train[3], **{target: {}})
+        message = f"window of {bare.source_id!r} is missing {target} for 'valence'"
+        with pytest.raises(ContractError, match=message):
+            init_models(TrainData(train=(*train[:3], bare, *train[4:])), cfg)
 
 
 class TestGradientPaths:
@@ -848,10 +879,10 @@ class TestRunTraining:
         cfg = small_train_config(mode="baseline")
         data = prepare_data(*split(corpus), cfg)
         run = run_training(data, cfg)
-        assert run.mode == "baseline"
+        assert run.config.mode == "baseline"
         run2 = run_training(prepare_data(*split(corpus), small_train_config()),
                             small_train_config())
-        assert run2.mode == "acn"
+        assert run2.config.mode == "acn"
 
 
 class TestArtifacts:
@@ -876,13 +907,13 @@ class TestArtifacts:
         cfg = small_train_config()
         data = prepare_data(*split(corpus), cfg)
         run = train_joint(data, cfg)
-        save_run(tmp_path / "run", run, cfg)
+        save_run(tmp_path / "run", run)
         assert (tmp_path / "run" / "config.json").exists()
         assert (tmp_path / "run" / "epochs.csv").exists()
 
         model, meta = load_run_model(tmp_path / "run")
         assert meta["mode"] == "acn"
-        assert meta["config_hash"] == run.config_hash
+        assert meta["config_hash"] == config_hash(run.config)
         assert_params_equal(model.predictor.net, net_params(run.model.predictor.net))
         assert_params_equal(
             model.acns["valence"].net, net_params(run.model.acns["valence"].net)
@@ -909,7 +940,7 @@ class TestArtifacts:
         run = run_training(prepare_data(train, val, cfg), cfg)
         masked = sum(s.degenerate for s in run.steps)
         assert masked > 0
-        save_run(tmp_path / "run", run, cfg)
+        save_run(tmp_path / "run", run)
         _, meta = load_run_model(tmp_path / "run")
         assert meta["degenerate_windows"] == masked
 
@@ -927,7 +958,7 @@ class TestArtifacts:
             for l in net.layers:
                 assert l.weights.dtype == l.bias.dtype == np.float64
                 assert l.m_w.dtype == l.v_w.dtype == l.grad_w.dtype == np.float64
-        save_run(tmp_path / "run", run, cfg)
+        save_run(tmp_path / "run", run)
         model, _ = load_run_model(tmp_path / "run")
         dims = trainer.resolve_dimensions(cfg)
         assert evaluate(model.predictor, val, dims) == evaluate(run.model.predictor, val, dims)
@@ -947,7 +978,7 @@ class TestAcnOrientation:
         data = prepare_data(*split(small_corpus()), cfg)
         run = train_joint(data, cfg)
         assert run.model.acn_flipped == {"valence": flipped}
-        save_run(tmp_path / "run", run, cfg)
+        save_run(tmp_path / "run", run)
         model, meta = load_run_model(tmp_path / "run")
         assert meta["acn_flipped"] == {"valence": flipped}
         assert model.acn_flipped == {"valence": flipped}
