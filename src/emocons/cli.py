@@ -33,7 +33,7 @@ from .annotations import (
     write_gold_csv,
     write_trace_csv,
 )
-from .atomic import read_json, write_json
+from .atomic import write_json
 from . import ccc
 from .ccc import POOLINGS
 from .codec import from_dict, to_dict
@@ -54,7 +54,14 @@ from .evalharness import (
 )
 from .predictor import forward_predictor, output_index
 from .synth import SynthConfig, generate_corpus
-from .trainer import TrainConfig, load_run_model, prepare_data, run_training, save_run
+from .trainer import (
+    TrainConfig,
+    load_run_model,
+    prepare_data,
+    resolve_dimensions,
+    run_training,
+    save_run,
+)
 
 CLI_SCHEMA_VERSION = 1
 
@@ -382,7 +389,7 @@ def _cmd_evaluate(cfg: CliConfig, ns) -> int:
     run_dir = ns.run or cfg.run_dir
     run_dir = _require(run_dir, "run directory", "--run or --run_dir")
     dataset_dir = _require(cfg.dataset_dir, "dataset_dir", "--dataset or --dataset_dir")
-    model, meta = load_run_model(run_dir)
+    model, run_cfg = load_run_model(run_dir)
     ds = load_dataset(dataset_dir)
     sources = list(ds.sources)
     if ns.sources:
@@ -391,14 +398,12 @@ def _cmd_evaluate(cfg: CliConfig, ns) -> int:
         missing = [sid for sid in wanted if sid not in by_id]
         if missing:
             raise ContractError(f"unknown sources: {missing}")
+        repeated = sorted({sid for sid in wanted if wanted.count(sid) > 1})
+        if repeated:
+            raise ContractError(f"sources named more than once: {repeated}")
         sources = [by_id[sid] for sid in wanted]
-    dims = meta["dimensions"]
-    window = None
-    if ns.pooling == "per_window_mean":
-        cfg_path = Path(run_dir) / "config.json"
-        saved = read_json(cfg_path, "the run's config")
-        window = from_dict(TrainConfig, saved, str(cfg_path)).window
-    scores = evaluate(model.predictor, sources, dims, pooling=ns.pooling, window=window)
+    dims = resolve_dimensions(run_cfg)
+    scores = evaluate(model.predictor, sources, dims, pooling=ns.pooling, window=run_cfg.window)
     for dim in dims:
         print(f"{dim} ccc={round(scores[dim], 6)}")
     return 0
@@ -433,11 +438,11 @@ def _cmd_aggregate(cfg: CliConfig, ns) -> int:
 
 def _cmd_predict(cfg: CliConfig, ns) -> int:
     feats = load_features_csv(ns.features)
-    model, meta = load_run_model(ns.run)
-    dims = meta["dimensions"]
+    model, run_cfg = load_run_model(ns.run)
+    dims = resolve_dimensions(run_cfg)
     dim = ns.dimension or dims[0]
     if dim not in dims:
-        raise ContractError(f"{ns.run}: run was trained on {dims}, not {dim!r}")
+        raise ContractError(f"{ns.run}: run was trained on {list(dims)}, not {dim!r}")
     out = forward_predictor(model.predictor, feats.data)
     col = output_index(model.predictor.config, dim)
     write_trace_csv(ns.output, out[:, col], feats.rate_hz)

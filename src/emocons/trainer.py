@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .annotations import DIMENSIONS, SourceData, WindowSpec, window_bounds
-from .atomic import atomic_write, write_json
+from .atomic import atomic_write, read_json, write_json
 from .ccc import POOLINGS, ccc_batch_loss
 from .codec import from_dict, to_dict
 from .consensus import (
@@ -257,6 +257,28 @@ class JointModel:
     acn_flipped: dict[str, bool] = field(default_factory=dict)
 
 
+def _predictor_config(cfg: TrainConfig, input_width: int) -> PredictorConfig:
+    """``cfg.predictor`` for input rows ``input_width`` wide.
+
+    Both dimensions need a dual head.  A feature_dim of 0 is resolved from
+    the width; an explicit one must match it.
+    """
+    if len(resolve_dimensions(cfg)) > 1 and cfg.predictor.heads != "dual":
+        raise ConfigError(
+            "training both dimensions requires a dual-head predictor: set "
+            "--train.predictor.heads dual, or train one --train.dimensions"
+        )
+    pcfg = cfg.predictor
+    feature_dim = input_width // (pcfg.context_frames + 1)
+    if pcfg.feature_dim == 0:
+        return dataclasses.replace(pcfg, feature_dim=feature_dim)
+    if pcfg.feature_dim != feature_dim:
+        raise ContractError(
+            f"config feature_dim {pcfg.feature_dim} does not match data ({feature_dim})"
+        )
+    return pcfg
+
+
 def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
     """Build predictor (and per-dimension ACNs in acn mode) from the config.
 
@@ -266,11 +288,7 @@ def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
     annotations.
     """
     dims = resolve_dimensions(cfg)
-    if len(dims) > 1 and cfg.predictor.heads != "dual":
-        raise ConfigError(
-            "training both dimensions requires a dual-head predictor: set "
-            "--train.predictor.heads dual, or train one --train.dimensions"
-        )
+    pcfg = _predictor_config(cfg, data.feature_dim)
     for item in data.train:
         for dim in dims:
             if dim not in item.gold:
@@ -281,14 +299,6 @@ def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
                 raise ContractError(
                     f"window of {item.source_id!r} is missing annotations for {dim!r}"
                 )
-    pcfg = cfg.predictor
-    feature_dim = data.feature_dim // (pcfg.context_frames + 1)
-    if pcfg.feature_dim == 0:
-        pcfg = dataclasses.replace(pcfg, feature_dim=feature_dim)
-    elif pcfg.feature_dim != feature_dim:
-        raise ContractError(
-            f"config feature_dim {pcfg.feature_dim} does not match data ({feature_dim})"
-        )
     predictor = init_predictor(pcfg, substream(cfg.seed, "init/predictor"))
     acns: dict[str, Acn] = {}
     flipped: dict[str, bool] = {}
@@ -535,21 +545,16 @@ def write_epochs_csv(path, records: Sequence[EpochRecord]) -> None:
 def save_run(run_dir, run: TrainRun) -> None:
     """Persist a run directory: config.json, epochs.csv, checkpoint.json.
 
-    The checkpoint meta's mode, dimensions and config_hash derive from
-    ``run.config``, the config that config.json holds.
+    config.json is ``run.config``; the checkpoint holds the networks and
+    what training learned (masked windows, ACN flips, wall-clock time).
     """
     run_dir = Path(run_dir)
-    cfg = run.config
-    write_json(run_dir / "config.json", to_dict(cfg))
+    write_json(run_dir / "config.json", to_dict(run.config))
     write_epochs_csv(run_dir / "epochs.csv", run.epochs)
     nets = {"predictor": run.model.predictor.net}
     for dim, acn in run.model.acns.items():
         nets[f"acn/{dim}"] = acn.net
     meta = {
-        "mode": cfg.mode,
-        "dimensions": list(resolve_dimensions(cfg)),
-        "config_hash": config_hash(cfg),
-        "predictor_config": to_dict(run.model.predictor.config),
         "degenerate_windows": run.degenerate_windows,
         "acn_flipped": run.model.acn_flipped,
         "wall_clock_s": run.wall_clock_s,
@@ -557,31 +562,23 @@ def save_run(run_dir, run: TrainRun) -> None:
     save_checkpoint(run_dir / "checkpoint.json", nets, meta)
 
 
-def load_run_model(run_dir) -> tuple[JointModel, dict]:
-    """Rebuild the trained networks saved by save_run.
+def load_run_model(run_dir) -> tuple[JointModel, TrainConfig]:
+    """Rebuild the networks saved by save_run, with the run's config.json.
 
-    A checkpoint without a predictor, its config or its dimensions, whose
-    dimensions are not distinct names from DIMENSIONS (more than one only
-    with a dual head), or whose networks do not have the widths their
-    config implies, is a StructuralError naming the file.
+    A checkpoint without a predictor, or with networks of other widths than
+    the config implies, is a StructuralError naming checkpoint.json; a
+    config that does not decode or fit the predictor is one naming config.json.
     """
     path = Path(run_dir) / "checkpoint.json"
     nets, meta = load_checkpoint(path)
     if "predictor" not in nets:
         raise StructuralError(f"{path}: checkpoint has no predictor network")
-    dims = meta.get("dimensions")
-    if not (isinstance(dims, list) and dims and "predictor_config" in meta):
-        raise StructuralError(f"{path}: checkpoint meta lacks predictor_config or dimensions")
-    pcfg = from_dict(PredictorConfig, meta["predictor_config"], f"{path} predictor_config")
-    if not all(d in DIMENSIONS for d in dims) or len(set(dims)) != len(dims):
-        raise StructuralError(
-            f"{path}: checkpoint dimensions {dims} are not distinct names from {DIMENSIONS}"
-        )
-    if len(dims) > 1 and pcfg.heads != "dual":
-        raise StructuralError(
-            f"{path}: checkpoint dimensions {dims} need a dual-head predictor, "
-            f"its config has heads={pcfg.heads!r}"
-        )
+    cfg_path = Path(run_dir) / "config.json"
+    try:
+        cfg = from_dict(TrainConfig, read_json(cfg_path, "the run's config"))
+        pcfg = _predictor_config(cfg, nets["predictor"].in_dim)
+    except (ConfigError, ContractError) as exc:
+        raise StructuralError(f"{cfg_path}: {exc}") from exc
     predictor = Predictor(net=nets["predictor"], config=pcfg)
     widths = {"predictor": (pcfg.feature_dim * (pcfg.context_frames + 1), pcfg.output_dim)}
     acns = {}
@@ -597,4 +594,4 @@ def load_run_model(run_dir) -> tuple[JointModel, dict]:
                 f"its config needs {n_in} -> {n_out}"
             )
     flipped = meta.get("acn_flipped", {})
-    return JointModel(predictor=predictor, acns=acns, acn_flipped=flipped), meta
+    return JointModel(predictor=predictor, acns=acns, acn_flipped=flipped), cfg

@@ -300,8 +300,8 @@ class TestPipeline:
         assert saved.dimensions == "arousal"
         resolved = cli_config_from_dict(json.loads((r / "cli_config.json").read_text()))
         assert resolved.train == saved
-        model, meta = load_run_model(r)
-        assert meta["mode"] == "acn"
+        _, run_cfg = load_run_model(r)
+        assert run_cfg == saved
 
     def test_evaluate_prints_scores(self, tmp_path, capsys):
         d = make_dataset(tmp_path)
@@ -371,12 +371,10 @@ class TestPipeline:
         assert rc == 0 and p.exists()
 
     def test_predict_without_predictor_config_is_exit_1(self, tmp_path, capsys):
+        # the predictor config is the run's config.json; the checkpoint holds no copy
         d = make_dataset(tmp_path)
         r = self._train(tmp_path, d)
-        ck = r / "checkpoint.json"
-        doc = json.loads(ck.read_text())
-        del doc["meta"]["predictor_config"]
-        ck.write_text(json.dumps(doc))
+        (r / "config.json").unlink()
         capsys.readouterr()
         out = tmp_path / "pred.csv"
         rc = parse_and_dispatch(
@@ -385,44 +383,48 @@ class TestPipeline:
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "checkpoint.json" in err and "predictor_config" in err
+        assert err.startswith("error:") and f"{r / 'config.json'}: cannot read" in err
         assert not out.exists()
 
-    # meta dimensions a one-head arousal run cannot have
-    BAD_DIMENSIONS = {
-        "both_on_one_head": ["arousal", "valence"],
-        "unknown_dimension": ["dominance"],
-        "repeated_dimension": ["arousal", "arousal"],
+    # config.json edits a one-head arousal run cannot have: (keys, value, file refused).
+    # A config the networks do not fit names the checkpoint; one no such run may
+    # have names config.json.
+    CONFIG_FAULTS = {
+        "dual_on_one_output": (("predictor", "heads"), "dual", "checkpoint.json"),
+        "context_frames": (("predictor", "context_frames"), 2, "checkpoint.json"),
+        "both_on_one_head": (("dimensions",), "both", "config.json"),
+        "unknown_dimension": (("dimensions",), "dominance", "config.json"),
     }
 
     @pytest.mark.parametrize(
-        "fault",
-        ["no_layers", "unchained", "dual_on_one_output", "context_frames", "acn_outputs",
-         *BAD_DIMENSIONS],
+        "fault", ["no_layers", "unchained", "acn_outputs", *CONFIG_FAULTS]
     )
     def test_checkpoint_whose_nets_do_not_fit_is_exit_1(self, tmp_path, capsys, fault):
-        # the network faults used to end in internal-error (exit 2) mid-command; the
-        # dimension faults exited 0, scoring the arousal column under another name
+        # the network faults used to end in internal-error (exit 2) mid-command
         d = make_dataset(tmp_path)
         r = self._train(tmp_path, d)
-        ck = r / "checkpoint.json"
-        doc = json.loads(ck.read_text())
-        layers = doc["networks"]["predictor"]["layers"]
-        if fault == "no_layers":
-            layers.clear()
-        elif fault == "unchained":
-            layers[-1]["weights"] = [[0.1] * 5]
-        elif fault == "dual_on_one_output":
-            doc["meta"]["predictor_config"]["heads"] = "dual"
-        elif fault == "context_frames":
-            doc["meta"]["predictor_config"]["context_frames"] = 2
-        elif fault == "acn_outputs":
-            head = doc["networks"]["acn/arousal"]["layers"][-1]
-            head["weights"] *= 2
-            head["bias"] *= 2
+        if fault in self.CONFIG_FAULTS:
+            keys, value, refused = self.CONFIG_FAULTS[fault]
+            doc = json.loads((r / "config.json").read_text())
+            node = doc
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+            (r / "config.json").write_text(json.dumps(doc))
         else:
-            doc["meta"]["dimensions"] = self.BAD_DIMENSIONS[fault]
-        ck.write_text(json.dumps(doc))
+            refused = "checkpoint.json"
+            ck = r / refused
+            doc = json.loads(ck.read_text())
+            layers = doc["networks"]["predictor"]["layers"]
+            if fault == "no_layers":
+                layers.clear()
+            elif fault == "unchained":
+                layers[-1]["weights"] = [[0.1] * 5]
+            else:
+                head = doc["networks"]["acn/arousal"]["layers"][-1]
+                head["weights"] *= 2
+                head["bias"] *= 2
+            ck.write_text(json.dumps(doc))
         capsys.readouterr()
         src, out = d / "source_00", tmp_path / "out.csv"
         for argv in (
@@ -434,8 +436,35 @@ class TestPipeline:
         ):
             assert parse_and_dispatch(argv) == 1
             err = capsys.readouterr().err
-            assert err.startswith("error:") and "checkpoint.json" in err, (argv[0], err)
+            assert err.startswith("error:") and f"{r / refused}: " in err, (argv[0], err)
             assert not out.exists()
+
+    def test_checkpoint_meta_does_not_outrank_the_runs_config(self, tmp_path, capsys):
+        # the checkpoint meta used to copy the config, and its copy was trusted: with
+        # dimensions ["valence"] there, evaluate scored the arousal head as valence and
+        # predict wrote it under that name, both exit 0
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d, mode="baseline")
+        ck = r / "checkpoint.json"
+        doc = json.loads(ck.read_text())
+        doc["meta"].update(
+            mode="acn",
+            dimensions=["valence"],
+            config_hash="00" * 32,
+            predictor_config=to_dict(PredictorConfig(feature_dim=4, encoder_dims=(8,))),
+        )
+        ck.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert parse_and_dispatch(["evaluate", "--run", str(r), "--dataset", str(d)]) == 0
+        assert re.fullmatch(r"arousal ccc=\S+\n", capsys.readouterr().out)
+        out = tmp_path / "pred.csv"
+        rc = parse_and_dispatch(
+            ["predict", "--run", str(r), "--features", str(d / "source_00" / "features.csv"),
+             "--out", str(out), "--dimension", "valence"]
+        )
+        assert rc == 1
+        assert "run was trained on ['arousal'], not 'valence'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_evaluate_refuses_an_unknown_source(self, tmp_path, capsys):
         d = make_dataset(tmp_path)
@@ -446,6 +475,18 @@ class TestPipeline:
         )
         assert rc == 1
         assert "unknown sources: ['nope']" in capsys.readouterr().err
+
+    def test_evaluate_refuses_a_repeated_source(self, tmp_path, capsys):
+        # a source named twice used to count twice in the mean
+        d = make_dataset(tmp_path, sources=3, frames=300)
+        r = self._train(tmp_path, d)
+        capsys.readouterr()
+        rc = parse_and_dispatch(
+            ["evaluate", "--run", str(r), "--dataset", str(d),
+             "--sources", "source_00,source_00,source_01"]
+        )
+        assert rc == 1
+        assert "sources named more than once: ['source_00']" in capsys.readouterr().err
 
     def test_aggregate_acn_refuses_a_dimension_without_a_consensus_net(self, tmp_path, capsys):
         d = make_dataset(tmp_path)
@@ -649,6 +690,19 @@ class TestPipeline:
         )
         assert rc == 1
         assert "each fold needs sources on both sides" in capsys.readouterr().err
+
+    def test_ab_fixed_split_refuses_a_repeated_source(self, tmp_path, capsys):
+        # a source named twice used to be cut into windows twice
+        d = make_dataset(tmp_path, sources=3, frames=300)
+        c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        capsys.readouterr()
+        rc = parse_and_dispatch(
+            ["ab", "--config", str(c), "--eval.scheme", "fixed_split",
+             "--eval.train_sources", "source_00,source_00,source_01",
+             "--eval.test_sources", "source_02"]
+        )
+        assert rc == 1
+        assert "more than once: ['source_00']" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -119,6 +119,21 @@ class TestFoldPlan:
                 folds=((("a",), ("b",)), (("a",), ("b",))),
             )
 
+    @pytest.mark.parametrize(
+        "make, repeated",
+        [
+            (lambda: make_fixed_split(["s0", "s0", "s1"], ["s2"]), "s0"),
+            (lambda: make_fixed_split(["s0", "s1"], ["s2", "s2"]), "s2"),
+            # the fold that holds out "s1" trains on ("s0", "s0")
+            (lambda: make_loso_plan(["s0", "s0", "s1"]), "s0"),
+        ],
+        ids=["train", "test", "loso"],
+    )
+    def test_repeated_source_rejected(self, make, repeated):
+        # a fixed split naming a source twice used to window, or score, it twice
+        with pytest.raises(ContractError, match=rf"more than once: \['{repeated}'\]"):
+            make()
+
     def test_empty_sides_rejected(self):
         with pytest.raises(ContractError):
             FoldPlan(scheme="fixed_split", folds=(((), ("a",)),))

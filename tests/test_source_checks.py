@@ -343,3 +343,33 @@ def test_train_run_check_catches_what_it_looks_for():
         "    return t.TrainRun(), TrainRun, isinstance(t, TrainRun), TrainRunner()\n"
     )
     assert _located(tree, _builds_train_run) == [(None, 2), ("f", 4)]
+
+
+# trainer.py is the one module that knows a run directory's layout; the others
+# reach its files through save_run and load_run_model.
+RUN_FILES = {"config.json", "checkpoint.json", "epochs.csv"}
+
+
+def _names_run_file(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value in RUN_FILES
+
+
+def test_run_directory_layout_has_one_home():
+    found = [
+        (path.name, func, line)
+        for path in MODULES
+        for func, line in _located(_parse(path), _names_run_file)
+    ]
+    assert found and {name for name, _, _ in found} == {"trainer.py"}, (
+        f"run files named at {found}; outside trainer.py, use save_run and load_run_model"
+    )
+
+
+def test_run_file_check_catches_what_it_looks_for():
+    tree = ast.parse(
+        '"""Writes config.json."""\n'
+        "def f(d):\n"
+        "    return d / 'config.json', d / 'cli_config.json', d / 'epochs.csv.tmp'\n"
+        "g = {'checkpoint.json': 1, 'epochs.csv': 2}\n"
+    )
+    assert _located(tree, _names_run_file) == [("f", 3), (None, 4), (None, 4)]

@@ -20,7 +20,7 @@ from emocons.consensus import (
     make_mean_acn,
 )
 from emocons.errors import ConfigError, ContractError
-from emocons.nn import OptimConfig, optimizer_step, zero_grads
+from emocons.nn import OptimConfig, load_checkpoint, optimizer_step, zero_grads
 from emocons.predictor import (
     PredictorConfig,
     build_inputs,
@@ -911,9 +911,12 @@ class TestArtifacts:
         assert (tmp_path / "run" / "config.json").exists()
         assert (tmp_path / "run" / "epochs.csv").exists()
 
-        model, meta = load_run_model(tmp_path / "run")
-        assert meta["mode"] == "acn"
-        assert meta["config_hash"] == config_hash(run.config)
+        model, saved = load_run_model(tmp_path / "run")
+        assert saved == run.config
+        assert config_hash(saved) == config_hash(run.config)
+        # the checkpoint holds only what training learned; config.json holds the config
+        _, meta = load_checkpoint(tmp_path / "run" / "checkpoint.json")
+        assert set(meta) == {"degenerate_windows", "acn_flipped", "wall_clock_s"}
         assert_params_equal(model.predictor.net, net_params(run.model.predictor.net))
         assert_params_equal(
             model.acns["valence"].net, net_params(run.model.acns["valence"].net)
@@ -941,7 +944,7 @@ class TestArtifacts:
         masked = sum(s.degenerate for s in run.steps)
         assert masked > 0
         save_run(tmp_path / "run", run)
-        _, meta = load_run_model(tmp_path / "run")
+        _, meta = load_checkpoint(tmp_path / "run" / "checkpoint.json")
         assert meta["degenerate_windows"] == masked
 
     @pytest.mark.parametrize("mode", TRAIN_MODES)
@@ -979,8 +982,9 @@ class TestAcnOrientation:
         run = train_joint(data, cfg)
         assert run.model.acn_flipped == {"valence": flipped}
         save_run(tmp_path / "run", run)
-        model, meta = load_run_model(tmp_path / "run")
+        _, meta = load_checkpoint(tmp_path / "run" / "checkpoint.json")
         assert meta["acn_flipped"] == {"valence": flipped}
+        model, _ = load_run_model(tmp_path / "run")
         assert model.acn_flipped == {"valence": flipped}
 
     def test_initial_consensus_never_anti_correlated(self):
