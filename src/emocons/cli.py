@@ -460,6 +460,13 @@ def _cmd_metrics(cfg: CliConfig, ns) -> int:
 
 def _cmd_ab(cfg: CliConfig, ns) -> int:
     dataset_dir = _require(cfg.dataset_dir, "dataset_dir", "--dataset or --dataset_dir")
+    if cfg.eval.scheme != "fixed_split":
+        for name in ("train_sources", "test_sources"):
+            if getattr(cfg.eval, name):
+                raise ConfigError(
+                    f"eval.{name} is read only by eval.scheme fixed_split, "
+                    f"not {cfg.eval.scheme!r}"
+                )
     ds = load_dataset(dataset_dir)
     plan = None  # ab_compare's default: leave one source out
     if cfg.eval.scheme == "fixed_split":

@@ -452,6 +452,108 @@ def test_loader_matches_per_value_parser(tmp_path_factory, text):
     assert got.rate_hz == 1.0 / float(np.median(np.diff(want[:, 0])))
 
 
+# The reader's kernel takes fields of at most 9 integer digits.
+PARSE_LIMIT = 999_999_999.999999
+
+parse_values = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 4e-7, -4e-7, 5e-7, 1e-6, -1e-6, 0.5,
+         123456789.25, -987654321.5, PARSE_LIMIT, -PARSE_LIMIT]
+    ),
+    st.floats(-PARSE_LIMIT, PARSE_LIMIT, allow_nan=False),
+    st.floats(-1e-5, 1e-5, allow_nan=False),
+    # exact ties and near-half products: tables the % fallback writes
+    st.integers(-(10**6), 10**6).map(lambda k: k / 2**7),
+    st.integers(-(10**9), 10**9).map(lambda k: (k + 0.5) / 1e6),
+)
+
+
+# fewer than 2 rows are refused (test_writers_refuse_fewer_than_two_rows)
+parse_tables = st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.lists(parse_values, min_size=w, max_size=w), min_size=2, max_size=30)
+)
+
+
+@given(parse_tables, st.sampled_from(RATES))
+@example([[-0.0, 1 / 128], [5e-324, -PARSE_LIMIT]], 25.0)  # a tie: the % fallback writes it
+@example([[123456789.0], [-5e-324], [0.0]], 30.0)
+@settings(max_examples=150, deadline=None)
+def test_parse_kernel_reads_what_np_loadtxt_reads(tmp_path_factory, rows, rate):
+    """Every table _write_table writes with at most 9 integer digits a value
+    is read by the kernel, bit for bit as np.loadtxt reads it, also when the
+    text is cut into many blocks."""
+    cols = np.array(rows, dtype=np.float64)
+    width = cols.shape[1]
+    path = tmp_path_factory.mktemp("p") / "t.csv"
+    _write_table(path, ["time", *(f"c{j}" for j in range(width))], rate, cols)
+    header, rest = annotations._read_header(path)
+    want = np.loadtxt(io.StringIO(rest), delimiter=",", ndmin=2)
+    got = annotations._fixed6_parse(rest, len(header))
+    assert got is not None
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(annotations, "_PARSE_BLOCK", 30)  # about one row a block
+        blocks = annotations._fixed6_parse(rest, len(header))
+    assert np.array_equal(blocks.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "body, width",
+    [
+        ("1.000000\n\n2.000000\n", 1),
+        ("\n1.000000\n", 1),
+        ("+1.000000\n", 1),
+        ("1e3\n", 1),
+        ('"1.000000"\n', 1),
+        ("1.0000000\n", 1),
+        ("1.00000\n", 1),
+        ("-\n", 1),
+        ("-.000000\n", 1),
+        ("1234567890.000000\n", 1),
+        ("1.000000", 1),
+        ("1.000000\n2.000000,3.000000,4.000000\n", 2),
+        ("1.000000,2.000000\n", 1),
+        ("1.000000\n", 2),
+        (" 1.000000\n", 1),
+        ("1.000000\t\n", 1),
+        ("1.000000\r\n", 1),
+        ("1-2.000000\n", 1),
+        ("1/2.000000\n", 1),
+        ("1.00:000\n", 1),
+        ("1.000000;2.000000\n", 2),
+        ("١.000000\n", 1),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, str) else None,
+)
+def test_parse_kernel_leaves_other_text_to_np_loadtxt(body, width, monkeypatch):
+    assert annotations._fixed6_parse(body, width) is None
+    # the same fault after rows that parse, in a later block
+    rows = (",".join(["-1.500000"] * width) + "\n") * 3
+    monkeypatch.setattr(annotations, "_PARSE_BLOCK", 1)
+    assert annotations._fixed6_parse(rows + body, width) is None
+    assert annotations._fixed6_parse(rows, width) is not None
+
+
+def test_default_synth_corpus_loads_through_the_parse_kernel(tmp_path, monkeypatch):
+    """Every CSV write_dataset writes for a default synthetic corpus is read
+    by the kernel: one that always fell back to np.loadtxt would pass every
+    test of what the loader returns."""
+    kernel = annotations._fixed6_parse
+    parsed = []
+
+    def strict(rest, width):
+        table = kernel(rest, width)
+        assert table is not None, f"a {width}-column body fell back to np.loadtxt"
+        parsed.append(width)
+        return table
+
+    cfg = default_synth_config(seed=5)
+    write_dataset(tmp_path, Dataset([generate_source(cfg, i) for i in range(2)]))
+    monkeypatch.setattr(annotations, "_fixed6_parse", strict)
+    load_dataset(tmp_path)
+    assert len(parsed) == len(list(tmp_path.rglob("*.csv"))) == 10
+
+
 class TestLoadErrors:
     def test_bad_token_after_blank_lines_names_its_line(self, tmp_path):
         p = write(tmp_path, "a.csv", "time,a1\n0.0,0.1\n\n\n0.04,oops\n")

@@ -704,6 +704,19 @@ class TestPipeline:
         assert rc == 1
         assert "more than once: ['source_00']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["train_sources", "test_sources"])
+    def test_ab_refuses_sources_outside_fixed_split(self, tmp_path, capsys, field):
+        # leave-one-source-out used to run, and exit 0, ignoring the list
+        d = make_dataset(tmp_path, sources=2, frames=300)
+        c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        capsys.readouterr()
+        rc = parse_and_dispatch(
+            ["ab", "--config", str(c), "--eval.seeds", "1,2,3", f"--eval.{field}", "nope"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"eval.{field} is read only by eval.scheme fixed_split" in err
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
