@@ -309,10 +309,11 @@ def _grid_rate(path: Path, times: np.ndarray, rate_hz: float | None, rows=None) 
     """The sampling rate of a time column, once its grid is found uniform.
 
     Every step must lie within [0.5, 1.5] x the median step.  With
-    ``rate_hz`` (a dataset manifest's rate) every time must also lie within
-    half a step of its place on that grid, and ``rate_hz`` is the rate;
-    otherwise the rate is the inverse median step.  ``times[k]`` sits in
-    body row ``rows[k]`` (default ``k``); errors name that row's line.
+    ``rate_hz`` (a dataset manifest's rate) the k-th time must also lie
+    within half a step of ``k / rate_hz``, so the column starts at 0, and
+    ``rate_hz`` is the rate; otherwise the rate is the inverse median step.
+    ``times[k]`` sits in body row ``rows[k]`` (default ``k``); errors name
+    that row's line.
     """
     n = times.shape[0]
     if n < 2:
@@ -332,9 +333,10 @@ def _grid_rate(path: Path, times: np.ndarray, rate_hz: float | None, rows=None) 
         refuse(k, f"is off the uniform grid: step {steps[k - 1]:g} s, median step {median:g} s")
     if rate_hz is None:
         return 1.0 / median
-    drift = np.abs(times - times[0] - np.arange(n) / rate_hz)
+    drift = np.abs(times - np.arange(n) / rate_hz)
     if np.any(drift >= 0.5 / rate_hz):
-        refuse(int(np.argmax(drift >= 0.5 / rate_hz)), f"is off the manifest's {rate_hz} Hz grid")
+        k = int(np.argmax(drift >= 0.5 / rate_hz))
+        refuse(k, f"is off the manifest's {rate_hz} Hz grid from 0")
     return rate_hz
 
 
@@ -818,7 +820,7 @@ def load_dataset(root: str | Path) -> Dataset:
     """Load a dataset directory written by write_dataset.
 
     Every stream takes the manifest's ``rate_hz``, once its time column is
-    found to follow that rate.  The manifest's ``dimensions`` must be
+    found to follow that rate from 0.  The manifest's ``dimensions`` must be
     distinct names from DIMENSIONS and its ``feature_dim`` the width of
     every ``features.csv``.
     """

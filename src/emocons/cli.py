@@ -165,8 +165,6 @@ def _tuple_item(tp):
 def _type_name(tp) -> str:
     if tp in (bool, int, float, str):
         return tp.__name__.upper()
-    if tp == float | None:
-        return "FLOAT|none"
     if item := _tuple_item(tp):
         return f"{item.__name__.upper()},..."
     return "JSON"
@@ -178,8 +176,6 @@ def _parse_value(name: str, raw: str):
     try:
         if tp is bool:
             return _BOOL_WORDS[text.lower()]
-        if tp == float | None:
-            return None if text.lower() in ("none", "null", "") else float(text)
         if tp in (int, float, str):
             return tp(text)
         if item := _tuple_item(tp):
@@ -193,8 +189,6 @@ def _parse_value(name: str, raw: str):
 
 def _format_value(value) -> str:
     """A default in the form its flag parses back."""
-    if value is None:
-        return "none"
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, tuple):
@@ -274,7 +268,9 @@ _ALIASES: dict[str, dict[str, str]] = {
         "dataset": "dataset_dir",
         "out": "run_dir",
     },
-    "evaluate": {"dataset": "dataset_dir"},
+    "evaluate": {"dataset": "dataset_dir", "run": "run_dir", "sources": "eval.test_sources"},
+    "aggregate": {"checkpoint": "run_dir"},
+    "predict": {"run": "run_dir"},
     "ab": {"dataset": "dataset_dir", "out": "run_dir", "seeds": "eval.seeds"},
 }
 
@@ -310,12 +306,10 @@ def _build_parser() -> _Parser:
     command("train", "train one run")
 
     p = command("evaluate", "score a trained run against gold on a dataset")
-    p.add_argument("--run", metavar="DIR", help="run directory (default: run_dir)")
     p.add_argument(
         "--pooling", choices=POOLINGS, default="pooled",
         help="score whole traces or average window scores",
     )
-    p.add_argument("--sources", metavar="IDS", help="comma-separated source filter")
 
     p = command("aggregate", "collapse an annotation matrix into one consensus trace")
     p.add_argument("--in", dest="input", metavar="CSV", required=True,
@@ -323,12 +317,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", dest="output", metavar="CSV", required=True,
                    help="consensus csv to write")
     p.add_argument("--method", choices=AGGREGATE_METHODS, default="mean")
-    p.add_argument("--checkpoint", metavar="DIR",
-                   help="trained run directory (required for --method acn)")
     p.add_argument("--dimension", default="arousal", metavar="DIM")
 
     p = command("predict", "run a trained predictor over a feature csv")
-    p.add_argument("--run", metavar="DIR", required=True, help="run directory")
     p.add_argument("--features", metavar="CSV", required=True)
     p.add_argument("--out", dest="output", metavar="CSV", required=True)
     p.add_argument("--dimension", metavar="DIM",
@@ -386,14 +377,12 @@ def _cmd_train(cfg: CliConfig, ns) -> int:
 
 
 def _cmd_evaluate(cfg: CliConfig, ns) -> int:
-    run_dir = ns.run or cfg.run_dir
-    run_dir = _require(run_dir, "run directory", "--run or --run_dir")
+    run_dir = _require(cfg.run_dir, "run_dir", "--run or --run_dir")
     dataset_dir = _require(cfg.dataset_dir, "dataset_dir", "--dataset or --dataset_dir")
     model, run_cfg = load_run_model(run_dir)
     ds = load_dataset(dataset_dir)
     sources = list(ds.sources)
-    if ns.sources:
-        wanted = [t.strip() for t in ns.sources.split(",") if t.strip()]
+    if wanted := cfg.eval.test_sources:
         by_id = {s.source_id: s for s in sources}
         missing = [sid for sid in wanted if sid not in by_id]
         if missing:
@@ -412,13 +401,12 @@ def _cmd_evaluate(cfg: CliConfig, ns) -> int:
 def _cmd_aggregate(cfg: CliConfig, ns) -> int:
     matrix = load_annotation_csv(ns.input, ns.dimension)
     if ns.method == "acn":
-        if not ns.checkpoint:
-            raise ConfigError("--checkpoint is required for --method acn")
-        model, _ = load_run_model(ns.checkpoint)
+        run_dir = _require(cfg.run_dir, "run_dir for --method acn", "--checkpoint or --run_dir")
+        model, _ = load_run_model(run_dir)
         acn = model.acns.get(ns.dimension)
         if acn is None:
             raise ContractError(
-                f"{ns.checkpoint}: checkpoint has no consensus net for {ns.dimension!r}"
+                f"{run_dir}: checkpoint has no consensus net for {ns.dimension!r}"
             )
         track = GoldStandardTrack(
             dimension=ns.dimension,
@@ -437,12 +425,13 @@ def _cmd_aggregate(cfg: CliConfig, ns) -> int:
 
 
 def _cmd_predict(cfg: CliConfig, ns) -> int:
+    run_dir = _require(cfg.run_dir, "run_dir", "--run or --run_dir")
     feats = load_features_csv(ns.features)
-    model, run_cfg = load_run_model(ns.run)
+    model, run_cfg = load_run_model(run_dir)
     dims = resolve_dimensions(run_cfg)
     dim = ns.dimension or dims[0]
     if dim not in dims:
-        raise ContractError(f"{ns.run}: run was trained on {list(dims)}, not {dim!r}")
+        raise ContractError(f"{run_dir}: run was trained on {list(dims)}, not {dim!r}")
     out = forward_predictor(model.predictor, feats.data)
     col = output_index(model.predictor.config, dim)
     write_trace_csv(ns.output, out[:, col], feats.rate_hz)
@@ -451,9 +440,16 @@ def _cmd_predict(cfg: CliConfig, ns) -> int:
 
 
 def _cmd_metrics(cfg: CliConfig, ns) -> int:
-    x = load_gold_csv(ns.x, ns.dimension).values
-    y = load_gold_csv(ns.y, ns.dimension).values
-    result = ccc.ccc_loss(x, y)
+    x = load_gold_csv(ns.x, ns.dimension)
+    y = load_gold_csv(ns.y, ns.dimension)
+    # the last frame of equal-length traces must sit within half a step on both grids
+    last = x.values.size - 1
+    if abs(last / x.rate_hz - last / y.rate_hz) >= 0.5 / max(x.rate_hz, y.rate_hz):
+        raise ContractError(
+            f"{ns.x} ({x.rate_hz:g} Hz) and {ns.y} ({y.rate_hz:g} Hz) "
+            "are not on one time grid"
+        )
+    result = ccc.ccc_loss(x.values, y.values)
     print(f"ccc={round(result.ccc, 6)} loss={round(result.loss, 6)}")
     return 0
 

@@ -3,16 +3,14 @@
 ``to_dict`` is ``dataclasses.asdict``.  ``from_dict`` rebuilds a config
 from that form, also after a JSON round trip has turned its tuples into
 lists, by following the field type hints: nested dataclasses,
-``tuple[X, ...]`` and ``Sequence[X]`` (decoded to tuples),
-``Mapping[str, X]`` and ``X | None``.  Unknown keys, values of the wrong
-JSON type and values the constructor refuses are a ``ConfigError`` naming
-the section.
+``tuple[X, ...]`` and ``Sequence[X]`` (decoded to tuples) and
+``Mapping[str, X]``.  Unknown keys, values of the wrong JSON type and
+values the constructor refuses are a ``ConfigError`` naming the section.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import types
 import typing
 from collections.abc import Mapping, Sequence
 
@@ -50,11 +48,6 @@ def _decode(tp, value, path: str):
     if dataclasses.is_dataclass(tp):
         return from_dict(tp, value, path)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        if value is None and type(None) in args:
-            return None
-        (inner,) = [a for a in args if a is not type(None)]
-        return _decode(inner, value, path)
     if origin in (tuple, Sequence):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path} must be a list, got {type(value).__name__}")

@@ -38,6 +38,7 @@ from .codec import from_dict, to_dict
 from .errors import ConfigError, ContractError, StructuralError
 from . import predictor
 from .trainer import (
+    TRAIN_MODES,
     TrainConfig,
     config_hash,
     prepare_data,
@@ -493,11 +494,8 @@ def _run_folds(tasks: Sequence[tuple], workers: int):
 
 @dataclass(frozen=True)
 class SeedDelta:
-    """Aggregate scores of the two compared runs for one seed.
-
-    `baseline` and `acn` name the first and second compared mode; `delta`
-    is second minus first, per dimension.
-    """
+    """Aggregate scores of the two modes' runs for one seed; `delta` is
+    acn minus baseline, per dimension."""
 
     seed: int
     baseline: Mapping[str, float]
@@ -517,7 +515,6 @@ def ab_compare(
     base_cfg: TrainConfig,
     seeds: Sequence[int],
     *,
-    modes: tuple[str, str] = ("baseline", "acn"),
     plan: FoldPlan | None = None,
     run_root=None,
 ) -> AbComparison:
@@ -541,8 +538,6 @@ def ab_compare(
         raise ContractError("paired comparison needs at least three seeds")
     if len(set(seeds)) != len(seeds):
         raise ContractError("duplicate seeds in paired comparison")
-    if len(modes) != 2:
-        raise ContractError("exactly two modes are compared")
     root = None if run_root is None else Path(run_root)
     dims = resolve_dimensions(base_cfg)
     # one cross-validation per (seed, mode), seed by seed
@@ -552,7 +547,7 @@ def ab_compare(
             None if root is None else root / f"seed_{seed:02d}" / f"{slot}_{mode}",
         )
         for seed in seeds
-        for slot, mode in enumerate(modes)
+        for slot, mode in enumerate(TRAIN_MODES)
     ]
     reports: list[Report] = []
     rows: list[SeedDelta] = []
@@ -560,9 +555,9 @@ def ab_compare(
     for pair in zip(run_reports, run_reports):  # one seed's two runs, as they arrive
         reports.extend(pair)
         seed = pair[0].seeds[0]
-        first, second = (r.aggregate[mode] for r, mode in zip(pair, modes))
-        delta = {d: second[d] - first[d] for d in dims}
-        rows.append(SeedDelta(seed=seed, baseline=dict(first), acn=dict(second), delta=delta))
+        baseline, acn = (r.aggregate[mode] for r, mode in zip(pair, TRAIN_MODES))
+        delta = {d: acn[d] - baseline[d] for d in dims}
+        rows.append(SeedDelta(seed=seed, baseline=dict(baseline), acn=dict(acn), delta=delta))
         logger.info("seed %d: %s", seed, " ".join(f"d_{d}={delta[d]:+.4f}" for d in dims))
     median = {
         d: float(statistics.median(r.delta[d] for r in rows)) for d in dims

@@ -90,12 +90,12 @@ class OptimConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    grad_clip_norm: float | None = 5.0
+    grad_clip_norm: float = 5.0
 
     def __post_init__(self):
         for name in ("learning_rate", "eps", "grad_clip_norm"):
             value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
+            if not (math.isfinite(value) and value > 0):
                 raise ContractError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ContractError(f"betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
@@ -394,13 +394,12 @@ def adam_step(
 
 
 def optimizer_step(net: Network, cfg: OptimConfig) -> None:
-    """One full update: finiteness check, optional clip, Adam, grads zeroed."""
+    """One full update: finiteness check, clip, Adam, grads zeroed."""
     if not np.isfinite(net._grad).all():
         for i, layer in enumerate(net.layers):
             if not (np.all(np.isfinite(layer.grad_w)) and np.all(np.isfinite(layer.grad_b))):
                 raise ContractError(f"non-finite gradient in layer {i} ({layer.activation})")
-    if cfg.grad_clip_norm is not None:
-        clip_gradients(net, cfg.grad_clip_norm)
+    clip_gradients(net, cfg.grad_clip_norm)
     adam_step(net, lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     zero_grads(net)
 

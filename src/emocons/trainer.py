@@ -231,14 +231,14 @@ def prepare_data(
     return TrainData(train=tuple(items), val=tuple(val_sources))
 
 
-def make_batches(segments, batch_size: int, seed: int, shuffle: bool = True) -> list[Batch]:
-    """Split items into batches, keeping the final partial batch."""
+def make_batches(segments, batch_size: int, seed: int) -> list[Batch]:
+    """Shuffle items by ``seed`` and split them into batches, keeping the
+    final partial batch."""
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     items = list(segments)
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(len(items))
-        items = [items[i] for i in order]
+    order = np.random.default_rng(seed).permutation(len(items))
+    items = [items[i] for i in order]
     return [
         Batch(segments=tuple(items[i : i + batch_size]))
         for i in range(0, len(items), batch_size)

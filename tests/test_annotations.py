@@ -670,6 +670,23 @@ class TestDatasetManifest:
         with pytest.raises(StructuralError, match=want):
             load_dataset(root)
 
+    @pytest.mark.parametrize(
+        "shift, refused", [(1.0, True), (0.4, False)], ids=["frame", "under_half"]
+    )
+    def test_time_column_starts_at_zero(self, tmp_path, shift, refused):
+        # a gold trace shifted by one frame used to load, then pair with the features by row
+        root = self._write_with_manifest(tmp_path)
+        path = root / "s0" / "gold_arousal.csv"
+        header, *rows = path.read_text().splitlines()
+        shifted = [f"{float(t) + shift / 25.0:.6f},{v}" for t, v in (r.split(",") for r in rows)]
+        path.write_text("\n".join([header, *shifted]) + "\n")
+        if refused:
+            want = r"gold_arousal\.csv: time 0\.040000 at line 2 is off the manifest's 25.0 Hz grid"
+            with pytest.raises(StructuralError, match=want):
+                load_dataset(root)
+        else:
+            assert load_dataset(root).sources[0].gold["arousal"].rate_hz == 25.0
+
     @pytest.mark.parametrize("rate", [0, -25.0, "25", None, True])
     def test_bad_manifest_rate_refused(self, tmp_path, rate):
         root = self._write_with_manifest(tmp_path, rate_hz=rate)

@@ -82,7 +82,7 @@ class TestCliConfig:
     @given(
         run_dir=st.text(max_size=8),
         alpha=st.floats(0.0, 1.0),
-        clip=st.none() | st.floats(0.1, 10.0),
+        clip=st.floats(0.1, 10.0),
         encoder=st.lists(st.integers(1, 64), min_size=1, max_size=3),
         detach=st.booleans(),
         synth_seed=st.integers(0, 2**31),
@@ -149,11 +149,11 @@ class TestCliConfig:
         with pytest.raises(ConfigError, match=path):
             cli_config_from_dict({"version": 1, **section})
 
-    def test_int_for_float_and_null_for_optional(self):
+    def test_int_stands_in_for_float(self):
         cfg = cli_config_from_dict(
-            {"version": 1, "train": {"alpha": 1, "optim": {"grad_clip_norm": None}}}
+            {"version": 1, "train": {"alpha": 1, "optim": {"grad_clip_norm": 2}}}
         )
-        assert cfg.train.alpha == 1 and cfg.train.optim.grad_clip_norm is None
+        assert cfg.train.alpha == 1 and cfg.train.optim.grad_clip_norm == 2
 
     def test_sections_default_when_missing(self):
         cfg = cli_config_from_dict({"version": 1})
@@ -207,8 +207,21 @@ class TestFlagRegistry:
         for alias in ("mode", "dimension", "dataset", "out"):
             assert f"--{alias} " in out
         assert "--train.alpha FLOAT default: 0.5" in out
-        assert "--train.optim.grad_clip_norm FLOAT|none default: 5.0" in out
+        assert "--train.optim.grad_clip_norm FLOAT default: 5.0" in out
         assert "--eval.seeds INT,... default: 1,2,3,4,5" in out
+
+    @pytest.mark.parametrize(
+        "command, alias, path",
+        [
+            ("evaluate", "run STR", "run_dir"),
+            ("evaluate", "sources STR,...", "eval.test_sources"),
+            ("predict", "run STR", "run_dir"),
+            ("aggregate", "checkpoint STR", "run_dir"),
+        ],
+    )
+    def test_run_and_source_flags_are_aliases(self, capsys, command, alias, path):
+        assert parse_and_dispatch([command, "--help"]) == 0
+        assert f"--{alias} alias for --{path}" in " ".join(capsys.readouterr().out.split())
 
     def test_top_level_help_lists_subcommands(self, capsys):
         rc = parse_and_dispatch(["--help"])
@@ -225,7 +238,7 @@ class TestFlagRegistry:
                 "train.epochs": "3",
                 "train.predictor.encoder_dims": "16,8",
                 "train.detach_consensus_in_second_term": "true",
-                "train.optim.grad_clip_norm": "none",
+                "train.optim.grad_clip_norm": "2.5",
                 "eval.seeds": "4,5,6",
                 "eval.train_sources": "a,b",
             },
@@ -235,7 +248,7 @@ class TestFlagRegistry:
         assert cfg.train.epochs == 3
         assert cfg.train.predictor.encoder_dims == (16, 8)
         assert cfg.train.detach_consensus_in_second_term is True
-        assert cfg.train.optim.grad_clip_norm is None
+        assert cfg.train.optim.grad_clip_norm == 2.5
         assert cfg.eval.seeds == (4, 5, 6)
         assert cfg.eval.train_sources == ("a", "b")
 
@@ -488,6 +501,48 @@ class TestPipeline:
         assert rc == 1
         assert "sources named more than once: ['source_00']" in capsys.readouterr().err
 
+    def test_evaluate_reads_eval_test_sources(self, tmp_path, capsys):
+        # evaluate used to score every source and exit 0, ignoring the list
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        capsys.readouterr()
+        rc = parse_and_dispatch(
+            ["evaluate", "--run", str(r), "--dataset", str(d), "--eval.scheme", "fixed_split",
+             "--eval.train_sources", "zzz", "--eval.test_sources", "nope"]
+        )
+        assert rc == 1
+        assert "unknown sources: ['nope']" in capsys.readouterr().err
+
+    def test_evaluate_sources_is_eval_test_sources(self, tmp_path, capsys):
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        argv = ["evaluate", "--run", str(r), "--dataset", str(d), "--pooling", "per_window_mean"]
+        outs = []
+        for flags in ([], ["--sources", "source_00"], ["--eval.test_sources", "source_00"]):
+            capsys.readouterr()
+            assert parse_and_dispatch(argv + flags) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[2] != outs[0]
+
+    def test_predict_and_aggregate_take_the_run_from_run_dir(self, tmp_path):
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        c = write_config(tmp_path, name="use.json", run_dir=str(r))
+        commands = {
+            "predict": (["--features", str(d / "source_00" / "features.csv")], "--run"),
+            "aggregate": (
+                ["--in", str(d / "source_00" / "annotations_arousal.csv"), "--method", "acn"],
+                "--checkpoint",
+            ),
+        }
+        for command, (argv, alias) in commands.items():
+            outs = []
+            for flags in (["--config", str(c)], ["--run_dir", str(r)], [alias, str(r)]):
+                out = tmp_path / f"{command}_{len(outs)}.csv"
+                assert parse_and_dispatch([command, *argv, "--out", str(out), *flags]) == 0
+                outs.append(out.read_text())
+            assert outs[0] == outs[1] == outs[2]
+
     def test_aggregate_acn_refuses_a_dimension_without_a_consensus_net(self, tmp_path, capsys):
         d = make_dataset(tmp_path)
         r = self._train(tmp_path, d)
@@ -580,6 +635,21 @@ class TestPipeline:
         loss = float(out.split()[1].split("=")[1])
         assert 0 < ccc < 1
         assert loss == pytest.approx(1 - ccc, abs=1e-6)
+
+    @pytest.mark.parametrize("rate_y, refused", [(50.0, True), (25.1, False)])
+    def test_metrics_refuses_traces_on_different_grids(self, tmp_path, capsys, rate_y, refused):
+        # 100 frames at 25 Hz against the same values at 50 Hz used to score ccc=1.0
+        values = 0.5 * np.sin(np.linspace(0, 9, 100))
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_gold_csv(x, GoldStandardTrack("arousal", 25.0, values))
+        write_gold_csv(y, GoldStandardTrack("arousal", rate_y, values))
+        rc = parse_and_dispatch(["metrics", "--x", str(x), "--y", str(y)])
+        out, err = capsys.readouterr()
+        if refused:
+            assert rc == 1
+            assert err.startswith(f"error: {x} (25 Hz) and {y} (50 Hz) are not on one time grid")
+        else:
+            assert rc == 0 and out.strip() == "ccc=1.0 loss=0.0"
 
     def test_aggregate_mean(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -826,6 +896,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{flag.rpartition('.')[2]} must be" in err
         assert not r.exists()
+
+    @pytest.mark.parametrize("given", ["file", "flag"])
+    def test_clipping_cannot_be_switched_off(self, tmp_path, capsys, given):
+        optim = {"grad_clip_norm": None} if given == "file" else {}
+        c = write_config(tmp_path, train=tiny_train_section(optim=optim))
+        flags = ["--train.optim.grad_clip_norm", "none"] if given == "flag" else []
+        assert parse_and_dispatch(["train", "--config", str(c), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "train.optim.grad_clip_norm" in err
 
     def test_nan_in_config_file_is_exit_1_before_the_run(self, tmp_path, capsys):
         d = make_dataset(tmp_path)

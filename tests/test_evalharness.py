@@ -501,18 +501,6 @@ class TestAbCompare:
         with pytest.raises(ContractError, match="seed"):
             ab_compare(corpus, tiny_cfg(), seeds=[1, 2])
 
-    def test_identical_modes_give_zero_deltas(self):
-        corpus = tiny_corpus()
-        cmp = ab_compare(
-            corpus,
-            tiny_cfg(epochs=1),
-            seeds=[1, 2, 3],
-            modes=("baseline", "baseline"),
-        )
-        for row in cmp.per_seed:
-            assert row.delta == {"valence": 0.0}
-        assert cmp.median_delta == {"valence": 0.0}
-
     def test_paired_structure_and_medians(self):
         corpus = tiny_corpus()
         cmp = ab_compare(corpus, tiny_cfg(epochs=1), seeds=[1, 2, 3])

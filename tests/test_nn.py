@@ -411,7 +411,7 @@ def reference_optimizer_step(state, trainable, step, cfg):
         for s in state
     )
     norm = math.sqrt(total)
-    if cfg.grad_clip_norm is not None and norm > cfg.grad_clip_norm:
+    if norm > cfg.grad_clip_norm:
         for s in state:
             s["grad_w"] *= cfg.grad_clip_norm / norm
             s["grad_b"] *= cfg.grad_clip_norm / norm
@@ -464,7 +464,7 @@ class TestFlatState:
         widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
         frozen=st.lists(st.booleans(), min_size=4, max_size=4),
         scale=st.sampled_from([1e-3, 1.0, 30.0]),
-        clip=st.sampled_from([None, 0.5, 5.0]),
+        clip=st.sampled_from([0.5, 5.0]),
         steps=st.integers(1, 5),
     )
     @settings(max_examples=150, deadline=None)
@@ -630,7 +630,7 @@ class TestOptimizer:
         net.layers[0].weights[:] = [[0.3]]
         zero_grads(net)
         net.layers[0].grad_w[:] = 1.0
-        optimizer_step(net, OptimConfig(learning_rate=1e-3, grad_clip_norm=None))
+        optimizer_step(net, OptimConfig(learning_rate=1e-3))
         assert net.layers[0].weights[0, 0] == pytest.approx(0.3 - 1e-3, abs=1e-9)
 
     def test_optimizer_step_zeroes_grads(self):

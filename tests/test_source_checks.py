@@ -1,6 +1,10 @@
-"""Source checks over ``src/emocons`` that a linter would make, by ``ast`` scan."""
+"""Source checks over ``src/emocons`` that a linter would make, by ``ast`` scan,
+and of the type hints of the dataclasses that ``codec.from_dict`` decodes."""
 
 import ast
+import dataclasses
+import importlib
+import typing
 from pathlib import Path
 
 import pytest
@@ -373,3 +377,71 @@ def test_run_file_check_catches_what_it_looks_for():
         "g = {'checkpoint.json': 1, 'epochs.csv': 2}\n"
     )
     assert _located(tree, _names_run_file) == [("f", 3), (None, 4), (None, 4)]
+
+
+# codec.from_dict decodes no `X | None`: a setting that can be switched off by a
+# null is a second code path that some pipeline must reach, or it goes.
+def _decoded_roots() -> list[type]:
+    """The dataclasses that modules other than codec.py pass to from_dict."""
+    roots = []
+    for path in MODULES:
+        if path.name == "codec.py":
+            continue
+        module = importlib.import_module(f"emocons.{path.stem}")
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "from_dict":
+                roots.append(getattr(module, node.args[0].id))
+    return roots
+
+
+def _optional_init_fields(roots) -> list[str]:
+    """``Class.field`` of every init field whose type holds an ``X | None``, in
+    the dataclass trees under ``roots``, through nested dataclasses, tuples and
+    mappings."""
+    found, seen, todo = [], set(), list(roots)
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if not f.init:
+                continue
+            parts, stack = [], [hints[f.name]]
+            while stack:
+                tp = stack.pop()
+                parts.append(tp)
+                stack.extend(typing.get_args(tp))
+            if type(None) in parts:
+                found.append(f"{cls.__name__}.{f.name}")
+            todo.extend(tp for tp in parts if dataclasses.is_dataclass(tp))
+    return sorted(found)
+
+
+def test_decoded_configs_have_no_optional_fields():
+    roots = _decoded_roots()
+    assert {"CliConfig", "Report", "DenseLayer"} <= {cls.__name__ for cls in roots}
+    assert _optional_init_fields(roots) == []
+
+
+def test_optional_field_check_catches_what_it_looks_for():
+    ns: dict = {}
+    exec(
+        "import dataclasses\n"
+        "from typing import Mapping, Optional\n"
+        "@dataclasses.dataclass\n"
+        "class Leaf:\n"
+        "    a: float | None = None\n"
+        "    b: Optional[int] = None\n"
+        "    c: float = 1.0\n"
+        "    d: int | None = dataclasses.field(default=None, init=False)\n"
+        "    e: tuple[int | None, ...] = ()\n"
+        "@dataclasses.dataclass\n"
+        "class Root:\n"
+        "    leaves: tuple[Leaf, ...] = ()\n"
+        "    by_name: Mapping[str, Leaf] = dataclasses.field(default_factory=dict)\n"
+        "    f: str | None = None\n",
+        ns,
+    )
+    assert _optional_init_fields([ns["Root"]]) == ["Leaf.a", "Leaf.b", "Leaf.e", "Root.f"]

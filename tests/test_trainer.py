@@ -205,13 +205,8 @@ def numbered_items(n, w=10):
 
 class TestBatches:
     def test_sizes_keep_partial_tail(self):
-        batches = make_batches(numbered_items(70), 32, seed=0, shuffle=False)
+        batches = make_batches(numbered_items(70), 32, seed=0)
         assert [len(b.segments) for b in batches] == [32, 32, 6]
-
-    def test_no_shuffle_preserves_order(self):
-        batches = make_batches(numbered_items(10), 4, seed=3, shuffle=False)
-        flat = [s.start_frame for b in batches for s in b.segments]
-        assert flat == list(range(10))
 
     def test_shuffle_is_seeded(self):
         a = make_batches(numbered_items(40), 8, seed=5)
@@ -591,7 +586,7 @@ class TestEndToEndGradients:
         )
         data = prepare_data(list(corpus.sources), [], cfg)
         model = init_models(data, cfg)
-        batch = make_batches(data.train, cfg.batch_size, seed=0, shuffle=False)[0]
+        batch = Batch(data.train[: cfg.batch_size])
         n_params = sum(
             l.weights.size + l.bias.size
             for net in [model.predictor.net, model.acns["valence"].net]
@@ -630,7 +625,7 @@ class TestEndToEndGradients:
         )
         data = prepare_data(list(corpus.sources), [], cfg)
         model = init_models(data, cfg)
-        batch = make_batches(data.train, cfg.batch_size, seed=0, shuffle=False)[0]
+        batch = Batch(data.train[: cfg.batch_size])
         zero_grads(model.predictor.net)
         compute_batch(model, batch, cfg)
         l = model.predictor.net.layers[0]
