@@ -19,9 +19,9 @@ affect dimension, ``gold_<dim>.csv`` and ``annotations_<dim>.csv``.
 Loaders read a file whole and refuse, with the file and line, a ragged row,
 a token that is not a number, a non-finite value and a time column off a
 uniform grid; inside a dataset directory every stream takes the manifest's
-rate.  Files are UTF-8 and go through ``atomic``: writers replace a file
-atomically, and a file that cannot be read or decoded is refused with its
-path.
+rate.  Files are UTF-8 and go through ``atomic`` as bytes: writers replace a
+file atomically, and a file that cannot be read or decoded is refused with
+its path.
 
 ``window_bounds`` is the one place that cuts a source into fixed-length
 windows; training and per-window scoring both slice by its bounds.
@@ -40,7 +40,15 @@ from typing import NoReturn
 
 import numpy as np
 
-from .atomic import atomic_write, envelope, open_envelope, open_text, read_json, write_json
+from .atomic import (
+    atomic_write_binary,
+    decode_text,
+    envelope,
+    open_envelope,
+    read_binary,
+    read_json,
+    write_json,
+)
 from .errors import ContractError, ParseError, StructuralError
 
 DIMENSIONS = ("arousal", "valence")
@@ -203,42 +211,56 @@ class WindowSpec:
 # ---------------------------------------------------------------------------
 # CSV reading and writing
 #
-# A file is read once: csv.reader takes the header from its first non-blank
-# row, and the numeric body is parsed in one call.  A body in the writer's
-# grammar (every field ``-?D{1,9}.D{6}``, rows of the header's width, each
-# ending in ``\n``) is parsed by a numpy kernel (_fixed6_parse): each field's
-# digits are read as two 8-byte words and joined by multiply-shift rounds
-# into its integer count of millionths, exact in float64, so dividing by
-# 1e6 gives np.loadtxt's bits.  Any other body, and the long layout with its
-# text column, goes to np.loadtxt.  Only when that parse, or a check on the
-# parsed array, fails is the file scanned row by row to name the offending
-# line (1-based, blank lines counted).
+# A file is read once, as bytes: csv.reader takes the header from its first
+# non-blank row, decoded, and the body after it stays bytes.  A body in the
+# writer's grammar (every field ``-?D{1,9}.D{6}``, rows of the header's
+# width, each ending in ``\n`` or each in ``\r\n``) is parsed by a numpy
+# kernel (_fixed6_parse): each field's digits are read as two 8-byte words
+# and joined by multiply-shift rounds into its integer count of millionths,
+# exact in float64, so dividing by 1e6 gives np.loadtxt's bits.  Any other
+# body, and the long layout with its text column, is decoded as UTF-8 with
+# universal newlines, the text a text-mode open() reads, and goes to
+# np.loadtxt.  Only when that parse, or a check on the parsed array, fails
+# is the file scanned row by row to name the offending line (1-based, blank
+# lines counted).
 #
-# A file is written as csv.writer's header row, then a body whose every
-# value reads as ``"%.6f"`` prints it.  The body is built by a numpy kernel
-# (_fixed6_rows): each value's digits go into fixed-width slots of one byte
-# buffer through 1000-entry three-digit tables, unused slots are NUL, and
-# one boolean compaction drops them.  One ``%`` format of the whole table
-# (_percent_rows) gives the same text and is kept only as the fallback for
-# a table the kernel does not cover.
+# A file is written as bytes: csv.writer's header row in UTF-8, then a body
+# whose every value reads as ``"%.6f"`` prints it.  The body is built by a
+# numpy kernel (_fixed6_rows): each value's digits go into fixed-width slots
+# of one byte buffer through 1000-entry three-digit tables, unused slots are
+# NUL, and one boolean compaction drops them.  One ``%`` format of the whole
+# table (_percent_rows) gives the same bytes and is kept only as the
+# fallback for a table the kernel does not cover.
 
 
 def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Return (header, [(line_number, fields), ...]) skipping blank lines."""
-    with open_text(path, "CSV") as fh:
-        rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
+    fh = io.StringIO(decode_text(read_binary(path, "CSV"), path, "CSV"))
+    rows = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
     (_, header), body = rows[0], rows[1:]
     return header, body
 
 
-def _read_header(path: Path) -> tuple[list[str], str]:
-    """The first non-blank row, its fields stripped, and the text after it."""
-    with open_text(path, "CSV") as fh:
+def _read_header(path: Path) -> tuple[list[str], bytes]:
+    """The first non-blank row, its fields stripped, and the bytes after it.
+
+    When the file's first line is not blank and holds no ``"`` and no ``\\r``
+    but the one before its ``\\n``, that line is the header and the body is
+    every byte after it.  Any other file is read as decode_text reads it,
+    and the body is the text after csv.reader's first non-blank row, as UTF-8.
+    """
+    raw = read_binary(path, "CSV")
+    line, newline, rest = raw.partition(b"\n")
+    line = line.removesuffix(b"\r")
+    if newline and line and b'"' not in line and b"\r" not in line:
+        header = next(csv.reader([decode_text(line, path, "CSV")]))
+    else:
+        fh = io.StringIO(decode_text(raw, path, "CSV"))
         header = next(filter(None, csv.reader(fh)), None)
-        rest = fh.read()
-    if header is None:
-        raise StructuralError(f"{path}: empty file")
-    if not rest.strip("\n"):
+        if header is None:
+            raise StructuralError(f"{path}: empty file")
+        rest = fh.read().encode()
+    if not rest.lstrip(b"\r\n"):
         raise StructuralError(f"{path}: no data rows")
     return [c.strip() for c in header], rest
 
@@ -270,7 +292,7 @@ def _raise_bad_row(path: Path, width: int, text_cols: tuple, reason: str) -> NoR
     raise ParseError(reason, path=path)
 
 
-def _parse_body(path: Path, header: list[str], rest: str, converters=None) -> np.ndarray:
+def _parse_body(path: Path, header: list[str], rest: bytes, converters=None) -> np.ndarray:
     """The rows after the header as one (rows, len(header)) array of finite floats.
 
     ``converters`` maps a text column to a function giving a number for each
@@ -280,9 +302,10 @@ def _parse_body(path: Path, header: list[str], rest: str, converters=None) -> np
     table = None if converters else _fixed6_parse(rest, width)
     bad = None
     if table is None:
+        text = decode_text(rest, path, "CSV")
         try:
             table = np.loadtxt(
-                io.StringIO(rest),
+                io.StringIO(text),
                 delimiter=",",
                 quotechar='"',
                 comments=None,
@@ -353,7 +376,7 @@ def _clamp(values: np.ndarray, path: Path) -> np.ndarray:
 
 
 def _load_long(
-    path: Path, header: list[str], rest: str, dimension: str, rate_hz: float | None
+    path: Path, header: list[str], rest: bytes, dimension: str, rate_hz: float | None
 ) -> AnnotationMatrix:
     codes: dict[str, int] = {}
 
@@ -387,6 +410,9 @@ def _load_annotations(path: Path, dimension: str, rate_hz: float | None) -> Anno
     ids = header[1:]
     if not ids:
         raise StructuralError(f"{path}: no annotator columns")
+    if len(set(ids)) < len(ids):
+        repeated = next(a for a in ids if ids.count(a) > 1)
+        raise StructuralError(f"{path}: annotator id {repeated!r} heads more than one column")
     table = _parse_body(path, header, rest)
     rate = _grid_rate(path, table[:, 0], rate_hz)
     order = sorted(range(len(ids)), key=lambda j: ids[j])
@@ -466,7 +492,7 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return words
 
 
-def _fixed6_rows(table: np.ndarray) -> str | None:
+def _fixed6_rows(table: np.ndarray) -> bytes | None:
     """A non-empty ``table`` as CSV rows ending in CRLF, each value as ``"%.6f"`` prints it.
 
     With p = v * 1e6 and q = rint(p), q is the integer ``"%.6f"`` prints
@@ -519,13 +545,13 @@ def _fixed6_rows(table: np.ndarray) -> str | None:
     words[:, -1] = ord("\n")
     text = words.view(np.uint8)
     text[:, -5] = ord("\r")
-    return text[text != 0].tobytes().decode("ascii")
+    return text[text != 0].tobytes()
 
 
-def _percent_rows(table: np.ndarray) -> str:
-    """The text of _fixed6_rows by one ``%`` format of the whole table: the fallback."""
+def _percent_rows(table: np.ndarray) -> bytes:
+    """The bytes of _fixed6_rows by one ``%`` format of the whole table: the fallback."""
     row = ",".join(["%.6f"] * table.shape[1]) + "\r\n"
-    return row * table.shape[0] % tuple(table.ravel().tolist())
+    return (row * table.shape[0] % tuple(table.ravel().tolist())).encode("ascii")
 
 
 # Bytes of text per _fixed6_block call, cut after a row: small enough for
@@ -566,29 +592,30 @@ def _swar8(words: np.ndarray) -> None:
         words >>= np.uint64(bits)
 
 
-def _fixed6_parse(rest: str, width: int) -> np.ndarray | None:
+def _fixed6_parse(rest: bytes, width: int) -> np.ndarray | None:
     """The rows of ``rest`` as a (rows, width) float64 array, as np.loadtxt reads them.
 
     Returns None unless every field is ``-?D{1,9}\\.D{6}`` (what _write_table
     writes of values below 1e9 in magnitude), fields are separated by ``,``
-    and each row of exactly ``width`` fields ends in ``\\n``.  A field is
-    read as its count q of micro-units: |q| < 10**15 < 2**53 is exact in
-    float64, so q / 1e6 is the correctly rounded decimal, as strtod gives
-    it, and q / -1e6 its negation, ``-0.000000`` reading -0.0.
+    and each row of exactly ``width`` fields ends in ``\\n``, or each in
+    ``\\r\\n`` (as _write_table ends them).  A field is read as its count q
+    of micro-units: |q| < 10**15 < 2**53 is exact in float64, so q / 1e6 is
+    the correctly rounded decimal, as strtod gives it, and q / -1e6 its
+    negation, ``-0.000000`` reading -0.0.
     """
-    raw = rest.encode()
-    if not raw.endswith(b"\n"):
+    if not rest.endswith(b"\n"):
         return None
-    text = np.frombuffer(raw, np.uint8)
+    crlf = rest.endswith(b"\r\n")
+    text = np.frombuffer(rest, np.uint8)
     blocks = []
     start = 0
-    while start < len(raw):
-        stop = raw.find(b"\n", start + _PARSE_BLOCK) + 1 or len(raw)
+    while start < len(rest):
+        stop = rest.find(b"\n", start + _PARSE_BLOCK) + 1 or len(rest)
         if start >= 16:
-            block = _fixed6_block(text, start, stop, width)
+            block = _fixed6_block(text, start, stop, width, crlf)
         else:  # the first fields' words reach 16 bytes before the text
             padded = np.concatenate((np.zeros(16, np.uint8), text[:stop]))
-            block = _fixed6_block(padded, 16 + start, 16 + stop, width)
+            block = _fixed6_block(padded, 16 + start, 16 + stop, width, crlf)
         if block is None:
             return None
         blocks.append(block)
@@ -596,28 +623,40 @@ def _fixed6_parse(rest: str, width: int) -> np.ndarray | None:
     return np.concatenate(blocks).reshape(-1, width)
 
 
-def _fixed6_block(buf: np.ndarray, start: int, stop: int, width: int) -> np.ndarray | None:
+def _fixed6_block(
+    buf: np.ndarray, start: int, stop: int, width: int, crlf: bool
+) -> np.ndarray | None:
     """_fixed6_parse of the whole rows in ``buf[start:stop]``, with 16 bytes before them.
 
-    Every byte is checked.  Each field ends at a byte <= 44, which must be
-    the ``,`` or ``\\n`` its column calls for, and has its ``.`` 7 bytes
-    before that.  Counts then show that the only other bytes below ``0``
-    are leading ``-`` signs and that none lies above ``9``.  The 16 bytes
-    before a field's end are two words: up to 8 integer digits, then the
-    last integer digit, ``.`` and the 6 decimals.  XOR with ``0``s, a mask
-    keeping the integer digits, moving the last one into the ``.``'s byte
-    and _swar8 turn them into q // 10**7 and q % 10**7.
+    Every byte is checked.  Each field ends at a mark, a byte <= 44 other
+    than, with CRLF rows, a byte <= 10, which must be the ``,``, ``\\n`` or
+    ``\\r`` its column calls for, and has its ``.`` 7 bytes before that; the
+    byte after a ``\\r`` must be ``\\n``.  Counts then show that the only
+    other bytes below ``0`` are leading ``-`` signs and that none lies above
+    ``9``.  The 16 bytes before a field's end are two words: up to 8
+    integer digits, then the last integer digit, ``.`` and the 6 decimals.
+    XOR with ``0``s, a mask keeping the integer digits, moving the last one
+    into the ``.``'s byte and _swar8 turn them into q // 10**7 and q % 10**7.
     """
     b = buf[start:stop]
-    ends = np.flatnonzero(b <= ord(","))
-    if ends.size % width or b.max() > ord("9"):
+    if crlf:  # b - 11 wraps the bytes <= 10, "\n" among them, past 33
+        ends = np.flatnonzero(b - np.uint8(11) <= ord(",") - 11)
+    else:
+        ends = np.flatnonzero(b <= ord(","))
+    if not ends.size or ends.size % width or b.max() > ord("9"):
         return None
-    seps = b[ends].reshape(-1, width)
-    if not ((seps[:, :-1] == ord(",")).all() and (seps[:, -1] == ord("\n")).all()):
+    row = np.frombuffer(b"," * (width - 1) + (b"\r" if crlf else b"\n"), np.uint8)
+    if not (b[ends].reshape(-1, width) == row).all():
         return None
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
+    linefeeds = 0  # below 0 but not marks
+    if crlf:  # each \r's \n is the next byte, and a row's first field starts after it
+        linefeeds = ends.size // width
+        if not (b[ends[width - 1 :: width] + 1] == ord("\n")).all():
+            return None
+        starts[width::width] += 1
     neg = b[starts] == ord("-")
     unsigned = ends - starts
     unsigned -= neg  # 7 + the count of integer digits
@@ -625,7 +664,7 @@ def _fixed6_block(buf: np.ndarray, start: int, stop: int, width: int) -> np.ndar
         unsigned.min() >= 8
         and unsigned.max() <= 16
         and (b[ends - 7] == ord(".")).all()
-        and np.count_nonzero(b < ord("0")) == 2 * ends.size + np.count_nonzero(neg)
+        and np.count_nonzero(b < ord("0")) == 2 * ends.size + linefeeds + np.count_nonzero(neg)
     ):
         return None
     # element j holds b[j - 16 : j]
@@ -660,10 +699,13 @@ def _write_table(path: Path, header: list[str], rate_hz: float, columns: np.ndar
     table = np.column_stack([np.arange(n) / rate_hz, columns])
     rows = max(1, _FIXED6_BLOCK // table.shape[1])
     blocks = [_fixed6_rows(table[i : i + rows]) for i in range(0, n, rows)]
-    body = _percent_rows(table) if None in blocks else "".join(blocks)
-    with atomic_write(path, newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.write(body)
+    if None in blocks:
+        blocks = [_percent_rows(table)]
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    with atomic_write_binary(path) as fh:
+        fh.write(head.getvalue().encode())
+        fh.writelines(blocks)
 
 
 def _check_rows(path: Path, n: int) -> None:

@@ -377,6 +377,12 @@ def _cmd_train(cfg: CliConfig, ns) -> int:
 
 
 def _cmd_evaluate(cfg: CliConfig, ns) -> int:
+    default = EvalConfig()
+    for name in ("scheme", "train_sources", "seeds"):
+        if getattr(cfg.eval, name) != getattr(default, name):
+            raise ConfigError(
+                f"eval.{name} is not read by evaluate, which scores the run on eval.test_sources"
+            )
     run_dir = _require(cfg.run_dir, "run_dir", "--run or --run_dir")
     dataset_dir = _require(cfg.dataset_dir, "dataset_dir", "--dataset or --dataset_dir")
     model, run_cfg = load_run_model(run_dir)

@@ -98,6 +98,16 @@ class TestLoadWide:
         m = load_annotation_csv(p, "arousal")
         np.testing.assert_allclose(m.data[:, 0], [0.1, 0.2])
 
+    @pytest.mark.parametrize("header", ["time,a1,a1", "time,a1, a1 ", 'time,"a1",b,a1'])
+    def test_repeated_annotator_id_refused_with_its_file(self, tmp_path, header):
+        # used to be a ContractError from AnnotationMatrix that named no file
+        width = header.count(",")
+        row = ",".join(["0.1"] * width)
+        p = write(tmp_path, "a.csv", f"{header}\n0.0,{row}\n0.04,{row}\n")
+        want = re.escape(f"{p}: annotator id 'a1' heads more than one column")
+        with pytest.raises(StructuralError, match=want):
+            load_annotation_csv(p, "arousal")
+
 
 class TestLoadLong:
     def test_long_format_matrix(self, tmp_path):
@@ -386,7 +396,7 @@ def test_kernel_formats_tables_of_its_domain(values, width):
     width = min(width, len(values))
     table = np.array(values[: len(values) // width * width]).reshape(-1, width)
     want = "".join(",".join(f"{v:.6f}" for v in row) + "\r\n" for row in table)
-    assert annotations._fixed6_rows(table) == want
+    assert annotations._fixed6_rows(table) == want.encode()
 
 
 @pytest.mark.parametrize(
@@ -422,7 +432,7 @@ def test_default_synth_source_takes_the_kernel(tmp_path, monkeypatch):
 
 @st.composite
 def messy_feature_csvs(draw):
-    """A features CSV in LF or CRLF, with blank lines, padded and quoted numbers."""
+    """A features CSV in LF, CRLF or CR, with blank lines, padded and quoted numbers."""
     rate = draw(st.sampled_from(RATES))
     n, width = draw(st.integers(2, 25)), draw(st.integers(1, 4))
     styles = st.sampled_from(["{}", " {} ", "\t{}", '"{}"', '" {}"', "{} "])
@@ -437,7 +447,7 @@ def messy_feature_csvs(draw):
         row = [k / rate] + draw(st.lists(table_values, min_size=width, max_size=width))
         lines.append(",".join(token(v) for v in row))
         lines += [""] * draw(st.integers(0, 2))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
@@ -481,54 +491,74 @@ parse_tables = st.integers(1, 4).flatmap(
 def test_parse_kernel_reads_what_np_loadtxt_reads(tmp_path_factory, rows, rate):
     """Every table _write_table writes with at most 9 integer digits a value
     is read by the kernel, bit for bit as np.loadtxt reads it, also when the
-    text is cut into many blocks."""
+    text is cut into many blocks, and also with its CRLF rows ending in LF."""
     cols = np.array(rows, dtype=np.float64)
     width = cols.shape[1]
     path = tmp_path_factory.mktemp("p") / "t.csv"
     _write_table(path, ["time", *(f"c{j}" for j in range(width))], rate, cols)
     header, rest = annotations._read_header(path)
-    want = np.loadtxt(io.StringIO(rest), delimiter=",", ndmin=2)
-    got = annotations._fixed6_parse(rest, len(header))
-    assert got is not None
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(annotations, "_PARSE_BLOCK", 30)  # about one row a block
-        blocks = annotations._fixed6_parse(rest, len(header))
-    assert np.array_equal(blocks.view(np.int64), want.view(np.int64))
+    assert rest.endswith(b"\r\n")
+    want = np.loadtxt(io.StringIO(rest.decode()), delimiter=",", ndmin=2)
+    for body in (rest, rest.replace(b"\r\n", b"\n")):
+        got = annotations._fixed6_parse(body, len(header))
+        assert got is not None
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(annotations, "_PARSE_BLOCK", 30)  # about one row a block
+            blocks = annotations._fixed6_parse(body, len(header))
+        assert np.array_equal(blocks.view(np.int64), want.view(np.int64))
+
+
+def test_parse_kernel_reads_crlf_and_lf_rows_alike():
+    lf = b"1.000000,-0.000000\n-22.500000,0.000001\n"
+    got = annotations._fixed6_parse(lf.replace(b"\n", b"\r\n"), 2)
+    want = annotations._fixed6_parse(lf, 2)
+    assert want is not None and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
     "body, width",
     [
-        ("1.000000\n\n2.000000\n", 1),
-        ("\n1.000000\n", 1),
-        ("+1.000000\n", 1),
-        ("1e3\n", 1),
-        ('"1.000000"\n', 1),
-        ("1.0000000\n", 1),
-        ("1.00000\n", 1),
-        ("-\n", 1),
-        ("-.000000\n", 1),
-        ("1234567890.000000\n", 1),
-        ("1.000000", 1),
-        ("1.000000\n2.000000,3.000000,4.000000\n", 2),
-        ("1.000000,2.000000\n", 1),
-        ("1.000000\n", 2),
-        (" 1.000000\n", 1),
-        ("1.000000\t\n", 1),
-        ("1.000000\r\n", 1),
-        ("1-2.000000\n", 1),
-        ("1/2.000000\n", 1),
-        ("1.00:000\n", 1),
-        ("1.000000;2.000000\n", 2),
-        ("١.000000\n", 1),
+        (b"1.000000\n\n2.000000\n", 1),
+        (b"\n1.000000\n", 1),
+        (b"+1.000000\n", 1),
+        (b"1e3\n", 1),
+        (b'"1.000000"\n', 1),
+        (b"1.0000000\n", 1),
+        (b"1.00000\n", 1),
+        (b"-\n", 1),
+        (b"-.000000\n", 1),
+        (b"1234567890.000000\n", 1),
+        (b"1.000000", 1),
+        (b"1.000000\n2.000000,3.000000,4.000000\n", 2),
+        (b"1.000000,2.000000\n", 1),
+        (b"1.000000\n", 2),
+        (b" 1.000000\n", 1),
+        (b"1.000000\t\n", 1),
+        (b"1-2.000000\n", 1),
+        (b"1/2.000000\n", 1),
+        (b"1.00:000\n", 1),
+        (b"1.000000;2.000000\n", 2),
+        ("١.000000\n".encode(), 1),
+        (b"1.000000\r", 1),
+        (b"1.000000\r2.000000\r\n", 1),
+        (b"1.000000\r5\n2.000000\r\n", 1),
+        (b"1.000000\r\r\n", 1),
+        (b"1.000000\r\n\r\n2.000000\r\n", 1),
+        (b"\r\n1.000000\r\n", 1),
+        (b"1.000000\n2.000000\r\n", 1),
+        (b"1.000000\r\n2.000000\n", 1),
+        (b"1.000000,2.000000\r\n", 1),
+        (b"1.000000\r\n", 2),
+        (b"1.000000\r,2.000000\r\n", 2),
     ],
-    ids=lambda v: repr(v) if isinstance(v, str) else None,
+    ids=lambda v: repr(v.decode()) if isinstance(v, bytes) else None,
 )
 def test_parse_kernel_leaves_other_text_to_np_loadtxt(body, width, monkeypatch):
     assert annotations._fixed6_parse(body, width) is None
     # the same fault after rows that parse, in a later block
-    rows = (",".join(["-1.500000"] * width) + "\n") * 3
+    eol = b"\r\n" if body.endswith(b"\r\n") else b"\n"
+    rows = (b",".join([b"-1.500000"] * width) + eol) * 3
     monkeypatch.setattr(annotations, "_PARSE_BLOCK", 1)
     assert annotations._fixed6_parse(rows + body, width) is None
     assert annotations._fixed6_parse(rows, width) is not None
@@ -552,6 +582,56 @@ def test_default_synth_corpus_loads_through_the_parse_kernel(tmp_path, monkeypat
     monkeypatch.setattr(annotations, "_fixed6_parse", strict)
     load_dataset(tmp_path)
     assert len(parsed) == len(list(tmp_path.rglob("*.csv"))) == 10
+
+
+# Files that a reader of text (UTF-8, universal newlines) read as below: the
+# byte path must load the same ids and values, or refuse the file with the
+# same error type, line and the file's path.
+ROWS = [b"0.000000,0.100000,-0.200000", b"0.040000,0.300000,0.400000"]
+PARITY_CASES = {
+    "lf": b"time,a1,a2\n" + b"\n".join(ROWS) + b"\n",
+    "crlf": b"time,a1,a2\r\n" + b"\r\n".join(ROWS) + b"\r\n",
+    "cr": b"time,a1,a2\r" + b"\r".join(ROWS) + b"\r",
+    "lone_cr_in_body": b"time,a1,a2\r\n" + b"\r".join(ROWS) + b"\r\n",
+    "lone_cr_ends_header": b"time,a1,a2\r" + b"\n".join(ROWS) + b"\n",
+    "leading_blank_lines": b"\n\r\n\rtime,a1,a2\n" + b"\n".join(ROWS) + b"\n",
+    "quoted_ids": b'time,"a,1","b\n2"\r\n' + b"\r\n".join(ROWS) + b"\r\n",
+    "bom": b"\xef\xbb\xbftime,a1,a2\n" + b"\n".join(ROWS) + b"\n",
+    "non_utf8_header": b"time,a\xe9,a2\n" + b"\n".join(ROWS) + b"\n",
+    "non_utf8_body": b"time,a1,a2\n" + b"\n".join(ROWS) + b"\n0.080000,\xe9,0.1\n",
+    "lf_only_body": b"time,a1,a2\n\n\n",
+    "crlf_only_body": b"time,a1,a2\r\n\r\n",
+    "cr_then_bad_token": b"time,a1,a2\r\n" + ROWS[0] + b"\r0.040000,oops,0.4\r\n",
+    "crlf_then_ragged_row": b"time,a1,a2\r\n" + ROWS[0] + b"\r\n\r\n0.040000,0.3\r\n",
+}
+PARITY_WANT = {
+    "quoted_ids": ("a,1", "b\n2"),
+    "bom": (StructuralError, None, "first column must be 'time', got '\\ufefftime'"),
+    "non_utf8_header": (StructuralError, None, "cannot read CSV"),
+    "non_utf8_body": (StructuralError, None, "cannot read CSV"),
+    "lf_only_body": (StructuralError, None, "no data rows"),
+    "crlf_only_body": (StructuralError, None, "no data rows"),
+    "cr_then_bad_token": (ParseError, 3, "cannot parse 'oops'"),
+    "crlf_then_ragged_row": (StructuralError, None, "line 4 has 2 fields, expected 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARITY_CASES))
+def test_byte_path_reads_files_as_the_text_path_did(tmp_path, case):
+    p = tmp_path / "a.csv"
+    p.write_bytes(PARITY_CASES[case])
+    want = PARITY_WANT.get(case, ("a1", "a2"))
+    if isinstance(want[0], str):
+        m = load_annotation_csv(p, "arousal")
+        assert m.annotator_ids == want
+        assert m.data.tobytes() == np.array([[0.1, -0.2], [0.3, 0.4]]).tobytes()
+        assert m.rate_hz == 25.0
+        return
+    kind, line, match = want
+    with pytest.raises(kind, match=re.escape(match)) as info:
+        load_annotation_csv(p, "arousal")
+    assert type(info.value) is kind and str(info.value).startswith(f"{p}: ")
+    assert getattr(info.value, "line", None) == line
 
 
 class TestLoadErrors:
@@ -721,6 +801,17 @@ class TestDatasetManifest:
         with pytest.raises(ContractError, match=want):
             write_dataset(root, ds)
         assert list(tmp_path.rglob("*")) == []
+
+    def test_repeated_annotator_id_refused_with_its_file(self, tmp_path):
+        root = tmp_path / "d"
+        write_dataset(root, Dataset([make_source(100, source_id="s0")]))
+        path = root / "s0" / "annotations_arousal.csv"
+        text = path.read_bytes()
+        assert text.startswith(b"time,a0,a1\r\n")
+        path.write_bytes(b"time,a0,a0" + text[len(b"time,a0,a1") :])
+        want = re.escape(f"{path}: annotator id 'a0' heads more than one column")
+        with pytest.raises(StructuralError, match=want):
+            load_dataset(root)
 
     def test_sources_must_be_a_list(self, tmp_path):
         root = self._write_with_manifest(tmp_path, sources="s0")

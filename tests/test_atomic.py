@@ -16,7 +16,7 @@ from emocons.annotations import (
     write_features_csv,
     write_gold_csv,
 )
-from emocons.atomic import atomic_write
+from emocons.atomic import atomic_write, atomic_write_binary, read_binary
 from emocons.errors import StructuralError
 from emocons.evalharness import FoldScore, load_report, make_report, save_report
 from emocons.nn import DenseLayer, Network, load_checkpoint, save_checkpoint
@@ -44,6 +44,21 @@ def test_failure_midway_keeps_old_file_and_leaves_no_temp(tmp_path):
             raise RuntimeError("interrupted")
     assert p.read_text() == "old"
     assert [q.name for q in tmp_path.iterdir()] == ["a.txt"]
+
+
+def test_binary_form_replaces_only_when_block_completes(tmp_path):
+    p = tmp_path / "a.csv"
+    p.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with atomic_write_binary(p) as fh:
+            fh.write(b"half")
+            raise RuntimeError("interrupted")
+    assert p.read_bytes() == b"old"
+    with atomic_write_binary(p) as fh:
+        fh.write(b"new\r\n")
+        assert p.read_bytes() == b"old"
+    assert p.read_bytes() == b"new\r\n"  # no newline translation
+    assert [q.name for q in tmp_path.iterdir()] == ["a.csv"]
 
 
 def test_new_file_not_created_by_failed_write(tmp_path):
@@ -113,7 +128,13 @@ def artifacts():
     return SimpleNamespace(corpus=corpus, source=corpus.sources[0], run=run, report=report)
 
 
+def _write_binary(path, a):
+    with atomic_write_binary(path) as fh:
+        fh.write(b"time,value\r\n")
+
+
 WRITERS = {
+    "atomic_write_binary": _write_binary,
     "annotation_csv": lambda p, a: write_annotation_csv(p, a.source.annotations["arousal"]),
     "gold_csv": lambda p, a: write_gold_csv(p, a.source.gold["arousal"]),
     "features_csv": lambda p, a: write_features_csv(p, a.source.features),
@@ -185,9 +206,11 @@ def test_version_must_be_that_int(tmp_path, artifacts, artifact, version):
         load(p)
 
 
-# Every artifact reader goes through atomic.open_text / read_json, so each
-# refuses a file it cannot use with a StructuralError that names the file.
+# Every artifact reader goes through atomic.read_binary or read_json, so
+# each refuses a file it cannot use with a StructuralError that names the
+# file.
 READERS = {
+    "read_binary": ("b.csv", lambda p: read_binary(p, "CSV")),
     "annotation_csv": ("a.csv", lambda p: load_annotation_csv(p, "arousal")),
     "gold_csv": ("g.csv", lambda p: load_gold_csv(p, "arousal")),
     "features_csv": ("f.csv", load_features_csv),
@@ -198,6 +221,8 @@ READERS = {
 FAULTS = {
     "missing": lambda p: None,
     "directory": lambda p: p.mkdir(),
+    # unreadable whoever runs the test: a mode of 000 does not stop root
+    "symlink_loop": lambda p: p.symlink_to(p),
     "not_utf8": lambda p: p.write_bytes(
         ('{"a": "é"}' if p.suffix == ".json" else "time,é1\n0.0,0.5\n0.04,0.5\n")
         .encode("latin-1")
@@ -214,6 +239,7 @@ FAULTS = {
         for r, (name, _) in READERS.items()
         for f in FAULTS
         if name.endswith(".json") or f not in ("invalid_json", "not_object")
+        if r != "read_binary" or f != "not_utf8"  # bytes are read as they are
     ],
 )
 def test_unusable_file_is_structural_and_named(tmp_path, reader, fault):

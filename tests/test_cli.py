@@ -507,11 +507,30 @@ class TestPipeline:
         r = self._train(tmp_path, d)
         capsys.readouterr()
         rc = parse_and_dispatch(
-            ["evaluate", "--run", str(r), "--dataset", str(d), "--eval.scheme", "fixed_split",
-             "--eval.train_sources", "zzz", "--eval.test_sources", "nope"]
+            ["evaluate", "--run", str(r), "--dataset", str(d), "--eval.test_sources", "nope"]
         )
         assert rc == 1
         assert "unknown sources: ['nope']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--eval.scheme", "fixed_split"], "scheme"),
+            (["--eval.train_sources", "zzz"], "train_sources"),
+            (["--eval.seeds", "9"], "seeds"),
+            (["--eval.scheme", "fixed_split", "--eval.train_sources", "zzz",
+              "--eval.seeds", "9"], "scheme"),
+        ],
+    )
+    def test_evaluate_refuses_eval_leaves_it_does_not_read(self, tmp_path, capsys, flags, field):
+        # evaluate used to exit 0 with these, reading none of them; neither
+        # the run nor the dataset exists, so the refusal comes before either is read
+        rc = parse_and_dispatch(
+            ["evaluate", "--run", str(tmp_path / "run"), "--dataset", str(tmp_path / "data"),
+             *flags]
+        )
+        assert rc == 1
+        assert f"error: eval.{field} is not read by evaluate" in capsys.readouterr().err
 
     def test_evaluate_sources_is_eval_test_sources(self, tmp_path, capsys):
         d = make_dataset(tmp_path)

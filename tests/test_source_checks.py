@@ -69,8 +69,8 @@ def test_files_are_read_only_through_atomic(path):
         if (path.name, func) not in OWN_READS
     ]
     assert calls == [], (
-        f"{path.name} touches files itself; use atomic.open_text, read_json, "
-        "atomic_write or write_json"
+        f"{path.name} touches files itself; use atomic.read_binary, read_json, "
+        "atomic_write, atomic_write_binary or write_json"
     )
 
 
