@@ -33,6 +33,7 @@ import csv
 import functools
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -241,28 +242,30 @@ def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, body
 
 
-def _read_header(path: Path) -> tuple[list[str], bytes]:
-    """The first non-blank row, its fields stripped, and the bytes after it.
+def _read_header(path: Path) -> tuple[list[str], bytes, int]:
+    """The first non-blank row, its fields stripped, and bytes ending in the body at an offset.
 
     When the file's first line is not blank and holds no ``"`` and no ``\\r``
-    but the one before its ``\\n``, that line is the header and the body is
-    every byte after it.  Any other file is read as decode_text reads it,
-    and the body is the text after csv.reader's first non-blank row, as UTF-8.
+    but the one before its ``\\n``, that line is the header, and the body is
+    every byte after it in the file's own bytes, which are not copied.  Any
+    other file is read as decode_text reads it, and the body is the text
+    after csv.reader's first non-blank row, as UTF-8, from offset 0.
     """
     raw = read_binary(path, "CSV")
-    line, newline, rest = raw.partition(b"\n")
-    line = line.removesuffix(b"\r")
-    if newline and line and b'"' not in line and b"\r" not in line:
+    end = raw.find(b"\n")
+    line = raw[: max(end, 0)].removesuffix(b"\r")
+    if line and b'"' not in line and b"\r" not in line:
         header = next(csv.reader([decode_text(line, path, "CSV")]))
+        data, start = raw, end + 1
     else:
         fh = io.StringIO(decode_text(raw, path, "CSV"))
         header = next(filter(None, csv.reader(fh)), None)
         if header is None:
             raise StructuralError(f"{path}: empty file")
-        rest = fh.read().encode()
-    if not rest.lstrip(b"\r\n"):
+        data, start = fh.read().encode(), 0
+    if not re.compile(rb"[^\r\n]").search(data, start):
         raise StructuralError(f"{path}: no data rows")
-    return [c.strip() for c in header], rest
+    return [c.strip() for c in header], data, start
 
 
 def _is_number(token: str) -> bool:
@@ -292,17 +295,17 @@ def _raise_bad_row(path: Path, width: int, text_cols: tuple, reason: str) -> NoR
     raise ParseError(reason, path=path)
 
 
-def _parse_body(path: Path, header: list[str], rest: bytes, converters=None) -> np.ndarray:
-    """The rows after the header as one (rows, len(header)) array of finite floats.
+def _parse_body(path: Path, header: list[str], data: bytes, start: int, converters=None) -> np.ndarray:
+    """The body ``data[start:]`` as one (rows, len(header)) array of finite floats.
 
     ``converters`` maps a text column to a function giving a number for each
     of its fields.
     """
     width = len(header)
-    table = None if converters else _fixed6_parse(rest, width)
+    table = None if converters else _fixed6_parse(data, start, width)
     bad = None
     if table is None:
-        text = decode_text(rest, path, "CSV")
+        text = decode_text(data[start:], path, "CSV")
         try:
             table = np.loadtxt(
                 io.StringIO(text),
@@ -376,14 +379,14 @@ def _clamp(values: np.ndarray, path: Path) -> np.ndarray:
 
 
 def _load_long(
-    path: Path, header: list[str], rest: bytes, dimension: str, rate_hz: float | None
+    path: Path, header: list[str], data: bytes, start: int, dimension: str, rate_hz: float | None
 ) -> AnnotationMatrix:
     codes: dict[str, int] = {}
 
     def code(token: str) -> int:
         return codes.setdefault(token.strip(), len(codes))
 
-    table = _parse_body(path, header, rest, converters={1: code})
+    table = _parse_body(path, header, data, start, converters={1: code})
     ids = sorted(codes)
     rows = {}
     for a in ids:
@@ -402,18 +405,18 @@ def _load_long(
 
 def _load_annotations(path: Path, dimension: str, rate_hz: float | None) -> AnnotationMatrix:
     _check_dimension(dimension)
-    header, rest = _read_header(path)
+    header, data, start = _read_header(path)
     if header[0] != "time":
         raise StructuralError(f"{path}: first column must be 'time', got {header[0]!r}")
     if [c.lower() for c in header] == ["time", "annotator", "value"]:
-        return _load_long(path, header, rest, dimension, rate_hz)
+        return _load_long(path, header, data, start, dimension, rate_hz)
     ids = header[1:]
     if not ids:
         raise StructuralError(f"{path}: no annotator columns")
     if len(set(ids)) < len(ids):
         repeated = next(a for a in ids if ids.count(a) > 1)
         raise StructuralError(f"{path}: annotator id {repeated!r} heads more than one column")
-    table = _parse_body(path, header, rest)
+    table = _parse_body(path, header, data, start)
     rate = _grid_rate(path, table[:, 0], rate_hz)
     order = sorted(range(len(ids)), key=lambda j: ids[j])
     values = _clamp(table[:, [1 + j for j in order]], path)
@@ -433,10 +436,10 @@ def _load_gold(
     path: Path, dimension: str, provenance: str, rate_hz: float | None
 ) -> GoldStandardTrack:
     _check_dimension(dimension)
-    header, rest = _read_header(path)
+    header, data, start = _read_header(path)
     if len(header) != 2 or header[0] != "time":
         raise StructuralError(f"{path}: expected columns time,value got {header}")
-    table = _parse_body(path, header, rest)
+    table = _parse_body(path, header, data, start)
     rate = _grid_rate(path, table[:, 0], rate_hz)
     return GoldStandardTrack(dimension, rate, _clamp(table[:, 1].copy(), path), provenance)
 
@@ -449,10 +452,10 @@ def load_gold_csv(
 
 
 def _load_features(path: Path, rate_hz: float | None) -> FeatureSequence:
-    header, rest = _read_header(path)
+    header, data, start = _read_header(path)
     if header[0] != "time" or len(header) < 2:
         raise StructuralError(f"{path}: expected a time column followed by feature columns")
-    table = _parse_body(path, header, rest)
+    table = _parse_body(path, header, data, start)
     rate = _grid_rate(path, table[:, 0], rate_hz)
     return FeatureSequence(np.ascontiguousarray(table[:, 1:]), rate)
 
@@ -592,8 +595,8 @@ def _swar8(words: np.ndarray) -> None:
         words >>= np.uint64(bits)
 
 
-def _fixed6_parse(rest: bytes, width: int) -> np.ndarray | None:
-    """The rows of ``rest`` as a (rows, width) float64 array, as np.loadtxt reads them.
+def _fixed6_parse(data: bytes, start: int, width: int) -> np.ndarray | None:
+    """The rows of ``data[start:]`` as a (rows, width) float64 array, as np.loadtxt reads them.
 
     Returns None unless every field is ``-?D{1,9}\\.D{6}`` (what _write_table
     writes of values below 1e9 in magnitude), fields are separated by ``,``
@@ -601,21 +604,21 @@ def _fixed6_parse(rest: bytes, width: int) -> np.ndarray | None:
     ``\\r\\n`` (as _write_table ends them).  A field is read as its count q
     of micro-units: |q| < 10**15 < 2**53 is exact in float64, so q / 1e6 is
     the correctly rounded decimal, as strtod gives it, and q / -1e6 its
-    negation, ``-0.000000`` reading -0.0.
+    negation, ``-0.000000`` reading -0.0.  16 or more bytes before ``start``
+    stand in for the first fields' padding, which the digit masks drop.
     """
-    if not rest.endswith(b"\n"):
+    if not data.endswith(b"\n"):
         return None
-    crlf = rest.endswith(b"\r\n")
-    text = np.frombuffer(rest, np.uint8)
+    crlf = data.endswith(b"\r\n")
+    text = np.frombuffer(data, np.uint8)
     blocks = []
-    start = 0
-    while start < len(rest):
-        stop = rest.find(b"\n", start + _PARSE_BLOCK) + 1 or len(rest)
+    while start < len(data):
+        stop = data.find(b"\n", start + _PARSE_BLOCK) + 1 or len(data)
         if start >= 16:
             block = _fixed6_block(text, start, stop, width, crlf)
         else:  # the first fields' words reach 16 bytes before the text
-            padded = np.concatenate((np.zeros(16, np.uint8), text[:stop]))
-            block = _fixed6_block(padded, 16 + start, 16 + stop, width, crlf)
+            padded = np.concatenate((np.zeros(16, np.uint8), text[start:stop]))
+            block = _fixed6_block(padded, 16, 16 + stop - start, width, crlf)
         if block is None:
             return None
         blocks.append(block)

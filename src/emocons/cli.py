@@ -4,8 +4,8 @@ One executable with subcommands covering the whole workflow: simulate a
 corpus, train a run, evaluate or predict from its checkpoint, aggregate
 annotations into a consensus trace, compare two traces, and run the paired
 baseline-vs-consensus experiment.  Configuration is a single JSON document;
-any leaf can be overridden on the command line with its dotted path
-(``--train.alpha 0.7``), and flags win over the file with a warning.  The
+a subcommand takes a dotted-path flag (``--train.alpha 0.7``) for each leaf
+it reads and for no other, and flags win over the file with a warning.  The
 flags and their parse rules are derived from the config dataclasses' fields
 and types, and the JSON document is read and written by ``codec``.
 """
@@ -46,7 +46,6 @@ from .consensus import (
 )
 from .errors import ConfigError, ContractError, EmoconsError
 from .evalharness import (
-    FOLD_SCHEMES,
     ab_compare,
     evaluate,
     format_comparison_table,
@@ -74,24 +73,24 @@ AGGREGATE_METHODS = AGGREGATORS + ("acn",)
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Fold-plan selection for evaluate/ab: which scheme, splits, and seeds."""
+    """Held-out selection for evaluate/ab: the source lists and the seeds."""
 
-    scheme: str = "leave_one_source_out"
     train_sources: tuple[str, ...] = ()
     test_sources: tuple[str, ...] = ()
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
 
     def __post_init__(self):
-        if self.scheme not in FOLD_SCHEMES:
-            raise ConfigError(
-                f"unknown eval scheme {self.scheme!r}, expected one of {FOLD_SCHEMES}"
-            )
         object.__setattr__(self, "train_sources", tuple(str(s) for s in self.train_sources))
         object.__setattr__(self, "test_sources", tuple(str(s) for s in self.test_sources))
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds:
             raise ConfigError("eval.seeds must not be empty")
         object.__setattr__(self, "seeds", seeds)
+
+    @property
+    def scheme(self) -> str:
+        """A fixed split when either source list is given, else leave-one-source-out."""
+        return "fixed_split" if self.train_sources or self.test_sources else "leave_one_source_out"
 
 
 @dataclass(frozen=True)
@@ -260,6 +259,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# The config each subcommand reads, as leaves and whole sections: its parser
+# takes the flags of these leaves and no other.
+_READS: dict[str, tuple[str, ...]] = {
+    "simulate": ("dataset_dir", "synth"),
+    "train": ("dataset_dir", "run_dir", "train"),
+    "evaluate": ("dataset_dir", "run_dir", "eval.test_sources"),
+    "aggregate": ("run_dir",),
+    "predict": ("run_dir",),
+    "metrics": (),
+    "ab": ("dataset_dir", "run_dir", "train", "eval"),
+}
+
 _ALIASES: dict[str, dict[str, str]] = {
     "simulate": {"seed": "synth.seed", "out": "dataset_dir"},
     "train": {
@@ -276,17 +287,6 @@ _ALIASES: dict[str, dict[str, str]] = {
 
 
 def _build_parser() -> _Parser:
-    overrides = _Parser(add_help=False)
-    group = overrides.add_argument_group("configuration")
-    group.add_argument("--config", metavar="JSON", help="cli config file")
-    for name, (tp, default) in FLAG_REGISTRY.items():
-        group.add_argument(
-            f"--{name}",
-            dest=name,
-            metavar=_type_name(tp),
-            help=f"default: {_format_value(default) or 'empty'}",
-        )
-
     parser = _Parser(
         prog="emocons",
         description="Consensus-aware continuous emotion recognition toolkit.",
@@ -294,10 +294,18 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def command(name: str, summary: str) -> _Parser:
-        p = sub.add_parser(name, parents=[overrides], help=summary)
+        p = sub.add_parser(name, help=summary)
+        group = p.add_argument_group("configuration")
+        group.add_argument("--config", metavar="JSON", help="cli config file")
+        for path, (tp, default) in FLAG_REGISTRY.items():
+            if any(path == r or path.startswith(r + ".") for r in _READS[name]):
+                group.add_argument(
+                    f"--{path}", metavar=_type_name(tp),
+                    help=f"default: {_format_value(default) or 'empty'}",
+                )
         for alias, path in _ALIASES.get(name, {}).items():
             p.add_argument(
-                f"--{alias}", metavar=_type_name(FLAG_REGISTRY[path][0]),
+                f"--{alias}", dest=path, metavar=_type_name(FLAG_REGISTRY[path][0]),
                 help=f"alias for --{path}",
             )
         return p
@@ -377,12 +385,6 @@ def _cmd_train(cfg: CliConfig, ns) -> int:
 
 
 def _cmd_evaluate(cfg: CliConfig, ns) -> int:
-    default = EvalConfig()
-    for name in ("scheme", "train_sources", "seeds"):
-        if getattr(cfg.eval, name) != getattr(default, name):
-            raise ConfigError(
-                f"eval.{name} is not read by evaluate, which scores the run on eval.test_sources"
-            )
     run_dir = _require(cfg.run_dir, "run_dir", "--run or --run_dir")
     dataset_dir = _require(cfg.dataset_dir, "dataset_dir", "--dataset or --dataset_dir")
     model, run_cfg = load_run_model(run_dir)
@@ -462,17 +464,10 @@ def _cmd_metrics(cfg: CliConfig, ns) -> int:
 
 def _cmd_ab(cfg: CliConfig, ns) -> int:
     dataset_dir = _require(cfg.dataset_dir, "dataset_dir", "--dataset or --dataset_dir")
-    if cfg.eval.scheme != "fixed_split":
-        for name in ("train_sources", "test_sources"):
-            if getattr(cfg.eval, name):
-                raise ConfigError(
-                    f"eval.{name} is read only by eval.scheme fixed_split, "
-                    f"not {cfg.eval.scheme!r}"
-                )
-    ds = load_dataset(dataset_dir)
     plan = None  # ab_compare's default: leave one source out
     if cfg.eval.scheme == "fixed_split":
         plan = make_fixed_split(cfg.eval.train_sources, cfg.eval.test_sources)
+    ds = load_dataset(dataset_dir)
     root = cfg.run_dir or None
     cmp = ab_compare(ds, cfg.train, cfg.eval.seeds, plan=plan, run_root=root)
     if root:
@@ -550,15 +545,9 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
             return int(exc.code or 0)
         if ns.command is None:
             raise ConfigError("a subcommand is required; see --help")
-        overrides: dict[str, str] = {}
-        for name in FLAG_REGISTRY:
-            raw = vars(ns).get(name)
-            if raw is not None:
-                overrides[name] = raw
-        for alias, path in _ALIASES.get(ns.command, {}).items():
-            raw = getattr(ns, alias, None)
-            if raw is not None:
-                overrides[path] = raw
+        overrides = {
+            name: raw for name, raw in vars(ns).items() if name in FLAG_REGISTRY and raw is not None
+        }
         cfg, warnings = resolve_config(ns.config, overrides)
         for message in warnings:
             print(f"warning: {message}", file=sys.stderr)

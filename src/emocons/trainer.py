@@ -198,21 +198,28 @@ def prepare_data(
 
     A window's features are cut from the predictor inputs built over the
     whole source, so its first rows see the frames before the window, as
-    in scoring.  Annotation matrices are only carried along in acn mode;
-    validation sources are kept whole (validation scores full traces).
+    in scoring.  Annotation matrices are only carried along in acn mode, where
+    the training sources must share each dimension's annotator ids (column j
+    of a consensus net's input is one rater); validation sources are kept
+    whole (validation scores full traces).
     """
     dims = resolve_dimensions(cfg)
     items = []
+    panels: dict[str, tuple[str, tuple[str, ...]]] = {}  # dim -> first source, its ids
     for src in train_sources:
         for dim in dims:
             if dim not in src.gold:
                 raise ContractError(
                     f"source {src.source_id!r} has no gold track for {dim!r}"
                 )
-            if cfg.mode == "acn" and dim not in src.annotations:
-                raise ContractError(
-                    f"source {src.source_id!r} has no annotations for {dim!r}"
-                )
+            if cfg.mode == "acn":  # SourceData annotates every dimension it has gold for
+                ids = src.annotations[dim].annotator_ids
+                first, first_ids = panels.setdefault(dim, (src.source_id, ids))
+                if ids != first_ids:
+                    raise ContractError(
+                        f"{dim} annotator panels differ: source {first!r} has {first_ids}, "
+                        f"source {src.source_id!r} has {ids}"
+                    )
         inputs = build_inputs(src.features.data, cfg.predictor.context_frames)
         for a, b in window_bounds(src.features.frames, cfg.window, src.features.rate_hz):
             gold = {dim: src.gold[dim].values[a:b] for dim in dims}

@@ -496,23 +496,27 @@ def test_parse_kernel_reads_what_np_loadtxt_reads(tmp_path_factory, rows, rate):
     width = cols.shape[1]
     path = tmp_path_factory.mktemp("p") / "t.csv"
     _write_table(path, ["time", *(f"c{j}" for j in range(width))], rate, cols)
-    header, rest = annotations._read_header(path)
+    header, data, start = annotations._read_header(path)
+    rest = data[start:]
     assert rest.endswith(b"\r\n")
     want = np.loadtxt(io.StringIO(rest.decode()), delimiter=",", ndmin=2)
-    for body in (rest, rest.replace(b"\r\n", b"\n")):
-        got = annotations._fixed6_parse(body, len(header))
-        assert got is not None
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(annotations, "_PARSE_BLOCK", 30)  # about one row a block
-            blocks = annotations._fixed6_parse(body, len(header))
-        assert np.array_equal(blocks.view(np.int64), want.view(np.int64))
+    # the bytes before the body are the kernel's padding when there are 16 or
+    # more; the digit masks drop them, whatever they hold
+    for before in (b"", data[:start], b"-9\xff." * 4 + b"time,c0\r\n"):
+        for body in (rest, rest.replace(b"\r\n", b"\n")):
+            got = annotations._fixed6_parse(before + body, len(before), len(header))
+            assert got is not None
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(annotations, "_PARSE_BLOCK", 30)  # about one row a block
+                blocks = annotations._fixed6_parse(before + body, len(before), len(header))
+            assert np.array_equal(blocks.view(np.int64), want.view(np.int64))
 
 
 def test_parse_kernel_reads_crlf_and_lf_rows_alike():
     lf = b"1.000000,-0.000000\n-22.500000,0.000001\n"
-    got = annotations._fixed6_parse(lf.replace(b"\n", b"\r\n"), 2)
-    want = annotations._fixed6_parse(lf, 2)
+    got = annotations._fixed6_parse(lf.replace(b"\n", b"\r\n"), 0, 2)
+    want = annotations._fixed6_parse(lf, 0, 2)
     assert want is not None and got.tobytes() == want.tobytes()
 
 
@@ -555,13 +559,13 @@ def test_parse_kernel_reads_crlf_and_lf_rows_alike():
     ids=lambda v: repr(v.decode()) if isinstance(v, bytes) else None,
 )
 def test_parse_kernel_leaves_other_text_to_np_loadtxt(body, width, monkeypatch):
-    assert annotations._fixed6_parse(body, width) is None
+    assert annotations._fixed6_parse(body, 0, width) is None
     # the same fault after rows that parse, in a later block
     eol = b"\r\n" if body.endswith(b"\r\n") else b"\n"
     rows = (b",".join([b"-1.500000"] * width) + eol) * 3
     monkeypatch.setattr(annotations, "_PARSE_BLOCK", 1)
-    assert annotations._fixed6_parse(rows + body, width) is None
-    assert annotations._fixed6_parse(rows, width) is not None
+    assert annotations._fixed6_parse(rows + body, 0, width) is None
+    assert annotations._fixed6_parse(rows, 0, width) is not None
 
 
 def test_default_synth_corpus_loads_through_the_parse_kernel(tmp_path, monkeypatch):
@@ -571,8 +575,8 @@ def test_default_synth_corpus_loads_through_the_parse_kernel(tmp_path, monkeypat
     kernel = annotations._fixed6_parse
     parsed = []
 
-    def strict(rest, width):
-        table = kernel(rest, width)
+    def strict(data, start, width):
+        table = kernel(data, start, width)
         assert table is not None, f"a {width}-column body fell back to np.loadtxt"
         parsed.append(width)
         return table

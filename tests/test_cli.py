@@ -31,7 +31,7 @@ from emocons.cli import (
 from emocons.codec import from_dict, to_dict
 from emocons.consensus import AcnConfig
 from emocons.errors import ConfigError
-from emocons.evalharness import load_report
+from emocons.evalharness import ab_compare, load_report, make_fixed_split
 from emocons.nn import OptimConfig
 from emocons.predictor import PredictorConfig
 from emocons.synth import SynthConfig
@@ -76,6 +76,46 @@ def write_config(tmp_path, name="c.json", **sections):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return p
+
+
+# What each subcommand reads, as leaves and whole sections, and its options
+# that are not config leaves.
+READS = {
+    "simulate": ("dataset_dir", "synth"),
+    "train": ("dataset_dir", "run_dir", "train"),
+    "evaluate": ("dataset_dir", "run_dir", "eval.test_sources"),
+    "aggregate": ("run_dir",),
+    "predict": ("run_dir",),
+    "metrics": (),
+    "ab": ("dataset_dir", "run_dir", "train", "eval"),
+}
+OWN_OPTIONS = {
+    "simulate": (),
+    "train": (),
+    "evaluate": ("pooling",),
+    "aggregate": ("in", "out", "method", "dimension"),
+    "predict": ("features", "out", "dimension"),
+    "metrics": ("x", "y", "dimension"),
+    "ab": (),
+}
+
+
+def leaf_in(name, reads):
+    return any(name == r or name.startswith(r + ".") for r in reads)
+
+
+def required_args(command, tmp_path):
+    """The options a command requires, naming files under ``tmp_path`` that do not exist."""
+    missing = str(tmp_path / "missing")
+    return {
+        "aggregate": ["--in", missing, "--out", missing],
+        "predict": ["--features", missing, "--out", missing, "--run", missing],
+        "metrics": ["--x", missing, "--y", missing],
+        "evaluate": ["--run", missing, "--dataset", missing],
+        "train": ["--dataset", missing, "--out", missing],
+        "simulate": ["--out", missing],
+        "ab": ["--dataset", missing],
+    }[command]
 
 
 class TestCliConfig:
@@ -199,16 +239,60 @@ class TestFlagRegistry:
             assert cfg == CliConfig(), name
 
     def test_help_lists_every_flag(self, capsys):
-        rc = parse_and_dispatch(["train", "--help"])
-        assert rc == 0
+        # each command lists the flags of the leaves it reads, its aliases and
+        # its own options; before, every command listed all of them
+        for command, reads in READS.items():
+            assert parse_and_dispatch([command, "--help"]) == 0
+            out = " ".join(capsys.readouterr().out.split())
+            listed = set(re.findall(r"--([\w.]+)", out))
+            leaves = {name for name in FLAG_REGISTRY if leaf_in(name, reads)}
+            assert listed & set(FLAG_REGISTRY) == leaves, command
+            assert listed - leaves == {
+                "help", "config", *cli._ALIASES.get(command, {}), *OWN_OPTIONS[command]
+            }, command
+        assert sum(
+            leaf_in(name, reads) for reads in READS.values() for name in FLAG_REGISTRY
+        ) == 78
+        assert parse_and_dispatch(["ab", "--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
-        for name in FLAG_REGISTRY:
-            assert f"--{name}" in out
-        for alias in ("mode", "dimension", "dataset", "out"):
-            assert f"--{alias} " in out
         assert "--train.alpha FLOAT default: 0.5" in out
         assert "--train.optim.grad_clip_norm FLOAT default: 5.0" in out
         assert "--eval.seeds INT,... default: 1,2,3,4,5" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--synth.seed", "9"],
+            ["evaluate", "--train.window.window_s", "3"],
+            ["predict", "--train.dimensions", "arousal"],
+            ["simulate", "--train.epochs", "2"],
+            ["aggregate", "--eval.seeds", "1,2,3"],
+            ["metrics", "--run_dir", "x"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, argv):
+        # each of these used to exit 0 and ignore the flag; neither the run nor
+        # the dataset exists, so the refusal comes before any file is read
+        command, flag, value = argv
+        rc = parse_and_dispatch(
+            [command, *required_args(command, tmp_path), flag, value]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_every_unread_leaf_is_refused(self, tmp_path):
+        parser = cli._build_parser()
+        for command, reads in READS.items():
+            required = required_args(command, tmp_path)
+            for name in FLAG_REGISTRY:
+                argv = [command, *required, f"--{name}", "1"]
+                if leaf_in(name, reads):
+                    assert vars(parser.parse_args(argv))[name] == "1"
+                else:
+                    with pytest.raises(ConfigError, match=f"unrecognized arguments: --{name} 1"):
+                        parser.parse_args(argv)
 
     @pytest.mark.parametrize(
         "command, alias, path",
@@ -530,7 +614,25 @@ class TestPipeline:
              *flags]
         )
         assert rc == 1
-        assert f"error: eval.{field} is not read by evaluate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: ") and f"--eval.{field}" in err
+
+    def test_evaluate_ignores_config_sections_it_does_not_read(self, tmp_path, capsys):
+        # a config file is one document for every command: the cli_config.json
+        # that ab writes, with its seeds and source lists, is one evaluate takes
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        c = write_config(
+            tmp_path, name="ab.json", dataset_dir=str(d), run_dir=str(r),
+            eval={"train_sources": ["zzz"], "test_sources": ["source_00"], "seeds": [9]},
+        )
+        outs = []
+        for argv in (["--config", str(c)], ["--run", str(r), "--dataset", str(d),
+                                            "--sources", "source_00"]):
+            capsys.readouterr()
+            assert parse_and_dispatch(["evaluate", *argv]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_evaluate_sources_is_eval_test_sources(self, tmp_path, capsys):
         d = make_dataset(tmp_path)
@@ -753,13 +855,14 @@ class TestPipeline:
         assert (root / "cli_config.json").exists()
 
     def test_ab_fixed_split(self, tmp_path, capsys):
+        # the source lists select the fixed split: its report is the one the
+        # library writes for that plan
         d = make_dataset(tmp_path, sources=3, frames=300)
         root = tmp_path / "ab"
         c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
         rc = parse_and_dispatch(
             ["ab", "--config", str(c), "--out", str(root), "--eval.seeds", "1,2,3",
-             "--eval.scheme", "fixed_split", "--eval.train_sources", "source_00,source_01",
-             "--eval.test_sources", "source_02"]
+             "--eval.train_sources", "source_00,source_01", "--eval.test_sources", "source_02"]
         )
         assert rc == 0
         runs = sorted(root.glob("seed_*/*/report.json"))
@@ -768,14 +871,23 @@ class TestPipeline:
             report = load_report(path)
             assert report.scheme == "fixed_split"
             assert [e.test_sources for e in report.entries] == [("source_02",)]
+        assert load_report(root / "report.json").scheme == "fixed_split"
+        lib = tmp_path / "lib"
+        ab_compare(
+            load_dataset(d),
+            from_dict(TrainConfig, tiny_train_section()),
+            (1, 2, 3),
+            plan=make_fixed_split(("source_00", "source_01"), ("source_02",)),
+            run_root=lib,
+        )
+        assert (root / "report.json").read_bytes() == (lib / "report.json").read_bytes()
 
     def test_ab_fixed_split_needs_train_sources(self, tmp_path, capsys):
         d = make_dataset(tmp_path, sources=3, frames=300)
         c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
         capsys.readouterr()
         rc = parse_and_dispatch(
-            ["ab", "--config", str(c), "--eval.seeds", "1,2,3", "--eval.scheme", "fixed_split",
-             "--eval.test_sources", "source_02"]
+            ["ab", "--config", str(c), "--eval.seeds", "1,2,3", "--eval.test_sources", "source_02"]
         )
         assert rc == 1
         assert "each fold needs sources on both sides" in capsys.readouterr().err
@@ -786,8 +898,7 @@ class TestPipeline:
         c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
         capsys.readouterr()
         rc = parse_and_dispatch(
-            ["ab", "--config", str(c), "--eval.scheme", "fixed_split",
-             "--eval.train_sources", "source_00,source_00,source_01",
+            ["ab", "--config", str(c), "--eval.train_sources", "source_00,source_00,source_01",
              "--eval.test_sources", "source_02"]
         )
         assert rc == 1
@@ -795,16 +906,45 @@ class TestPipeline:
 
     @pytest.mark.parametrize("field", ["train_sources", "test_sources"])
     def test_ab_refuses_sources_outside_fixed_split(self, tmp_path, capsys, field):
-        # leave-one-source-out used to run, and exit 0, ignoring the list
+        # leave-one-source-out used to run, and exit 0, ignoring a list that
+        # named a source outside the dataset; a list now selects the fixed split
         d = make_dataset(tmp_path, sources=2, frames=300)
         c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        lists = {"train_sources": "source_00", "test_sources": "source_01", field: "nope"}
         capsys.readouterr()
         rc = parse_and_dispatch(
-            ["ab", "--config", str(c), "--eval.seeds", "1,2,3", f"--eval.{field}", "nope"]
+            ["ab", "--config", str(c), "--eval.seeds", "1,2,3",
+             *(arg for name, value in lists.items() for arg in (f"--eval.{name}", value))]
         )
         assert rc == 1
+        assert "fold references unknown source 'nope'" in capsys.readouterr().err
+
+    def test_ab_refuses_a_fold_whose_annotator_panels_differ(self, tmp_path, capsys):
+        # acn folds used to train a consensus net whose column j meant two raters
+        d = make_dataset(tmp_path, sources=3, frames=300)
+        path = d / "source_01" / "annotations_arousal.csv"
+        header, body = path.read_bytes().split(b"\n", 1)
+        assert header == b"time,a00,a01,a02\r"
+        path.write_bytes(b"time,b0,b1,b2\r\n" + body)
+        c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        capsys.readouterr()
+        assert parse_and_dispatch(["ab", "--config", str(c), "--eval.seeds", "1,2,3"]) == 1
         err = capsys.readouterr().err
-        assert f"eval.{field} is read only by eval.scheme fixed_split" in err
+        assert err.startswith("error: arousal annotator panels differ: source 'source_0")
+        assert "('b0', 'b1', 'b2')" in err
+
+    def test_config_holding_eval_scheme_is_refused(self, tmp_path, capsys):
+        # the scheme follows from the source lists; a file written when it was
+        # a setting names the key to delete
+        c = write_config(tmp_path, eval={"scheme": "leave_one_source_out"})
+        for command in ("ab", "evaluate"):
+            assert parse_and_dispatch([command, "--config", str(c)]) == 1
+            assert (
+                "unknown keys in eval (EvalConfig): ['scheme']" in capsys.readouterr().err
+            )
+        assert EvalConfig().scheme == "leave_one_source_out"
+        assert EvalConfig(test_sources=("a",)).scheme == "fixed_split"
+        assert EvalConfig(train_sources=("a",)).scheme == "fixed_split"
 
 
 class TestExitCodes:

@@ -445,3 +445,73 @@ def test_optional_field_check_catches_what_it_looks_for():
         ns,
     )
     assert _optional_init_fields([ns["Root"]]) == ["Leaf.a", "Leaf.b", "Leaf.e", "Root.f"]
+
+
+# Each cli subcommand takes the flags of the config it reads (cli._READS):
+# every cfg.<a>.<b>... chain in its handler lies inside its entry, every leaf
+# of its entry is read by some chain, and its aliases name leaves it reads.
+def _config_reads(tree: ast.Module) -> dict[str, set[str]]:
+    """The ``cfg`` chains each ``_cmd_<name>`` reads, as dotted paths; a bare
+    ``cfg`` is the empty path, except as an argument of ``_write_cli_config``."""
+    found = {}
+    for func in ast.walk(tree):
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")):
+            continue
+        # nodes that are part of a longer chain, or handed to _write_cli_config
+        skip = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute):
+                skip.add(id(node.value))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_cli_config":
+                skip.update(id(a) for a in node.args)
+        chains = set()
+        for node in ast.walk(func):
+            if id(node) in skip:
+                continue
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id == "cfg":
+                chains.add(".".join(reversed(parts)))
+        found[func.name.removeprefix("_cmd_")] = chains
+    return found
+
+
+def _under(path: str, roots) -> bool:
+    return any(path == r or path.startswith(r + ".") for r in roots)
+
+
+def test_each_command_takes_the_flags_of_what_it_reads():
+    from emocons import cli
+
+    reads = _config_reads(_parse(PACKAGE / "cli.py"))
+    assert set(reads) == set(cli._READS) == set(cli._HANDLERS)
+    for command, entry in cli._READS.items():
+        chains = reads[command]
+        assert [c for c in chains if not _under(c, entry)] == [], command
+        unread = [n for n in cli.FLAG_REGISTRY if _under(n, entry) and not _under(n, chains)]
+        assert unread == [], command
+        aliased = cli._ALIASES.get(command, {}).values()
+        assert [p for p in aliased if not _under(p, entry)] == [], command
+
+
+def test_config_read_check_catches_what_it_looks_for():
+    tree = ast.parse(
+        "def _cmd_x(cfg, ns):\n"
+        "    a = cfg.train.window.window_s + cfg.run_dir + ns.cfg.synth + other.cfg\n"
+        "    _write_cli_config(p, cfg)\n"
+        "    f(cfg)\n"
+        "    return cfg.eval.test_sources.count(a)\n"
+        "def helper(cfg):\n"
+        "    return cfg.synth\n"
+        "def _cmd_y(cfg, ns):\n"
+        "    return _write_cli_config(p, cfg)\n"
+    )
+    assert _config_reads(tree) == {
+        "x": {"train.window.window_s", "run_dir", "", "eval.test_sources.count"},
+        "y": set(),
+    }
+    assert _under("eval.test_sources.count", ["eval.test_sources"])
+    assert not _under("eval.test_sources_x", ["eval.test_sources"])
+    assert not _under("", ["train"])

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import sys
 
 import numpy as np
@@ -305,6 +306,32 @@ class TestPrepareData:
         )
         with pytest.raises(ContractError, match="valence"):
             prepare_data([bad], val, small_train_config(dimensions="valence"))
+
+    def test_acn_refuses_training_sources_whose_panels_differ(self):
+        # with valence ids a00..a02, b0..b2 and a00..a02, acn used to train on the
+        # first two: column j of the consensus net then meant two different raters
+        sources = list(small_corpus().sources)
+        ann = sources[1].annotations["valence"]
+        sources[1] = SourceData(
+            source_id=sources[1].source_id,
+            features=sources[1].features,
+            gold=dict(sources[1].gold),
+            annotations={
+                **sources[1].annotations,
+                "valence": dataclasses.replace(ann, annotator_ids=("b0", "b1", "b2")),
+            },
+        )
+        first, second = sources[0].source_id, sources[1].source_id
+        want = (
+            f"valence annotator panels differ: source {first!r} has ('a00', 'a01', 'a02'), "
+            f"source {second!r} has ('b0', 'b1', 'b2')"
+        )
+        with pytest.raises(ContractError, match=re.escape(want)):
+            prepare_data(sources[:2], sources[2:], small_train_config())
+        # held-out sources' annotations are not read, and baseline reads none
+        assert prepare_data([sources[0], sources[2]], [sources[1]], small_train_config()).train
+        assert prepare_data(sources[:2], sources[2:], small_train_config(mode="baseline")).train
+        assert prepare_data(sources[:2], sources[2:], small_train_config(dimensions="arousal")).train
 
 
 class TestModelSetup:
