@@ -379,8 +379,9 @@ def _clamp(values: np.ndarray, path: Path) -> np.ndarray:
 
 
 def _load_long(
-    path: Path, header: list[str], data: bytes, start: int, dimension: str, rate_hz: float | None
-) -> AnnotationMatrix:
+    path: Path, header: list[str], data: bytes, start: int, rate_hz: float | None
+) -> tuple[np.ndarray, list[str], float]:
+    """The long layout's values (frames x annotators, as read), annotator ids and rate."""
     codes: dict[str, int] = {}
 
     def code(token: str) -> int:
@@ -399,8 +400,7 @@ def _load_long(
                 f"{path}: annotator {a!r} is not on the same time grid as {ids[0]!r}"
             )
     rate = _grid_rate(path, grid, rate_hz, rows[ids[0]])
-    data = _clamp(np.column_stack([table[rows[a], 2] for a in ids]), path)
-    return AnnotationMatrix(data, tuple(ids), dimension, rate)
+    return np.column_stack([table[rows[a], 2] for a in ids]), ids, rate
 
 
 def _load_annotations(path: Path, dimension: str, rate_hz: float | None) -> AnnotationMatrix:
@@ -409,18 +409,20 @@ def _load_annotations(path: Path, dimension: str, rate_hz: float | None) -> Anno
     if header[0] != "time":
         raise StructuralError(f"{path}: first column must be 'time', got {header[0]!r}")
     if [c.lower() for c in header] == ["time", "annotator", "value"]:
-        return _load_long(path, header, data, start, dimension, rate_hz)
-    ids = header[1:]
-    if not ids:
-        raise StructuralError(f"{path}: no annotator columns")
-    if len(set(ids)) < len(ids):
-        repeated = next(a for a in ids if ids.count(a) > 1)
-        raise StructuralError(f"{path}: annotator id {repeated!r} heads more than one column")
-    table = _parse_body(path, header, data, start)
-    rate = _grid_rate(path, table[:, 0], rate_hz)
-    order = sorted(range(len(ids)), key=lambda j: ids[j])
-    values = _clamp(table[:, [1 + j for j in order]], path)
-    return AnnotationMatrix(values, tuple(ids[j] for j in order), dimension, rate)
+        values, ids, rate = _load_long(path, header, data, start, rate_hz)
+    else:
+        ids = header[1:]
+        if not ids:
+            raise StructuralError(f"{path}: no annotator columns")
+        if len(set(ids)) < len(ids):
+            repeated = next(a for a in ids if ids.count(a) > 1)
+            raise StructuralError(f"{path}: annotator id {repeated!r} heads more than one column")
+        table = _parse_body(path, header, data, start)
+        rate = _grid_rate(path, table[:, 0], rate_hz)
+        order = sorted(range(len(ids)), key=lambda j: ids[j])
+        values = table[:, [1 + j for j in order]]
+        ids = [ids[j] for j in order]
+    return AnnotationMatrix(_clamp(values, path), tuple(ids), dimension, rate)
 
 
 def load_annotation_csv(path: str | Path, dimension: str) -> AnnotationMatrix:
@@ -820,13 +822,18 @@ def write_dataset(root: str | Path, dataset: Dataset) -> None:
     """Write a dataset directory: per-source CSV files, then manifest.json.
 
     Each file is written atomically, and the manifest last, so a directory
-    whose manifest is new holds every file it names.  Source ids that
-    load_dataset would refuse, and streams of fewer than 2 frames, are
-    refused before anything is written.
+    whose manifest is new holds every file it names.  The manifest's
+    ``gold_provenance`` is the gold tracks' own.  Source ids that
+    load_dataset would refuse, streams of fewer than 2 frames and gold
+    tracks that do not share one provenance are refused before anything is
+    written.
     """
     for sid in dataset.source_ids:
         if not _is_plain_name(sid):
             raise ContractError(f"source id {sid!r} is not a plain directory name")
+    provenances = sorted({g.provenance for s in dataset.sources for g in s.gold.values()})
+    if len(provenances) != 1:
+        raise ContractError(f"gold tracks must share one provenance, got {provenances}")
     root = Path(root)
     tables = []
     for s in dataset.sources:
@@ -844,6 +851,7 @@ def write_dataset(root: str | Path, dataset: Dataset) -> None:
         "dimensions": list(dataset.dimensions),
         "rate_hz": dataset.sources[0].features.rate_hz,
         "feature_dim": dataset.feature_dim,
+        "gold_provenance": provenances[0],
     }
     manifest = envelope(DATASET_FORMAT, DATASET_VERSION, body)
     # a loaded dataset's meta is its old manifest: it must not rename the sources

@@ -120,22 +120,13 @@ def _is_numeric_mapping(tp) -> bool:
 
 
 def _leaves(cfg, prefix: str = ""):
-    """(dotted path, type, default) of every overridable leaf of a config.
-
-    A leaf's default is its field's own default where it declares one (an
-    empty ``synth.profiles`` means "sample from the seed"), else the value
-    in the enclosing default.
-    """
+    """(dotted path, type, default) of every overridable leaf of a config."""
     hints = typing.get_type_hints(type(cfg))
     for f in dataclasses.fields(cfg):
         path, tp, value = prefix + f.name, hints[f.name], getattr(cfg, f.name)
         if dataclasses.is_dataclass(value):
             yield from _leaves(value, path + ".")
             continue
-        if f.default is not dataclasses.MISSING:
-            value = f.default
-        elif f.default_factory is not dataclasses.MISSING:
-            value = f.default_factory()
         if _is_numeric_mapping(tp):
             for key, v in value.items():
                 yield f"{path}.{key}", typing.get_args(tp)[1], v
@@ -224,11 +215,6 @@ def resolve_config(
     else:
         base = CliConfig()
     tree = to_dict(base)
-    # profiles not given explicitly stay derived, so overriding the seed or
-    # annotator count re-samples them instead of clashing with stale panels
-    explicit_synth = explicit.get("synth", {})
-    if not (isinstance(explicit_synth, dict) and "profiles" in explicit_synth):
-        del tree["synth"]["profiles"]
 
     warnings: list[str] = []
     for name, raw in overrides.items():
@@ -483,7 +469,7 @@ def _cmd_ab(cfg: CliConfig, ns) -> int:
         "median delta: "
         + " ".join(f"{d}={cmp.median_delta[d]:+.4f}" for d in dims)
     )
-    print(format_comparison_table([cmp.report]))
+    print(format_comparison_table(cmp.report))
     return 0
 
 

@@ -12,10 +12,12 @@ calls it, and is re-exported here; a fold is scored by its run's last
 validation, whose sources are the fold's held-out ones.
 
 A report.json is an ``atomic.envelope`` around ``codec.to_dict`` of the
-Report, written by ``atomic.write_json``; load_report() reads it through
-``atomic.read_json``, checks the envelope with ``atomic.open_envelope`` and
-decodes the body with ``codec.from_dict``, so a malformed file is a
-StructuralError naming the file and the offending field.
+Report, written by save_report() through ``atomic.write_json``;
+load_report() reads it through ``atomic.read_json``, checks the envelope
+with ``atomic.open_envelope``, decodes the body with ``codec.from_dict``
+and checks the stored aggregate against the one the folds give, so a
+malformed file is a StructuralError naming the file and the offending
+field.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import logging
 import math
 import os
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -66,14 +68,9 @@ REPORT_VERSION = 1
 class FoldPlan:
     """Held-out evaluation splits: one (train ids, test ids) pair per fold."""
 
-    scheme: str
     folds: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
     def __post_init__(self):
-        if self.scheme not in FOLD_SCHEMES:
-            raise ContractError(
-                f"unknown fold scheme {self.scheme!r}, expected one of {FOLD_SCHEMES}"
-            )
         if not self.folds:
             raise ContractError("fold plan has no folds")
         norm = []
@@ -90,15 +87,16 @@ class FoldPlan:
                 raise ContractError(f"sources in both train and test: {overlap}")
             norm.append((train, test))
         object.__setattr__(self, "folds", tuple(norm))
-        if self.scheme == "leave_one_source_out":
-            tested = [t for _, test in self.folds for t in test]
-            universe = set(tested)
-            for train, _ in self.folds:
-                universe.update(train)
-            if len(set(tested)) != len(tested) or set(tested) != universe:
-                raise ContractError(
-                    "leave-one-source-out must test every source exactly once"
-                )
+
+    @property
+    def scheme(self) -> str:
+        """Leave-one-source-out when the folds test every source they name
+        exactly once, else a fixed split."""
+        tested = [t for _, test in self.folds for t in test]
+        named = {s for train, test in self.folds for s in (*train, *test)}
+        if len(tested) == len(named) == len(set(tested)):
+            return "leave_one_source_out"
+        return "fixed_split"
 
 
 def make_loso_plan(source_ids: Sequence[str]) -> FoldPlan:
@@ -109,13 +107,11 @@ def make_loso_plan(source_ids: Sequence[str]) -> FoldPlan:
     folds = tuple(
         (tuple(s for s in ids if s != held), (held,)) for held in ids
     )
-    return FoldPlan(scheme="leave_one_source_out", folds=folds)
+    return FoldPlan(folds)
 
 
 def make_fixed_split(train_ids: Sequence[str], test_ids: Sequence[str]) -> FoldPlan:
-    return FoldPlan(
-        scheme="fixed_split", folds=((tuple(train_ids), tuple(test_ids)),)
-    )
+    return FoldPlan(((tuple(train_ids), tuple(test_ids)),))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +145,9 @@ def _aggregate(entries: Sequence[FoldScore]) -> dict[str, dict[str, float]]:
 class Report:
     """Cross-validation outcome: per-fold scores plus their per-mode mean.
 
-    The aggregate is redundant with the entries on purpose; construction
-    re-derives it so a hand-edited or deserialized report cannot quietly
-    disagree with its own folds.
+    The aggregate is derived from the entries when the report is built and
+    stored in report.json beside them; load_report() refuses a file whose
+    stored aggregate is not its folds' mean.
     """
 
     scheme: str
@@ -159,114 +155,71 @@ class Report:
     seeds: tuple[int, ...]
     config_hashes: Mapping[str, str]
     entries: tuple[FoldScore, ...]
-    aggregate: Mapping[str, Mapping[str, float]]
+    aggregate: Mapping[str, Mapping[str, float]] = field(init=False)
 
     def __post_init__(self):
         if self.scheme not in FOLD_SCHEMES:
             raise ContractError(f"unknown fold scheme {self.scheme!r}")
         if not self.entries:
             raise ContractError("report has no entries")
-        want = _aggregate(self.entries)
-        ok = set(want) == set(self.aggregate)
-        if ok:
-            for mode, dims in want.items():
-                got = self.aggregate[mode]
-                ok = ok and set(dims) == set(got)
-                ok = ok and all(abs(got[d] - v) <= 1e-12 for d, v in dims.items())
-        if not ok:
-            raise ContractError("report aggregate does not match the mean of its folds")
-
-
-def make_report(
-    *,
-    scheme: str,
-    task: str,
-    seeds: tuple[int, ...],
-    config_hashes: Mapping[str, str],
-    entries: tuple[FoldScore, ...],
-) -> Report:
-    return Report(
-        scheme=scheme,
-        task=task,
-        seeds=tuple(seeds),
-        config_hashes=dict(config_hashes),
-        entries=tuple(entries),
-        aggregate=_aggregate(entries),
-    )
-
-
-def report_to_dict(report: Report) -> dict:
-    return envelope(REPORT_FORMAT, REPORT_VERSION, to_dict(report))
-
-
-def report_from_dict(payload: dict, where: str = "report") -> Report:
-    """Rebuild a Report from ``report_to_dict``'s form; ``where`` names its
-    source in the StructuralError that refuses anything else."""
-    body = open_envelope(payload, REPORT_FORMAT, REPORT_VERSION, where)
-    try:
-        return from_dict(Report, body)
-    except (ConfigError, ContractError) as exc:
-        raise StructuralError(f"{where}: {exc}") from exc
+        object.__setattr__(self, "aggregate", _aggregate(self.entries))
 
 
 def save_report(path, report: Report) -> None:
-    write_json(path, report_to_dict(report))
+    write_json(path, envelope(REPORT_FORMAT, REPORT_VERSION, to_dict(report)))
+
+
+def _same_aggregate(stored, derived: Mapping[str, Mapping[str, float]]) -> bool:
+    """Whether ``stored``, as read from JSON, holds ``derived``'s modes and
+    dimensions, each within 1e-12 of its value."""
+    try:
+        return stored.keys() == derived.keys() and all(
+            stored[mode].keys() == dims.keys()
+            and all(abs(stored[mode][d] - v) <= 1e-12 for d, v in dims.items())
+            for mode, dims in derived.items()
+        )
+    except (AttributeError, TypeError):  # not a mapping of mappings of numbers
+        return False
 
 
 def load_report(path) -> Report:
-    return report_from_dict(read_json(path, "report"), str(path))
+    """The Report in ``path``; a malformed file, or one whose stored
+    aggregate is missing or is not its folds' mean, is a StructuralError
+    naming it."""
+    body = open_envelope(read_json(path, "report"), REPORT_FORMAT, REPORT_VERSION, str(path))
+    stored = body.pop("aggregate", None)
+    try:
+        report = from_dict(Report, body)
+    except (ConfigError, ContractError) as exc:
+        raise StructuralError(f"{path}: {exc}") from exc
+    if not _same_aggregate(stored, report.aggregate):
+        raise StructuralError(
+            f"{path}: report aggregate is missing or is not the mean of its folds"
+        )
+    return report
 
 
 _TASK_LABELS = {"valence": "Valence", "arousal": "Arousal", "both": "Valence & Arousal"}
-_TASK_ORDER = ("valence", "arousal", "both")
-_MODE_ORDER = {"baseline": 0, "acn": 1}
 
 
-def _table_cell(task: str, agg: Mapping[str, float] | None) -> str:
-    if agg is None:
-        return "-"
-    if task == "both":
-        if "valence" not in agg or "arousal" not in agg:
-            raise ContractError("joint-task report must score valence and arousal")
-        return f"{agg['valence']:.3f}/{agg['arousal']:.3f}"
-    return f"{agg[task]:.3f}"
-
-
-def format_comparison_table(reports: Sequence[Report]) -> str:
-    """Aligned per-task score table, one column per mode (joint cells are
-    shown valence/arousal)."""
-    by_task: dict[str, Report] = {}
-    for r in reports:
-        if r.task in by_task:
-            raise ContractError(f"duplicate task {r.task!r} in table")
-        by_task[r.task] = r
-    if not by_task:
-        raise ContractError("no reports to tabulate")
-    tasks = [t for t in _TASK_ORDER if t in by_task]
-    tasks += sorted(set(by_task) - set(_TASK_ORDER))
-    modes: list[str] = []
-    for r in by_task.values():
-        for m in r.aggregate:
-            if m not in modes:
-                modes.append(m)
-    modes.sort(key=lambda m: (_MODE_ORDER.get(m, len(_MODE_ORDER)), m))
-
-    cells = {
-        t: {m: _table_cell(t, by_task[t].aggregate.get(m)) for m in modes}
-        for t in tasks
-    }
-    label_w = max(len(_TASK_LABELS.get(t, t)) for t in tasks)
-    col_ws = [
-        max(len(m), max(len(cells[t][m]) for t in tasks)) for m in modes
-    ]
-    lines = [
-        " " * label_w + "".join(f"  {m.rjust(w)}" for m, w in zip(modes, col_ws))
-    ]
-    for t in tasks:
-        row = _TASK_LABELS.get(t, t).ljust(label_w)
-        row += "".join(f"  {cells[t][m].rjust(w)}" for m, w in zip(modes, col_ws))
-        lines.append(row)
-    return "\n".join(lines)
+def format_comparison_table(report: Report) -> str:
+    """A report's aligned score row, one column per mode: ``TRAIN_MODES``
+    first, then any other in name order; a joint cell is valence/arousal."""
+    dims = ("valence", "arousal") if report.task == "both" else (report.task,)
+    modes = [m for m in TRAIN_MODES if m in report.aggregate]
+    modes += sorted(set(report.aggregate) - set(modes))
+    cells = []
+    for mode in modes:
+        agg = report.aggregate[mode]
+        missing = " or ".join(d for d in dims if d not in agg)
+        if missing:
+            raise ContractError(f"{report.task} report has no {missing} score for {mode}")
+        cells.append("/".join(f"{agg[d]:.3f}" for d in dims))
+    widths = [max(len(m), len(c)) for m, c in zip(modes, cells)]
+    label = _TASK_LABELS.get(report.task, report.task)
+    header = " " * len(label) + "".join(f"  {m.rjust(w)}" for m, w in zip(modes, widths))
+    row = label + "".join(f"  {c.rjust(w)}" for c, w in zip(cells, widths))
+    return f"{header}\n{row}"
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +297,7 @@ def _cross_validate(data, plan: FoldPlan | None, runs, workers: int):
             for score in itertools.islice(scores, len(folds)):
                 _log_fold(score, len(folds))
                 entries.append(score)
-            report = make_report(
+            report = Report(
                 scheme=plan.scheme,
                 task=cfg.dimensions,
                 seeds=(cfg.seed,),
@@ -562,7 +515,7 @@ def ab_compare(
     median = {
         d: float(statistics.median(r.delta[d] for r in rows)) for d in dims
     }
-    merged = make_report(
+    merged = Report(
         scheme=reports[0].scheme,
         task=base_cfg.dimensions,
         seeds=tuple(seeds),

@@ -10,6 +10,7 @@ named RNG substreams so a config reproduces its corpus exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -106,12 +107,18 @@ def sample_profiles(count, rng, *, noise_sd, scale, bias, lag_frames, drift_sd):
     return tuple(profiles)
 
 
+# The ranges each dimension's panel is sampled from when a SynthConfig is
+# given no profiles.
+_SAMPLED_PANELS = {"arousal": MILD_ANNOTATORS, "valence": NOISY_ANNOTATORS}
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Corpus recipe; the defaults are the two-dimension benchmark corpus.
 
-    An empty ``profiles`` samples a mild arousal panel and a noisy valence
-    panel of ``annotators`` profiles from the seed.
+    ``profiles`` holds only the panels the caller gives.  When it is empty,
+    ``panels`` samples a mild arousal panel and a noisy valence panel of
+    ``annotators`` profiles from the seed.
     """
 
     sources: int = 7
@@ -139,20 +146,14 @@ class SynthConfig:
             raise ContractError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         if self.annotators < 2:
             raise ContractError(f"annotators must be >= 2, got {self.annotators}")
-        profiles = self.profiles or {
-            "arousal": sample_profiles(
-                self.annotators, substream(self.seed, "profiles/arousal"), **MILD_ANNOTATORS
-            ),
-            "valence": sample_profiles(
-                self.annotators, substream(self.seed, "profiles/valence"), **NOISY_ANNOTATORS
-            ),
-        }
         # kept sorted, as tuples and floats, so equal recipes have one dict form
-        dims = sorted(profiles)
-        object.__setattr__(self, "profiles", {d: tuple(profiles[d]) for d in dims})
+        object.__setattr__(
+            self, "profiles", {d: tuple(self.profiles[d]) for d in sorted(self.profiles)}
+        )
         object.__setattr__(
             self, "feature_snr", {d: float(v) for d, v in sorted(self.feature_snr.items())}
         )
+        dims = list(self.dimensions)
         if sorted(self.feature_snr) != dims:
             raise ContractError(
                 f"feature_snr dimensions {sorted(self.feature_snr)} "
@@ -162,12 +163,12 @@ class SynthConfig:
             raise ContractError(
                 f"feature_dim {self.feature_dim} too small for {len(dims)} dimensions"
             )
-        for dim in dims:
-            if len(self.profiles[dim]) != self.annotators:
+        for dim, panel in self.profiles.items():
+            if len(panel) != self.annotators:
                 raise ContractError(
-                    f"profiles[{dim!r}] has {len(self.profiles[dim])} entries, "
-                    f"expected {self.annotators}"
+                    f"profiles[{dim!r}] has {len(panel)} entries, expected {self.annotators}"
                 )
+        for dim in dims:
             if not (math.isfinite(self.feature_snr[dim]) and self.feature_snr[dim] >= 0):
                 raise ContractError(
                     f"feature_snr[{dim!r}] must be finite and >= 0, got {self.feature_snr[dim]}"
@@ -175,7 +176,18 @@ class SynthConfig:
 
     @property
     def dimensions(self):
-        return tuple(sorted(self.profiles))
+        return tuple(sorted(self.profiles or _SAMPLED_PANELS))
+
+    @functools.cached_property
+    def panels(self) -> Mapping[str, tuple[AnnotatorProfile, ...]]:
+        """The annotator panel of each dimension: ``profiles``, or when that
+        is empty the panels sampled from the seed, once per config."""
+        return self.profiles or {
+            dim: sample_profiles(
+                self.annotators, substream(self.seed, f"profiles/{dim}"), **ranges
+            )
+            for dim, ranges in _SAMPLED_PANELS.items()
+        }
 
 
 def default_synth_config(seed, **overrides):
@@ -300,7 +312,7 @@ def generate_source(cfg, source_index):
     annotations = {
         dim: simulate_annotators(
             truths[dim],
-            cfg.profiles[dim],
+            cfg.panels[dim],
             seed=derive_seed(cfg.seed, f"ann/{dim}/{source_index:02d}"),
         )
         for dim in dims
@@ -319,10 +331,8 @@ def generate_corpus(cfg):
         "seed": cfg.seed,
         "annotators": cfg.annotators,
         "feature_snr": dict(cfg.feature_snr),
-        "gold_provenance": "intended_emotion",
         "profiles": {
-            dim: [dataclasses.asdict(p) for p in cfg.profiles[dim]]
-            for dim in cfg.dimensions
+            dim: [dataclasses.asdict(p) for p in cfg.panels[dim]] for dim in cfg.dimensions
         },
     }
     return Dataset(sources=sources, meta=meta)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -20,6 +21,7 @@ from emocons.annotations import (
     Dataset,
     FeatureSequence,
     GoldStandardTrack,
+    PROVENANCES,
     SourceData,
     WindowSpec,
     load_annotation_csv,
@@ -121,6 +123,23 @@ class TestLoadLong:
         assert isinstance(m, AnnotationMatrix)
         assert m.annotator_ids == ("r1", "r2")
         np.testing.assert_allclose(m.data, [[0.1, 0.3], [-0.2, 0.2]])
+
+    def test_clamp_warns_at_the_caller_in_both_layouts(self, tmp_path):
+        # the warning names the caller's line, whichever layout the file has
+        wide = write(tmp_path, "w.csv", "time,a1,a2\n0.0,1.7,0.0\n0.04,0.2,-1.3\n")
+        long = write(
+            tmp_path,
+            "l.csv",
+            "time,annotator,value\n0.0,a2,0.0\n0.0,a1,1.7\n0.04,a1,0.2\n0.04,a2,-1.3\n",
+        )
+        loaded = []
+        for p in (wide, long):
+            with pytest.warns(ClampWarning, match=rf"clamped 2 value\(s\) .* in {p.name}") as seen:
+                loaded.append(load_annotation_csv(p, "arousal"))
+            assert [w.filename for w in seen] == [__file__]
+        assert loaded[0].annotator_ids == loaded[1].annotator_ids == ("a1", "a2")
+        assert loaded[0].data.tobytes() == loaded[1].data.tobytes()
+        np.testing.assert_array_equal(loaded[0].data, [[1.0, 0.0], [0.2, -1.0]])
 
     def test_long_format_misaligned_grids_rejected(self, tmp_path):
         p = write(
@@ -387,12 +406,35 @@ def in_kernel_domain(v):
     return abs(v) < KERNEL_LIMIT and abs(abs(p - round(p)) - 0.5) > 2 * np.spacing(abs(p))
 
 
-@given(st.lists(table_values.filter(in_kernel_domain), min_size=1, max_size=60), st.integers(1, 4))
+# The largest micro count in_kernel_domain admits: past 2**50 two ulps of
+# v * 1e6 reach half a unit, so the domain ends at a quarter of KERNEL_LIMIT.
+DOMAIN_MICROS = 2**50 - 2
+
+# Values inside the domain by construction, so no draw is rejected: v * 1e6 is
+# a whole number of micros, or one of at most 2**40 micros plus an offset of at
+# most 0.4, and either lies well clear of every half-integer.
+kernel_values = st.one_of(
+    st.sampled_from([0.0, -0.0, -4e-7, 4e-7, 0.5, 1.0000004, 1e6, -1e6, 1e9, -1e9]),
+    # sub-micro values of both signs
+    st.floats(-0.4, 0.4).map(lambda f: f / 1e6),
+    st.tuples(st.integers(-(2**40), 2**40), st.floats(-0.4, 0.4)).map(
+        lambda qf: (qf[0] + qf[1]) / 1e6
+    ),
+    st.integers(-DOMAIN_MICROS, DOMAIN_MICROS).map(lambda q: q / 1e6),
+    # magnitudes just under the end of the domain
+    st.integers(DOMAIN_MICROS - 10**6, DOMAIN_MICROS).flatmap(
+        lambda q: st.sampled_from([q / 1e6, -q / 1e6])
+    ),
+)
+
+
+@given(st.lists(kernel_values, min_size=1, max_size=60), st.integers(1, 4))
 @example([-0.0, -4e-7, 5.0, 12.25, -999.9999994, 1000.0, -123456.789, 1e9, -1098765432.1], 3)
 @settings(max_examples=150, deadline=None)
 def test_kernel_formats_tables_of_its_domain(values, width):
     """A table whose every value lies inside the domain takes the kernel's
     fast path, whatever mix of signs and magnitudes it holds."""
+    assert all(in_kernel_domain(v) for v in values)
     width = min(width, len(values))
     table = np.array(values[: len(values) // width * width]).reshape(-1, width)
     want = "".join(",".join(f"{v:.6f}" for v in row) + "\r\n" for row in table)
@@ -871,6 +913,28 @@ class TestDatasetManifest:
         back = load_dataset(tmp_path / "e")
         assert back.source_ids == ("s0", "s1")
         assert back.meta["seed"] == 7
+
+    @pytest.mark.parametrize("provenance", PROVENANCES)
+    def test_gold_provenance_comes_from_the_tracks(self, tmp_path, provenance):
+        # the tracks decide the manifest's provenance, whatever the meta says
+        sources = [make_source(100, source_id=f"s{i}") for i in range(2)]
+        for s in sources:
+            s.gold["arousal"] = dataclasses.replace(s.gold["arousal"], provenance=provenance)
+        other = next(p for p in PROVENANCES if p != provenance)
+        write_dataset(tmp_path / "d", Dataset(sources, meta={"gold_provenance": other}))
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert manifest["gold_provenance"] == provenance
+        back = load_dataset(tmp_path / "d")
+        assert [s.gold["arousal"].provenance for s in back.sources] == [provenance] * 2
+
+    def test_mixed_gold_provenances_refused_before_writing(self, tmp_path):
+        sources = [make_source(100, source_id=f"s{i}") for i in range(2)]
+        for s, provenance in zip(sources, ("aggregated", "intended_emotion")):
+            s.gold["arousal"] = dataclasses.replace(s.gold["arousal"], provenance=provenance)
+        want = r"share one provenance, got \['aggregated', 'intended_emotion'\]"
+        with pytest.raises(ContractError, match=want):
+            write_dataset(tmp_path / "d", Dataset(sources))
+        assert not (tmp_path / "d").exists()
 
     def test_manifest_written_last_and_no_temp_files(self, tmp_path, monkeypatch):
         root = tmp_path / "d"

@@ -18,7 +18,7 @@ from emocons.annotations import (
 )
 from emocons.atomic import atomic_write, atomic_write_binary, read_binary
 from emocons.errors import StructuralError
-from emocons.evalharness import FoldScore, load_report, make_report, save_report
+from emocons.evalharness import FoldScore, Report, load_report, save_report
 from emocons.nn import DenseLayer, Network, load_checkpoint, save_checkpoint
 from emocons.predictor import PredictorConfig
 from emocons.synth import SynthConfig, generate_corpus
@@ -118,7 +118,7 @@ def artifacts():
         predictor=PredictorConfig(encoder_dims=(4,)),
     )
     run = run_training(prepare_data(corpus.sources[:1], corpus.sources[1:], cfg), cfg)
-    report = make_report(
+    report = Report(
         scheme="leave_one_source_out",
         task="arousal",
         seeds=(0,),

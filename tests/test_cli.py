@@ -203,9 +203,13 @@ class TestCliConfig:
     def test_synth_profiles_survive(self):
         cfg = cli_config_from_dict({"version": 1, "synth": {"annotators": 4, "seed": 2}})
         assert cfg.synth.annotators == 4
-        assert all(len(v) == 4 for v in cfg.synth.profiles.values())
+        assert cfg.synth.profiles == {}
+        assert sorted(cfg.synth.panels) == ["arousal", "valence"]
+        assert all(len(v) == 4 for v in cfg.synth.panels.values())
         d = json.loads(json.dumps(to_dict(cfg)))
-        assert cli_config_from_dict(d).synth == cfg.synth
+        back = cli_config_from_dict(d).synth
+        assert back == cfg.synth
+        assert back.panels == cfg.synth.panels
 
 
 class TestFlagRegistry:
@@ -359,6 +363,63 @@ class TestPrecedence:
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="not found"):
             resolve_config("/nonexistent/c.json", {})
+
+
+def _csv_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*.csv"))}
+
+
+class TestSimulateConfig:
+    """simulate --config re-derives the annotator panels the file does not give."""
+
+    SIZE = ["--synth.sources", "2", "--synth.frames_per_source", "100"]
+
+    def _first(self, tmp_path):
+        d1 = tmp_path / "d1"
+        assert parse_and_dispatch(["simulate", "--out", str(d1), "--seed", "1", *self.SIZE]) == 0
+        return d1 / "cli_config.json"
+
+    def test_a_new_seed_samples_its_own_panels(self, tmp_path):
+        # d1's cli_config.json holds no sampled panels for seed 2 to reuse
+        config = self._first(tmp_path)
+        d2, fresh = tmp_path / "d2", tmp_path / "fresh"
+        assert parse_and_dispatch(
+            ["simulate", "--config", str(config), "--seed", "2", "--out", str(d2)]
+        ) == 0
+        assert parse_and_dispatch(
+            ["simulate", "--out", str(fresh), "--seed", "2", *self.SIZE]
+        ) == 0
+        written = _csv_bytes(d2)
+        assert len(written) == 2 * 5
+        assert written == _csv_bytes(fresh)
+
+    def test_a_new_annotator_count_runs(self, tmp_path):
+        config = self._first(tmp_path)
+        d3 = tmp_path / "d3"
+        assert parse_and_dispatch(
+            ["simulate", "--config", str(config), "--synth.annotators", "4", "--out", str(d3)]
+        ) == 0
+        ds = load_dataset(d3)
+        assert {m.annotators for s in ds.sources for m in s.annotations.values()} == {4}
+
+    def test_profiles_in_the_file_win(self, tmp_path):
+        exact = {"bias": 0.25, "scale": 1.0, "noise_sd": 0.0, "lag_frames": 0, "drift_sd": 0.0}
+        profiles = {"arousal": [exact, exact], "valence": [exact, exact]}
+        c = write_config(
+            tmp_path,
+            synth={"sources": 1, "frames_per_source": 50, "annotators": 2, "profiles": profiles},
+        )
+        d = tmp_path / "d"
+        assert parse_and_dispatch(
+            ["simulate", "--config", str(c), "--seed", "3", "--out", str(d)]
+        ) == 0
+        resolved = json.loads((d / "cli_config.json").read_text())
+        assert resolved["synth"]["profiles"] == profiles
+        (source,) = load_dataset(d).sources
+        for dim in ("arousal", "valence"):
+            want = np.clip(source.gold[dim].values + 0.25, -1.0, 1.0)
+            for column in source.annotations[dim].data.T:
+                np.testing.assert_allclose(column, want, atol=1e-6)
 
 
 class TestPipeline:

@@ -26,9 +26,6 @@ from emocons.evalharness import (
     load_report,
     make_fixed_split,
     make_loso_plan,
-    make_report,
-    report_from_dict,
-    report_to_dict,
     run_cv,
     save_report,
 )
@@ -104,20 +101,30 @@ class TestFoldPlan:
 
     def test_leakage_guard(self):
         with pytest.raises(ContractError, match="both"):
-            FoldPlan(
-                scheme="fixed_split",
-                folds=((("a", "b"), ("b",)),),
-            )
+            FoldPlan(((("a", "b"), ("b",)),))
         with pytest.raises(ContractError, match="both"):
             make_fixed_split(["a", "b"], ["b", "c"])
 
+    @pytest.mark.parametrize(
+        "folds, scheme",
+        [
+            (((("b",), ("a",)), (("a",), ("b",))), "leave_one_source_out"),
+            (((("b", "c"), ("a",)), (("a", "c"), ("b",)), (("a", "b"), ("c",))),
+             "leave_one_source_out"),
+            (((("a", "b"), ("c",)),), "fixed_split"),
+            (((("a",), ("b", "c")),), "fixed_split"),
+        ],
+        ids=["loso2", "loso3", "split", "split_two_tested"],
+    )
+    def test_scheme_follows_from_the_folds(self, folds, scheme):
+        assert FoldPlan(folds).scheme == scheme
+        assert [f.name for f in dataclasses.fields(FoldPlan)] == ["folds"]
+
     def test_loso_partition_enforced(self):
-        # a source tested twice violates the partition invariant
-        with pytest.raises(ContractError, match="exactly once"):
-            FoldPlan(
-                scheme="leave_one_source_out",
-                folds=((("a",), ("b",)), (("a",), ("b",))),
-            )
+        # only folds that test every source exactly once are leave-one-source-out:
+        # a source tested twice, or one never tested, makes a fixed split
+        assert FoldPlan(((("a",), ("b",)), (("a",), ("b",)))).scheme == "fixed_split"
+        assert FoldPlan(((("a", "c"), ("b",)), (("b", "c"), ("a",)))).scheme == "fixed_split"
 
     @pytest.mark.parametrize(
         "make, repeated",
@@ -135,15 +142,29 @@ class TestFoldPlan:
             make()
 
     def test_empty_sides_rejected(self):
-        with pytest.raises(ContractError):
-            FoldPlan(scheme="fixed_split", folds=(((), ("a",)),))
-        with pytest.raises(ContractError):
-            FoldPlan(scheme="fixed_split", folds=((("a",), ()),))
+        with pytest.raises(ContractError, match="both sides"):
+            FoldPlan((((), ("a",)),))
+        with pytest.raises(ContractError, match="both sides"):
+            FoldPlan(((("a",), ()),))
+        with pytest.raises(ContractError, match="no folds"):
+            FoldPlan(())
 
-    def test_unknown_scheme(self):
+    def test_unknown_scheme(self, tmp_path):
+        # a plan's scheme is derived; a Report, built or loaded, refuses any
+        # scheme but FOLD_SCHEMES
         assert FOLD_SCHEMES == ("leave_one_source_out", "fixed_split")
-        with pytest.raises(ContractError):
-            FoldPlan(scheme="bootstrap", folds=((("a",), ("b",)),))
+        report = Report(
+            scheme=make_fixed_split(["a"], ["b"]).scheme,
+            task="valence",
+            seeds=(5,),
+            config_hashes={"acn": "ab" * 32},
+            entries=(FoldScore("acn", 5, 0, ("b",), {"valence": 0.5}),),
+        )
+        with pytest.raises(ContractError, match="bootstrap"):
+            dataclasses.replace(report, scheme="bootstrap")
+        p = _saved_report(tmp_path, report, scheme="bootstrap")
+        with pytest.raises(StructuralError, match=r"r\.json: unknown fold scheme 'bootstrap'"):
+            load_report(p)
 
     def test_fixed_split(self):
         plan = make_fixed_split(["a", "b"], ["c"])
@@ -331,17 +352,33 @@ class TestRunCv:
             run_cv(corpus, tiny_cfg(), plan=plan)
 
 
+def _saved_report(tmp_path, report, **edits) -> Path:
+    """``report`` saved as JSON with its top-level keys replaced by ``edits``
+    (a value of None deletes the key)."""
+    p = tmp_path / "r.json"
+    save_report(p, report)
+    d = json.loads(p.read_text())
+    for key, value in edits.items():
+        if value is None:
+            del d[key]
+        else:
+            d[key] = value
+    p.write_text(json.dumps(d))
+    return p
+
+
 class TestReport:
-    def _report(self):
-        entries = (
-            FoldScore("acn", 5, 0, ("s0",), {"valence": 0.5}),
-            FoldScore("acn", 5, 1, ("s1",), {"valence": 0.7}),
+    def _report(self, task="valence", ccc=({"valence": 0.5}, {"valence": 0.7}), modes=("acn",)):
+        entries = tuple(
+            FoldScore(mode, 5, fold, (f"s{fold}",), dict(c))
+            for mode in modes
+            for fold, c in enumerate(ccc)
         )
-        return make_report(
+        return Report(
             scheme="leave_one_source_out",
-            task="valence",
+            task=task,
             seeds=(5,),
-            config_hashes={"acn": "ab" * 32},
+            config_hashes={mode: "ab" * 32 for mode in modes},
             entries=entries,
         )
 
@@ -349,9 +386,10 @@ class TestReport:
         r = self._report()
         assert r.aggregate == {"acn": {"valence": pytest.approx(0.6, abs=1e-12)}}
 
-    def test_tampered_aggregate_rejected(self):
+    def test_tampered_aggregate_rejected(self, tmp_path):
         r = self._report()
-        with pytest.raises(ContractError, match="aggregate"):
+        # a Report derives its aggregate and takes none
+        with pytest.raises(TypeError, match="aggregate"):
             Report(
                 scheme=r.scheme,
                 task=r.task,
@@ -360,21 +398,45 @@ class TestReport:
                 entries=r.entries,
                 aggregate={"acn": {"valence": 0.9}},
             )
+        p = _saved_report(tmp_path, r, aggregate={"acn": {"valence": 0.9}})
+        with pytest.raises(StructuralError, match=r"r\.json: report aggregate is missing"):
+            load_report(p)
+
+    @pytest.mark.parametrize(
+        "aggregate",
+        [
+            None,
+            {"acn": {"valence": 0.6 + 1e-9}},
+            {"acn": {"valence": 0.6, "arousal": 0.6}},
+            {"acn": {"valence": 0.6}, "baseline": {"valence": 0.6}},
+            {},
+            {"acn": {"valence": "0.6"}},
+            {"acn": 0.6},
+        ],
+        ids=["missing", "off_by_1e-9", "extra_dim", "extra_mode", "empty", "str", "flat"],
+    )
+    def test_stored_aggregate_must_be_the_fold_mean(self, tmp_path, aggregate):
+        p = _saved_report(tmp_path, self._report(), aggregate=aggregate)
+        with pytest.raises(StructuralError, match=r"r\.json: report aggregate is missing"):
+            load_report(p)
+
+    def test_stored_aggregate_within_1e_12_loads(self, tmp_path):
+        r = self._report()
+        p = _saved_report(tmp_path, r, aggregate={"acn": {"valence": 0.6 + 5e-13}})
+        assert load_report(p) == r
 
     def test_round_trip(self, tmp_path):
         r = self._report()
-        d = json.loads(json.dumps(report_to_dict(r)))
-        assert report_from_dict(d) == r
         save_report(tmp_path / "r.json", r)
         assert load_report(tmp_path / "r.json") == r
 
-    def test_bad_payload_rejected(self):
-        with pytest.raises(StructuralError):
-            report_from_dict({"format": "something-else", "version": 1})
-        d = report_to_dict(self._report())
-        d["surprise"] = 1
-        with pytest.raises(StructuralError, match="surprise"):
-            report_from_dict(d)
+    def test_bad_payload_rejected(self, tmp_path):
+        p = _saved_report(tmp_path, self._report(), format="something-else")
+        with pytest.raises(StructuralError, match="not an emocons-report document"):
+            load_report(p)
+        p = _saved_report(tmp_path, self._report(), surprise=1)
+        with pytest.raises(StructuralError, match=r"r\.json: .*surprise"):
+            load_report(p)
 
     def test_report_json_exact_bytes(self, tmp_path):
         p = tmp_path / "report.json"
@@ -431,7 +493,7 @@ class TestReport:
             (("entries", 0), ["acn"], r"entries\[0\] \(FoldScore\) must be a mapping"),
             (("entries", 0, "seed"), "x", r"entries\[0\]\.seed must be int"),
             (("entries", 0, "ccc", "valence"), "abc", r"entries\[0\]\.ccc\.valence must be float"),
-            (("aggregate",), 3, "aggregate must be a mapping"),
+            (("aggregate",), 3, "report aggregate is missing or is not the mean of its folds"),
             (("config_hashes",), ["acn"], "config_hashes must be a mapping"),
             (("entries", 0, "test_sources"), "s0", r"entries\[0\]\.test_sources must be a list"),
         ],
@@ -442,57 +504,60 @@ class TestReport:
     )
     def test_malformed_payload_names_the_file_and_field(self, tmp_path, keys, value, want):
         # test_sources "s0" used to load as ("s", "0"); the rest leaked TypeError and kin
-        d = json.loads(json.dumps(report_to_dict(self._report())))
+        p = tmp_path / "r.json"
+        save_report(p, self._report())
+        d = json.loads(p.read_text())
         node = d
         for k in keys[:-1]:
             node = node[k]
         node[keys[-1]] = value
-        p = tmp_path / "r.json"
         p.write_text(json.dumps(d))
         with pytest.raises(StructuralError, match=rf"r\.json: {want}"):
             load_report(p)
 
     def test_table_layout(self):
-        reports = []
-        for task, vals in [
-            ("valence", {"baseline": {"valence": 0.391}, "acn": {"valence": 0.437}}),
-            ("arousal", {"baseline": {"arousal": 0.651}, "acn": {"arousal": 0.666}}),
+        for task, by_mode, label, cells in [
+            ("valence", {"acn": {"valence": 0.437}, "baseline": {"valence": 0.391}},
+             "Valence", ["0.391", "0.437"]),
+            ("arousal", {"acn": {"arousal": 0.666}, "baseline": {"arousal": 0.651}},
+             "Arousal", ["0.651", "0.666"]),
             (
                 "both",
                 {
-                    "baseline": {"valence": 0.438, "arousal": 0.645},
                     "acn": {"valence": 0.482, "arousal": 0.657},
+                    "baseline": {"valence": 0.438, "arousal": 0.645},
                 },
+                "Valence & Arousal",
+                ["0.438/0.645", "0.482/0.657"],
             ),
         ]:
-            entries = tuple(
-                FoldScore(mode, 0, 0, ("s0",), dims) for mode, dims in vals.items()
+            # acn's folds come first: the columns still follow TRAIN_MODES
+            report = Report(
+                scheme="leave_one_source_out",
+                task=task,
+                seeds=(0,),
+                config_hashes={m: "00" * 32 for m in by_mode},
+                entries=tuple(FoldScore(m, 0, 0, ("s0",), c) for m, c in by_mode.items()),
             )
-            reports.append(
-                make_report(
-                    scheme="leave_one_source_out",
-                    task=task,
-                    seeds=(0,),
-                    config_hashes={m: "00" * 32 for m in vals},
-                    entries=entries,
-                )
-            )
-        table = format_comparison_table(reports)
-        lines = table.splitlines()
-        assert "baseline" in lines[0] and "acn" in lines[0]
-        assert lines[1].startswith("Valence ")
-        assert lines[2].startswith("Arousal")
-        assert lines[3].startswith("Valence & Arousal")
-        assert "0.391" in lines[1] and "0.437" in lines[1]
-        assert "0.438/0.645" in lines[3] and "0.482/0.657" in lines[3]
-        # columns align
-        col = lines[0].index("baseline")
-        assert lines[1][col + len("baseline") - 1] != " "
+            header, row = format_comparison_table(report).splitlines()
+            assert header.split() == ["baseline", "acn"]
+            assert row.startswith(label + "  ")
+            assert row[len(label):].split() == cells
+            # every cell ends under the end of its mode's name
+            for name in ("baseline", "acn"):
+                end = header.index(name) + len(name)
+                assert row[end - 1] != " " and (end == len(row) or row[end] == " ")
 
-    def test_duplicate_task_rejected(self):
-        r = self._report()
-        with pytest.raises(ContractError):
-            format_comparison_table([r, r])
+    def test_table_puts_other_modes_after_the_training_modes(self):
+        report = self._report(modes=("zeta", "acn", "alpha", "baseline"))
+        header, _ = format_comparison_table(report).splitlines()
+        assert header.split() == ["baseline", "acn", "alpha", "zeta"]
+
+    @pytest.mark.parametrize("dim", ["valence", "arousal"])
+    def test_joint_table_needs_both_dimensions(self, dim):
+        report = self._report(task="both", ccc=({dim: 0.5},))
+        with pytest.raises(ContractError, match="both report has no"):
+            format_comparison_table(report)
 
 
 class TestAbCompare:

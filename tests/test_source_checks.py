@@ -379,6 +379,35 @@ def test_run_file_check_catches_what_it_looks_for():
     assert _located(tree, _names_run_file) == [("f", 3), (None, 4), (None, 4)]
 
 
+# annotations.py is the one module that knows a dataset manifest's
+# gold_provenance key; the others give and take the provenance on the gold
+# tracks, which write_dataset and load_dataset carry to and from it.
+def _names_gold_provenance(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value == "gold_provenance"
+
+
+def test_manifest_gold_provenance_has_one_home():
+    found = [
+        (path.name, func, line)
+        for path in MODULES
+        for func, line in _located(_parse(path), _names_gold_provenance)
+    ]
+    assert found and {name for name, _, _ in found} == {"annotations.py"}, (
+        f"gold_provenance named at {found}; outside annotations.py, set the "
+        "provenance of the gold tracks"
+    )
+
+
+def test_gold_provenance_check_catches_what_it_looks_for():
+    tree = ast.parse(
+        '"""Records the gold_provenance."""\n'
+        "def f(m):\n"
+        "    return m['gold_provenance'], m.get('gold_provenance_v2'), m.gold_provenance\n"
+        "meta = {'gold_provenance': 'aggregated'}\n"
+    )
+    assert _located(tree, _names_gold_provenance) == [("f", 3), (None, 4)]
+
+
 # codec.from_dict decodes no `X | None`: a setting that can be switched off by a
 # null is a second code path that some pipeline must reach, or it goes.
 def _decoded_roots() -> list[type]:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -98,20 +99,36 @@ class TestConfig:
         assert cfg.frames_per_source == 11250
         assert cfg.rate_hz == 25.0
         assert cfg.annotators == 6
-        assert set(cfg.profiles) == {"arousal", "valence"}
-        assert all(len(v) == 6 for v in cfg.profiles.values())
-        for p in cfg.profiles["valence"]:
+        assert cfg.profiles == {}
+        assert set(cfg.panels) == {"arousal", "valence"}
+        assert all(len(v) == 6 for v in cfg.panels.values())
+        for p in cfg.panels["valence"]:
             assert p.noise_sd == 0.3
             assert 0.6 <= p.scale <= 1.4
 
     def test_empty_profiles_sampled_from_seed(self):
-        cfg = SynthConfig(seed=4, annotators=3)
-        assert cfg.profiles == {
+        # the config keeps only the profiles it is given; the panels it
+        # samples are derived, so a new seed or size re-samples them
+        cfg = SynthConfig(seed=4, annotators=3, sources=1, frames_per_source=50)
+        assert cfg.profiles == {}
+        assert cfg.panels == {
             "arousal": sample_profiles(3, substream(4, "profiles/arousal"), **MILD_ANNOTATORS),
             "valence": sample_profiles(3, substream(4, "profiles/valence"), **NOISY_ANNOTATORS),
         }
-        assert default_synth_config(4, annotators=3) == cfg
-        assert SynthConfig(seed=4, annotators=3, profiles=cfg.profiles) == cfg
+        assert cfg.panels is cfg.panels  # sampled once per config
+        assert default_synth_config(4, annotators=3, sources=1, frames_per_source=50) == cfg
+        assert dataclasses.replace(cfg, annotators=4).panels == {
+            "arousal": sample_profiles(4, substream(4, "profiles/arousal"), **MILD_ANNOTATORS),
+            "valence": sample_profiles(4, substream(4, "profiles/valence"), **NOISY_ANNOTATORS),
+        }
+        given = dataclasses.replace(cfg, profiles=cfg.panels)
+        assert given.profiles == given.panels == cfg.panels
+        ours, theirs = generate_corpus(cfg), generate_corpus(given)
+        assert ours.meta == theirs.meta
+        for dim in cfg.dimensions:
+            np.testing.assert_array_equal(
+                ours.sources[0].annotations[dim].data, theirs.sources[0].annotations[dim].data
+            )
 
     def test_validation(self):
         with pytest.raises(ContractError):
@@ -250,7 +267,7 @@ class TestAnnotators:
         for seed in (0, 1, 2):
             cfg = default_synth_config(seed, sources=1, frames_per_source=6000)
             t = generate_truth(cfg, "valence", 0)
-            m = simulate_annotators(t, cfg.profiles["valence"], seed=seed)
+            m = simulate_annotators(t, cfg.panels["valence"], seed=seed)
             pair = [
                 ccc(m.data[:, i], m.data[:, j])
                 for i, j in itertools.combinations(range(m.annotators), 2)
