@@ -14,7 +14,12 @@ same matrix regardless of file layout.
 
 A dataset directory groups several recording sources: a ``manifest.json``
 plus one subdirectory per source holding ``features.csv`` and, for each
-affect dimension, ``gold_<dim>.csv`` and ``annotations_<dim>.csv``.
+affect dimension, ``gold_<dim>.csv`` and ``annotations_<dim>.csv``.  The
+manifest's schema is Manifest: ``sources``, distinct plain directory names
+under the root; ``dimensions``, distinct names from DIMENSIONS;
+``rate_hz``, every stream's rate, positive and finite; ``feature_dim``, the
+width of every ``features.csv``; ``gold_provenance``, every gold track's.
+Both lists are non-empty, and the other keys are meta.
 
 Loaders read a file whole and refuse, with the file and line, a ragged row,
 a token that is not a number, a non-finite value and a time column off a
@@ -32,10 +37,12 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 import math
 import re
+import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NoReturn
 
@@ -50,7 +57,8 @@ from .atomic import (
     read_json,
     write_json,
 )
-from .errors import ContractError, ParseError, StructuralError
+from .codec import from_dict, to_dict
+from .errors import ConfigError, ContractError, ParseError, StructuralError
 
 DIMENSIONS = ("arousal", "valence")
 
@@ -769,6 +777,8 @@ class SourceData:
             if self.gold[dim].frames != t or self.annotations[dim].frames != t:
                 raise ContractError(f"{self.source_id}/{dim}: streams are not frame-aligned")
             for name, stream in (("gold", self.gold[dim]), ("annotations", self.annotations[dim])):
+                if stream.dimension != dim:
+                    raise ContractError(f"{self.source_id}/{dim}: {name} is {stream.dimension!r}")
                 if not math.isclose(stream.rate_hz, rate, rel_tol=RATE_RTOL):
                     raise ContractError(
                         f"{self.source_id}/{dim}: {name} rate {stream.rate_hz} Hz "
@@ -818,23 +828,65 @@ class Dataset:
         return self.sources[0].features.dim
 
 
+@dataclass(frozen=True)
+class Manifest:
+    """The keys of a dataset's ``manifest.json`` that the module docstring
+    describes, in the order written; the file's other keys are meta."""
+
+    sources: tuple[str, ...]
+    dimensions: tuple[str, ...]
+    rate_hz: float
+    feature_dim: int
+    gold_provenance: str = "external_gold"
+
+    def __post_init__(self):
+        if not self.sources:
+            raise ContractError("sources must be a list of at least one id, got []")
+        for sid in self.sources:
+            if not isinstance(sid, str) or sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+                raise ContractError(f"source id {sid!r} is not a plain directory name")
+        if len(set(self.sources)) != len(self.sources):
+            raise ContractError(f"duplicate source ids in {list(self.sources)!r}")
+        dims = self.dimensions
+        if not (dims and set(dims) <= set(DIMENSIONS) and len(set(dims)) == len(dims)):
+            raise ContractError(
+                f"dimensions must be a non-empty list of distinct names from {DIMENSIONS}, "
+                f"got {list(dims)!r}"
+            )
+        # float_info.max also bounds a JSON integer too large for a float
+        if not 0 < self.rate_hz <= sys.float_info.max:
+            raise ContractError(f"rate_hz must be a positive number, got {self.rate_hz!r}")
+        object.__setattr__(self, "rate_hz", float(self.rate_hz))
+        if self.gold_provenance not in PROVENANCES:
+            raise ContractError(
+                f"gold_provenance must be one of {PROVENANCES}, got {self.gold_provenance!r}"
+            )
+
+
 def write_dataset(root: str | Path, dataset: Dataset) -> None:
     """Write a dataset directory: per-source CSV files, then manifest.json.
 
     Each file is written atomically, and the manifest last, so a directory
-    whose manifest is new holds every file it names.  The manifest's
-    ``gold_provenance`` is the gold tracks' own.  Source ids that
-    load_dataset would refuse, streams of fewer than 2 frames and gold
-    tracks that do not share one provenance are refused before anything is
-    written.
+    whose manifest is new holds every file it names; its ``gold_provenance``
+    is the gold tracks'.  A manifest that Manifest or JSON refuses, gold
+    tracks of several provenances and streams under 2 frames are refused first.
     """
-    for sid in dataset.source_ids:
-        if not _is_plain_name(sid):
-            raise ContractError(f"source id {sid!r} is not a plain directory name")
     provenances = sorted({g.provenance for s in dataset.sources for g in s.gold.values()})
     if len(provenances) != 1:
         raise ContractError(f"gold tracks must share one provenance, got {provenances}")
+    manifest = Manifest(
+        dataset.source_ids, dataset.dimensions, dataset.sources[0].features.rate_hz,
+        dataset.feature_dim, provenances[0],
+    )
     root = Path(root)
+    doc = envelope(DATASET_FORMAT, DATASET_VERSION, to_dict(manifest))
+    # a loaded dataset's meta is its old manifest: it must not rename the sources
+    doc.update((k, v) for k, v in dataset.meta.items() if k not in doc)
+    for key, value in doc.items():
+        try:
+            json.dumps({key: value})
+        except (TypeError, ValueError) as exc:
+            raise ContractError(f"{root / 'manifest.json'}: key {key!r}: {exc}") from None
     tables = []
     for s in dataset.sources:
         d = root / s.source_id
@@ -846,81 +898,26 @@ def write_dataset(root: str | Path, dataset: Dataset) -> None:
         _check_rows(path, stream.frames)
     for write, path, stream in tables:
         write(path, stream)
-    body = {
-        "sources": list(dataset.source_ids),
-        "dimensions": list(dataset.dimensions),
-        "rate_hz": dataset.sources[0].features.rate_hz,
-        "feature_dim": dataset.feature_dim,
-        "gold_provenance": provenances[0],
-    }
-    manifest = envelope(DATASET_FORMAT, DATASET_VERSION, body)
-    # a loaded dataset's meta is its old manifest: it must not rename the sources
-    manifest.update((k, v) for k, v in dataset.meta.items() if k not in manifest)
-    write_json(root / "manifest.json", manifest)
-
-
-def _is_plain_name(source_id) -> bool:
-    """Whether a manifest source id names a directory directly under the dataset root."""
-    return (
-        isinstance(source_id, str)
-        and source_id not in ("", ".", "..")
-        and "/" not in source_id
-        and "\\" not in source_id
-    )
+    write_json(root / "manifest.json", doc)
 
 
 def load_dataset(root: str | Path) -> Dataset:
     """Load a dataset directory written by write_dataset.
 
-    Every stream takes the manifest's ``rate_hz``, once its time column is
-    found to follow that rate from 0.  The manifest's ``dimensions`` must be
-    distinct names from DIMENSIONS and its ``feature_dim`` the width of
-    every ``features.csv``.
+    A manifest that Manifest refuses is a StructuralError naming it.  Every
+    stream takes its ``rate_hz``, once its time column is found to follow
+    that rate from 0.
     """
     root = Path(root)
     manifest_path = root / "manifest.json"
-    manifest = read_json(manifest_path, "dataset manifest")
-    body = open_envelope(manifest, DATASET_FORMAT, DATASET_VERSION, str(manifest_path))
+    doc = read_json(manifest_path, "dataset manifest")
+    body = open_envelope(doc, DATASET_FORMAT, DATASET_VERSION, str(manifest_path))
+    schema = {f.name for f in fields(Manifest)}
     try:
-        source_ids = body["sources"]
-        dims = body["dimensions"]
-        rate = body["rate_hz"]
-        feature_dim = body["feature_dim"]
-    except KeyError as exc:
-        raise StructuralError(f"{manifest_path}: manifest is missing {exc}") from None
-    if not (isinstance(source_ids, list) and source_ids):
-        raise StructuralError(
-            f"{manifest_path}: sources must be a list of at least one id, got {source_ids!r}"
-        )
-    for sid in source_ids:
-        if not _is_plain_name(sid):
-            raise StructuralError(
-                f"{manifest_path}: source id {sid!r} is not a plain directory name"
-            )
-    if len(set(source_ids)) != len(source_ids):
-        raise StructuralError(f"{manifest_path}: duplicate source ids in {source_ids!r}")
-    if not (
-        isinstance(dims, list)
-        and dims
-        and all(d in DIMENSIONS for d in dims)
-        and len(set(dims)) == len(dims)
-    ):
-        raise StructuralError(
-            f"{manifest_path}: dimensions must be a non-empty list of distinct names "
-            f"from {DIMENSIONS}, got {dims!r}"
-        )
-    if (
-        isinstance(rate, bool)
-        or not isinstance(rate, (int, float))
-        or not (math.isfinite(rate) and rate > 0)
-    ):
-        raise StructuralError(f"{manifest_path}: rate_hz must be a positive number, got {rate!r}")
-    rate = float(rate)
-    provenance = body.get("gold_provenance", "external_gold")
-    if provenance not in PROVENANCES:
-        raise StructuralError(
-            f"{manifest_path}: gold_provenance must be one of {PROVENANCES}, got {provenance!r}"
-        )
+        manifest = from_dict(Manifest, {k: v for k, v in body.items() if k in schema})
+    except (ConfigError, ContractError) as exc:
+        raise StructuralError(f"{manifest_path}: {exc}") from None
+    rate, provenance = manifest.rate_hz, manifest.gold_provenance
 
     def named(path: Path) -> Path:
         if not path.is_file():
@@ -928,21 +925,20 @@ def load_dataset(root: str | Path) -> Dataset:
         return path
 
     sources = []
-    for sid in source_ids:
+    for sid in manifest.sources:
         d = root / sid
         feats = _load_features(named(d / "features.csv"), rate)
-        if type(feature_dim) is not int or feats.dim != feature_dim:
+        if feats.dim != manifest.feature_dim:
             raise StructuralError(
-                f"{manifest_path}: feature_dim is {feature_dim!r}, "
+                f"{manifest_path}: feature_dim is {manifest.feature_dim!r}, "
                 f"but {d / 'features.csv'} has {feats.dim} feature columns"
             )
-        gold = {}
-        ann = {}
-        for dim in dims:
+        gold, ann = {}, {}
+        for dim in manifest.dimensions:
             gold[dim] = _load_gold(named(d / f"gold_{dim}.csv"), dim, provenance, rate)
             ann[dim] = _load_annotations(named(d / f"annotations_{dim}.csv"), dim, rate)
         sources.append(SourceData(source_id=sid, features=feats, gold=gold, annotations=ann))
-    return Dataset(sources=sources, meta=manifest)
+    return Dataset(sources=sources, meta=doc)
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,10 @@ _READS: dict[str, tuple[str, ...]] = {
     "aggregate": ("run_dir",),
     "predict": ("run_dir",),
     "metrics": (),
-    "ab": ("dataset_dir", "run_dir", "train", "eval"),
+    "ab": ("dataset_dir", "run_dir", "eval", *(  # ab_compare sets each run's mode and seed
+        f"train.{f.name}" for f in dataclasses.fields(TrainConfig)
+        if f.name not in ("mode", "seed")
+    )),
 }
 
 _ALIASES: dict[str, dict[str, str]] = {

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,9 +19,11 @@ from emocons.annotations import (
     _write_table,
     AnnotationMatrix,
     ClampWarning,
+    DIMENSIONS,
     Dataset,
     FeatureSequence,
     GoldStandardTrack,
+    Manifest,
     PROVENANCES,
     SourceData,
     WindowSpec,
@@ -36,6 +39,7 @@ from emocons.annotations import (
     write_gold_csv,
     write_trace_csv,
 )
+from emocons.codec import from_dict, to_dict
 from emocons.errors import ContractError, ParseError, StructuralError
 from emocons.synth import default_synth_config, generate_source
 
@@ -319,6 +323,18 @@ class TestWindowize:
         slow, fast = make_source(100, 12.5, source_id="slow"), make_source(100, source_id="fast")
         with pytest.raises(ContractError, match=r"'slow' .* 12.5 Hz.*'fast' at 25.0 Hz"):
             Dataset([fast, slow])
+
+    @pytest.mark.parametrize("kind", ["gold", "annotations"])
+    def test_stream_labelled_for_another_dimension_rejected(self, kind):
+        # an arousal stream filed under valence used to be accepted
+        feats, ann, gold = make_aligned(100)
+        # the other stream is relabelled, so only the one of this kind is wrong
+        if kind == "gold":
+            ann = dataclasses.replace(ann, dimension="valence")
+        else:
+            gold = dataclasses.replace(gold, dimension="valence")
+        with pytest.raises(ContractError, match=rf"s/valence: {kind} is 'arousal'"):
+            SourceData("s", feats, {"valence": gold}, {"valence": ann})
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ContractError):
@@ -822,7 +838,10 @@ class TestDatasetManifest:
     @pytest.mark.parametrize("sid", ["..", ".", "", "a/b", "a\\b", "../s0", 3])
     def test_source_id_must_be_a_plain_name(self, tmp_path, sid):
         root = self._write_with_manifest(tmp_path, sources=[sid])
-        with pytest.raises(StructuralError, match=r"manifest\.json: source id .* plain directory"):
+        want = r"manifest\.json: source id .* plain directory"
+        if not isinstance(sid, str):
+            want = r"manifest\.json: sources\[0\] must be str, got 3"
+        with pytest.raises(StructuralError, match=want):
             load_dataset(root)
 
     def test_missing_file_named_with_its_manifest(self, tmp_path):
@@ -833,12 +852,66 @@ class TestDatasetManifest:
         with pytest.raises(StructuralError, match=want):
             load_dataset(root)
 
-    @pytest.mark.parametrize("sid", ["../escaped", "..", ".", "a/b", "a\\b"])
+    # Of Manifest's refusals, Dataset and its streams leave the writer only a
+    # source id that is not a plain name and a dataset without dimensions.
+    @pytest.mark.parametrize("sid", ["../escaped", "..", ".", "a/b", "a\\b", 3])
     def test_writer_refuses_what_the_loader_refuses(self, tmp_path, sid):
         ds = Dataset([make_source(100, source_id="s0"), make_source(100, source_id=sid)])
-        with pytest.raises(ContractError, match="plain directory name"):
+        want = rf"source id {re.escape(repr(sid))} is not a plain directory name"
+        with pytest.raises(ContractError, match=want):
             write_dataset(tmp_path / "root" / "d", ds)
         assert list(tmp_path.rglob("*")) == []
+        root = self._write_with_manifest(tmp_path, sources=["s0", sid])
+        with pytest.raises(StructuralError, match=r"manifest\.json: (source id|sources\[1\])"):
+            load_dataset(root)
+
+    def test_writer_and_loader_refuse_a_dataset_without_dimensions(self, tmp_path):
+        feats, _, _ = make_aligned(100)
+        with pytest.raises(ContractError):
+            write_dataset(tmp_path / "root" / "d", Dataset([SourceData("s0", feats, {}, {})]))
+        assert list(tmp_path.rglob("*")) == []
+        with pytest.raises(StructuralError, match=r"manifest\.json: dimensions must be"):
+            load_dataset(self._write_with_manifest(tmp_path, dimensions=[]))
+
+    @pytest.mark.parametrize(
+        "change, want",
+        [
+            (dict(sources=()), "sources must be a list of at least one id, got []"),
+            (dict(sources=("s0", "..")), "source id '..' is not a plain directory name"),
+            (dict(sources=("s0", "s0")), "duplicate source ids in ['s0', 's0']"),
+            (dict(dimensions=()), "dimensions must be a non-empty list of distinct names"),
+            (dict(dimensions=("anger",)), "dimensions must be a non-empty list of distinct names"),
+            (dict(dimensions=("arousal",) * 2), "dimensions must be a non-empty list of distinct"),
+            (dict(rate_hz=0), "rate_hz must be a positive number, got 0"),
+            (dict(rate_hz=-25.0), "rate_hz must be a positive number, got -25.0"),
+            (dict(rate_hz=math.inf), "rate_hz must be a positive number, got inf"),
+            (dict(rate_hz=math.nan), "rate_hz must be a positive number, got nan"),
+            (dict(rate_hz=10**400), f"rate_hz must be a positive number, got {10**400}"),
+            (dict(gold_provenance="bogus"), "gold_provenance must be one of"),
+        ],
+        ids=["no_sources", "dot_dot", "duplicate_ids", "no_dimensions", "unknown_dimension",
+             "repeated_dimension", "zero_rate", "negative_rate", "inf_rate", "nan_rate",
+             "huge_int_rate", "bad_provenance"],
+    )
+    def test_manifest_and_loader_refuse_alike(self, tmp_path, change, want):
+        valid = dict(sources=("s0",), dimensions=("arousal",), rate_hz=25.0, feature_dim=4)
+        with pytest.raises(ContractError, match=re.escape(want)):
+            Manifest(**{**valid, **change})
+        root = self._write_with_manifest(tmp_path, **change)
+        with pytest.raises(StructuralError, match=rf"manifest\.json: {re.escape(want)}"):
+            load_dataset(root)
+
+    def test_unwritable_meta_refused_before_any_file_changes(self, tmp_path):
+        # a numpy seed used to replace every CSV, then fail in the manifest's write
+        # with a bare TypeError and leave the old manifest over the new tables
+        root = tmp_path / "d"
+        write_dataset(root, Dataset([make_source(100, source_id="s0")], meta={"seed": 5}))
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        other = Dataset([make_source(120, source_id="s0")], meta={"seed": np.int64(6)})
+        want = r"d/manifest\.json: key 'seed': .*int64 is not JSON serializable"
+        with pytest.raises(ContractError, match=want):
+            write_dataset(root, other)
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
 
     def test_short_later_source_leaves_nothing_behind(self, tmp_path):
         ds = Dataset([make_source(100, source_id="s0"), make_source(1, source_id="s1")])
@@ -871,7 +944,7 @@ class TestDatasetManifest:
     )
     def test_bad_manifest_dimensions_refused(self, tmp_path, dims):
         root = self._write_with_manifest(tmp_path, dimensions=dims)
-        with pytest.raises(StructuralError, match=r"manifest\.json: dimensions must be"):
+        with pytest.raises(StructuralError, match=r"manifest\.json: dimensions(\[0\])? must be"):
             load_dataset(root)
 
     @pytest.mark.parametrize("width", [99, 3, 4.0, "4", None])
@@ -879,6 +952,8 @@ class TestDatasetManifest:
         # the written features.csv files are 4 columns wide
         root = self._write_with_manifest(tmp_path, feature_dim=width)
         want = r"manifest\.json: feature_dim is .*s0/features\.csv has 4 feature columns"
+        if type(width) is not int:
+            want = rf"manifest\.json: feature_dim must be int, got {re.escape(repr(width))}"
         with pytest.raises(StructuralError, match=want):
             load_dataset(root)
 
@@ -887,7 +962,8 @@ class TestDatasetManifest:
         manifest = json.loads((root / "manifest.json").read_text())
         del manifest["feature_dim"]
         (root / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(StructuralError, match="manifest is missing 'feature_dim'"):
+        want = r"manifest\.json: bad Manifest: .*missing 1 required .*'feature_dim'"
+        with pytest.raises(StructuralError, match=want):
             load_dataset(root)
 
     @pytest.mark.parametrize(
@@ -954,6 +1030,26 @@ class TestDatasetManifest:
         with pytest.raises(OSError):
             write_dataset(tmp_path / "e", ds)
         assert not (tmp_path / "e" / "manifest.json").exists()
+
+
+PLAIN_IDS = st.text(min_size=1, max_size=8).filter(
+    lambda s: s not in (".", "..") and "/" not in s and "\\" not in s
+)
+MANIFESTS = st.builds(
+    Manifest,
+    sources=st.lists(PLAIN_IDS, min_size=1, max_size=4, unique=True).map(tuple),
+    dimensions=st.lists(st.sampled_from(DIMENSIONS), min_size=1, unique=True).map(tuple),
+    rate_hz=st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+    | st.integers(1, 10**6),
+    feature_dim=st.integers(0, 2**31),
+    gold_provenance=st.sampled_from(PROVENANCES),
+)
+
+
+@given(MANIFESTS)
+def test_manifest_round_trips_through_json(manifest):
+    assert from_dict(Manifest, json.loads(json.dumps(to_dict(manifest)))) == manifest
+    assert type(manifest.rate_hz) is float
 
 
 def test_csv_is_utf8_under_an_ascii_locale(tmp_path):

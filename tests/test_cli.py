@@ -87,7 +87,11 @@ READS = {
     "aggregate": ("run_dir",),
     "predict": ("run_dir",),
     "metrics": (),
-    "ab": ("dataset_dir", "run_dir", "train", "eval"),
+    # ab_compare sets each run's mode and seed
+    "ab": ("dataset_dir", "run_dir", "eval", *(
+        name for name in FLAG_REGISTRY
+        if name.startswith("train.") and name not in ("train.mode", "train.seed")
+    )),
 }
 OWN_OPTIONS = {
     "simulate": (),
@@ -256,7 +260,7 @@ class TestFlagRegistry:
             }, command
         assert sum(
             leaf_in(name, reads) for reads in READS.values() for name in FLAG_REGISTRY
-        ) == 78
+        ) == 76
         assert parse_and_dispatch(["ab", "--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
         assert "--train.alpha FLOAT default: 0.5" in out
@@ -283,6 +287,15 @@ class TestFlagRegistry:
             [command, *required_args(command, tmp_path), flag, value]
         )
         assert rc == 1
+        assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--train.mode", "acn"), ("--train.seed", "77")])
+    def test_ab_refuses_the_leaves_ab_compare_sets(self, tmp_path, capsys, flag, value):
+        # ab used to take both, exit 0 and write the report of a run without them
+        assert parse_and_dispatch(["ab", "--help"]) == 0
+        assert flag not in capsys.readouterr().out
+        assert parse_and_dispatch(["ab", *required_args("ab", tmp_path), flag, value]) == 1
         assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
         assert sorted(tmp_path.iterdir()) == []
 

@@ -4,6 +4,7 @@ and of the type hints of the dataclasses that ``codec.from_dict`` decodes."""
 import ast
 import dataclasses
 import importlib
+import inspect
 import typing
 from pathlib import Path
 
@@ -379,10 +380,15 @@ def test_run_file_check_catches_what_it_looks_for():
     assert _located(tree, _names_run_file) == [("f", 3), (None, 4), (None, 4)]
 
 
-# annotations.py is the one module that knows a dataset manifest's
-# gold_provenance key; the others give and take the provenance on the gold
-# tracks, which write_dataset and load_dataset carry to and from it.
+# The field of annotations.Manifest is the one place that names a dataset
+# manifest's gold_provenance key, as a string, a field or a keyword; the
+# other modules give and take the provenance on the gold tracks, which
+# write_dataset and load_dataset carry to and from it.
 def _names_gold_provenance(node: ast.AST) -> bool:
+    if isinstance(node, ast.AnnAssign):
+        return isinstance(node.target, ast.Name) and node.target.id == "gold_provenance"
+    if isinstance(node, ast.keyword):
+        return node.arg == "gold_provenance"
     return isinstance(node, ast.Constant) and node.value == "gold_provenance"
 
 
@@ -392,8 +398,14 @@ def test_manifest_gold_provenance_has_one_home():
         for path in MODULES
         for func, line in _located(_parse(path), _names_gold_provenance)
     ]
-    assert found and {name for name, _, _ in found} == {"annotations.py"}, (
-        f"gold_provenance named at {found}; outside annotations.py, set the "
+    manifest = next(
+        node
+        for node in ast.walk(_parse(PACKAGE / "annotations.py"))
+        if isinstance(node, ast.ClassDef) and node.name == "Manifest"
+    )
+    field_line = next(node.lineno for node in manifest.body if _names_gold_provenance(node))
+    assert found == [("annotations.py", None, field_line)], (
+        f"gold_provenance named at {found}; outside the Manifest field, set the "
         "provenance of the gold tracks"
     )
 
@@ -401,11 +413,15 @@ def test_manifest_gold_provenance_has_one_home():
 def test_gold_provenance_check_catches_what_it_looks_for():
     tree = ast.parse(
         '"""Records the gold_provenance."""\n'
+        "class M:\n"
+        "    gold_provenance: str = 'external_gold'\n"
+        "    other: str = 'gold_provenance_v2'\n"
         "def f(m):\n"
         "    return m['gold_provenance'], m.get('gold_provenance_v2'), m.gold_provenance\n"
         "meta = {'gold_provenance': 'aggregated'}\n"
+        "g = M(gold_provenance='aggregated')\n"
     )
-    assert _located(tree, _names_gold_provenance) == [("f", 3), (None, 4)]
+    assert _located(tree, _names_gold_provenance) == [(None, 3), ("f", 6), (None, 7), (None, 8)]
 
 
 # codec.from_dict decodes no `X | None`: a setting that can be switched off by a
@@ -477,32 +493,67 @@ def test_optional_field_check_catches_what_it_looks_for():
 
 
 # Each cli subcommand takes the flags of the config it reads (cli._READS):
-# every cfg.<a>.<b>... chain in its handler lies inside its entry, every leaf
-# of its entry is read by some chain, and its aliases name leaves it reads.
-def _config_reads(tree: ast.Module) -> dict[str, set[str]]:
-    """The ``cfg`` chains each ``_cmd_<name>`` reads, as dotted paths; a bare
-    ``cfg`` is the empty path, except as an argument of ``_write_cli_config``."""
+# every cfg.<a>.<b>... chain in its handler lies inside its entry, but for the
+# fields that the function it is handed to replaces, every leaf of its entry is
+# read by some chain, and its aliases name leaves it reads.
+def _replaced_fields(func: ast.FunctionDef | None, arg: int | str) -> set[str]:
+    """The fields that ``func`` sets by ``replace(<param>, field=...)`` on its
+    parameter at ``arg``, a position or a name, and reads nowhere else."""
+    if func is None:
+        return set()
+    positional = [a.arg for a in func.args.posonlyargs + func.args.args]
+    if isinstance(arg, int):
+        arg = positional[arg] if arg < len(positional) else None
+    if arg not in positional + [a.arg for a in func.args.kwonlyargs]:
+        return set()  # bound to *args or **kwargs
+    name = arg
+    replaced, read = set(), set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == name:
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "replace"
+            and node.args
+            and getattr(node.args[0], "id", None) == name
+        ):
+            replaced.update(k.arg for k in node.keywords)
+    return replaced - read
+
+
+def _config_reads(tree: ast.Module, callee) -> dict[str, dict[str, set[str]]]:
+    """The ``cfg`` chains each ``_cmd_<name>`` reads, as dotted paths, each with
+    the fields that every function it is handed to replaces; ``callee`` gives
+    the FunctionDef a called name binds, or None.  A bare ``cfg`` is the empty
+    path, except as an argument of ``_write_cli_config``."""
     found = {}
     for func in ast.walk(tree):
         if not (isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")):
             continue
-        # nodes that are part of a longer chain, or handed to _write_cli_config
-        skip = set()
+        # nodes that are part of a longer chain, or handed to _write_cli_config;
+        # the fields replaced by the function each argument is handed to
+        skip, replaced = set(), {}
         for node in ast.walk(func):
             if isinstance(node, ast.Attribute):
                 skip.add(id(node.value))
-            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_write_cli_config":
-                skip.update(id(a) for a in node.args)
-        chains = set()
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "_write_cli_config":
+                    skip.update(id(a) for a in node.args)
+                target = callee(node.func.id)
+                args = [*enumerate(node.args), *((k.arg, k.value) for k in node.keywords)]
+                replaced.update((id(a), _replaced_fields(target, at)) for at, a in args)
+        chains = {}
         for node in ast.walk(func):
             if id(node) in skip:
                 continue
+            fields = replaced.get(id(node), set())
             parts = []
             while isinstance(node, ast.Attribute):
                 parts.append(node.attr)
                 node = node.value
             if isinstance(node, ast.Name) and node.id == "cfg":
-                chains.add(".".join(reversed(parts)))
+                chain = ".".join(reversed(parts))
+                chains[chain] = chains.get(chain, fields) & fields
         found[func.name.removeprefix("_cmd_")] = chains
     return found
 
@@ -511,16 +562,42 @@ def _under(path: str, roots) -> bool:
     return any(path == r or path.startswith(r + ".") for r in roots)
 
 
+def _cli_callee(name: str) -> ast.FunctionDef | None:
+    """The FunctionDef of the function ``name`` binds in cli, or None."""
+    from emocons import cli
+
+    obj = getattr(cli, name, None)
+    if not inspect.isfunction(obj):
+        return None
+    return next(
+        node
+        for node in ast.walk(_parse(Path(inspect.getsourcefile(obj))))
+        if isinstance(node, ast.FunctionDef) and node.name == obj.__name__
+    )
+
+
 def test_each_command_takes_the_flags_of_what_it_reads():
     from emocons import cli
 
-    reads = _config_reads(_parse(PACKAGE / "cli.py"))
+    reads = _config_reads(_parse(PACKAGE / "cli.py"), _cli_callee)
     assert set(reads) == set(cli._READS) == set(cli._HANDLERS)
     for command, entry in cli._READS.items():
         chains = reads[command]
-        assert [c for c in chains if not _under(c, entry)] == [], command
-        unread = [n for n in cli.FLAG_REGISTRY if _under(n, entry) and not _under(n, chains)]
-        assert unread == [], command
+        flags = {n for n in cli.FLAG_REGISTRY if _under(n, entry)}
+        # the leaves each chain reads: those under it but the fields its callees replace
+        leaves = {
+            c: {
+                n for n in cli.FLAG_REGISTRY
+                if _under(n, [c]) and not _under(n, [f"{c}.{f}" for f in replaced])
+            }
+            for c, replaced in chains.items()
+        }
+        outside = [
+            c for c, replaced in chains.items()
+            if not (_under(c, entry) or replaced and leaves[c] <= flags)
+        ]
+        assert outside == [], command
+        assert sorted(flags - set().union(*leaves.values())) == [], command
         aliased = cli._ALIASES.get(command, {}).values()
         assert [p for p in aliased if not _under(p, entry)] == [], command
 
@@ -536,10 +613,27 @@ def test_config_read_check_catches_what_it_looks_for():
         "    return cfg.synth\n"
         "def _cmd_y(cfg, ns):\n"
         "    return _write_cli_config(p, cfg)\n"
+        "def _cmd_z(cfg, ns):\n"
+        "    run(ds, cfg.train, cfg.eval, other=cfg.synth)\n"
+        "    return reset(cfg.eval), pack(cfg.synth, extra=cfg.run_dir)\n"
+        "def run(ds, base, ev, *, other=None):\n"
+        "    a = dataclasses.replace(base, mode=1, seed=2, epochs=3)\n"
+        "    return replace(ev, seeds=()), base.epochs, replace(other, seed=4), other.seed\n"
+        "def reset(ev):\n"
+        "    return ev\n"
+        "def pack(*args, **kwargs):\n"
+        "    return replace(args, seed=1), replace(None, seed=2)\n"
     )
-    assert _config_reads(tree) == {
-        "x": {"train.window.window_s", "run_dir", "", "eval.test_sources.count"},
-        "y": set(),
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    none = set()
+    assert _config_reads(tree, defs.get) == {
+        "x": {"train.window.window_s": none, "run_dir": none, "": none,
+              "eval.test_sources.count": none},
+        "y": {},
+        # run replaces base's mode and seed; it reads base.epochs and other.seed,
+        # reset replaces nothing of the eval it is also handed, and what pack
+        # takes as *args or **kwargs is read
+        "z": {"train": {"mode", "seed"}, "eval": none, "synth": none, "run_dir": none},
     }
     assert _under("eval.test_sources.count", ["eval.test_sources"])
     assert not _under("eval.test_sources_x", ["eval.test_sources"])
