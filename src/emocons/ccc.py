@@ -22,6 +22,13 @@ training, validation, evaluation and annotator weighting all score with
 the same arithmetic.  Moments are centred two-pass with numpy's pairwise
 reductions, and each mean gets one correction pass; the tests hold the
 kernel to an independent pure-Python reference with exactly rounded sums.
+
+``ccc_batch_loss`` also takes a term axis: a (terms, windows, frames)
+stack of such batches, one per loss term, is scored in one kernel run over
+the valid windows of every term (under ``pooled``, one run per distinct
+count of valid windows), and each term's loss and gradients are bitwise
+those of a call on that term alone.  A training step stacks all its terms
+there, and new loss terms join the stack.
 """
 
 from __future__ import annotations
@@ -121,7 +128,7 @@ def ccc_batch_loss(
     pooling: str = "per_window_mean",
     want_grad_x: bool = False,
     want_grad_y: bool = False,
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+) -> tuple[float | tuple[float, ...], np.ndarray | None, np.ndarray | None]:
     """CCC loss over a batch of equal-length windows, with a validity mask.
 
     ``x`` and ``y`` are (windows, frames) arrays and ``valid`` a boolean
@@ -131,6 +138,11 @@ def ccc_batch_loss(
     Returns ``(loss, grad_x, grad_y)``: gradients of that loss with the
     shape of the inputs, zero on masked windows, or None when not asked for.
     With every window masked the loss is 0.
+
+    With (terms, windows, frames) arrays and a (terms, windows) mask, each
+    term is such a batch: the loss is a tuple of one float per term and the
+    gradients keep the term axis.  Every term's loss and gradients equal,
+    bit for bit, those of a call on that term alone.
     """
     if pooling not in POOLINGS:
         raise ContractError(f"unknown pooling {pooling!r}, expected one of {POOLINGS}")
@@ -139,31 +151,83 @@ def ccc_batch_loss(
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
-    if x.ndim != 2 or x.shape != y.shape:
+    stacked = x.ndim == 3
+    if x.ndim not in (2, 3) or x.shape != y.shape:
         raise ContractError(
-            f"need two equal (windows, frames) arrays, got {x.shape} and {y.shape}"
+            "need two equal (windows, frames) or (terms, windows, frames) arrays, "
+            f"got {x.shape} and {y.shape}"
         )
-    k, w = x.shape
+    if not stacked:
+        x, y, valid = x[None], y[None], valid[None]
+    g, k, w = x.shape
     if k == 0:
         raise ContractError("empty batch")
     if w < 2:
         raise ContractError(f"need at least 2 frames per window, got {w}")
-    if valid.shape != (k,):
-        raise ContractError(f"valid must have shape ({k},), got {valid.shape}")
+    if valid.shape != (g, k):
+        want = (g, k) if stacked else (k,)
+        got = valid.shape if stacked else valid.shape[1:]
+        raise ContractError(f"valid must have shape {want}, got {got}")
 
-    # per_window_mean reduces each row; pooled reduces the whole valid block
-    axis, norm = (1, k) if pooling == "per_window_mean" else (None, 1)
+    losses, grad_x, grad_y = _stacked_loss(x, y, valid, pooling, want_grad_x, want_grad_y)
+    if stacked:
+        return losses, grad_x, grad_y
+    return (
+        losses[0],
+        None if grad_x is None else grad_x[0],
+        None if grad_y is None else grad_y[0],
+    )
+
+
+def _stacked_loss(x, y, valid, pooling, want_grad_x, want_grad_y):
+    """``ccc_batch_loss`` of (terms, windows, frames) arrays.
+
+    per_window_mean makes each valid window one row of one kernel run over
+    all terms, with norm = windows.  pooled makes each term's valid frames
+    one row with norm 1; rows of equal length share a run.  A (1, n) row
+    reduces bitwise like the (n // frames, frames) block it flattens, and a
+    row's reductions do not depend on the rows beside it, so each term gets
+    the numbers of a call on its own.
+    """
+    g, k, w = x.shape
+    pooled = pooling == "pooled"
+    norm = 1 if pooled else k
+    counts = np.count_nonzero(valid, axis=1)
+    losses = [0.0] * g
     if valid.all():
-        ccc, grad_x, grad_y = _ccc(x, y, axis, norm, want_grad_x, want_grad_y)
-        return float(np.sum(1.0 - ccc)) / norm, grad_x, grad_y
+        # no copies: every term is whole, and every pooled row has k * w frames
+        shape = (g, k * w) if pooled else (g * k, w)
+        ccc, gx, gy = _ccc(x.reshape(shape), y.reshape(shape), 1, norm, want_grad_x, want_grad_y)
+        rows = ccc.reshape(g, -1)
+        for i in range(g):
+            losses[i] = float(np.sum(1.0 - rows[i])) / norm
+        return (
+            tuple(losses),
+            None if gx is None else gx.reshape(g, k, w),
+            None if gy is None else gy.reshape(g, k, w),
+        )
 
     grad_x = np.zeros_like(x) if want_grad_x else None
     grad_y = np.zeros_like(y) if want_grad_y else None
-    if not valid.any():
-        return 0.0, grad_x, grad_y
-    ccc, gx, gy = _ccc(x[valid], y[valid], axis, norm, want_grad_x, want_grad_y)
-    if want_grad_x:
-        grad_x[valid] = gx
-    if want_grad_y:
-        grad_y[valid] = gy
-    return float(np.sum(1.0 - ccc)) / norm, grad_x, grad_y
+    runs: dict[int, list[int]] = {}  # terms that share a kernel run
+    for i in np.flatnonzero(counts).tolist():
+        runs.setdefault(int(counts[i]) if pooled else 0, []).append(i)
+    for terms in runs.values():
+        in_run = np.zeros_like(valid)
+        in_run[terms] = valid[terms]
+        # the valid windows of the run's terms, term by term
+        xs, ys = x[in_run], y[in_run]
+        if pooled:
+            xs, ys = xs.reshape(len(terms), -1), ys.reshape(len(terms), -1)
+        ccc, gx, gy = _ccc(xs, ys, 1, norm, want_grad_x, want_grad_y)
+        loss_rows = 1.0 - ccc
+        lo = 0
+        for j, i in enumerate(terms):
+            n = int(counts[i])
+            rows = slice(j, j + 1) if pooled else slice(lo, lo + n)
+            losses[i] = float(np.sum(loss_rows[rows])) / norm
+            for grad, run_grad in ((grad_x, gx), (grad_y, gy)):
+                if grad is not None:
+                    grad[i][valid[i]] = run_grad.reshape(-1, w)[lo : lo + n]
+            lo += n
+    return tuple(losses), grad_x, grad_y

@@ -245,6 +245,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Leaves a subcommand sets itself for each run (ab_compare sets each run's mode
+# and seed): it takes no flag for them, and refuses a config file that gives
+# them a value other than the default.
+_SETS: dict[str, tuple[str, ...]] = {"ab": ("train.mode", "train.seed")}
+
 # The config each subcommand reads, as leaves and whole sections: its parser
 # takes the flags of these leaves and no other.
 _READS: dict[str, tuple[str, ...]] = {
@@ -254,9 +259,9 @@ _READS: dict[str, tuple[str, ...]] = {
     "aggregate": ("run_dir",),
     "predict": ("run_dir",),
     "metrics": (),
-    "ab": ("dataset_dir", "run_dir", "eval", *(  # ab_compare sets each run's mode and seed
-        f"train.{f.name}" for f in dataclasses.fields(TrainConfig)
-        if f.name not in ("mode", "seed")
+    "ab": ("dataset_dir", "run_dir", "eval", *(
+        path for path in (f"train.{f.name}" for f in dataclasses.fields(TrainConfig))
+        if path not in _SETS["ab"]
     )),
 }
 
@@ -333,6 +338,17 @@ def _build_parser() -> _Parser:
 
 # ---------------------------------------------------------------------------
 # Subcommands
+
+
+def _refuse_what_it_sets(command: str, cfg: CliConfig) -> None:
+    sets = _SETS.get(command, ())
+    for path, _, value in _leaves(cfg):
+        default = FLAG_REGISTRY[path][1]
+        if path in sets and value != default:
+            raise ConfigError(
+                f"{path} is {value!r}: {command} sets {' and '.join(sets)} per run, "
+                f"so a config may give it only its default {default!r}"
+            )
 
 
 def _require(value: str, what: str, hint: str) -> str:
@@ -540,6 +556,7 @@ def parse_and_dispatch(argv: Sequence[str]) -> int:
         cfg, warnings = resolve_config(ns.config, overrides)
         for message in warnings:
             print(f"warning: {message}", file=sys.stderr)
+        _refuse_what_it_sets(ns.command, cfg)
         return _HANDLERS[ns.command](cfg, ns)
     except EmoconsError as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)

@@ -16,6 +16,14 @@ All randomness is drawn from named substreams of the config seed
 seed are identical and baseline/joint pairs share both their predictor
 initialization and their batch order.
 
+A run stacks its windows once, in a ``WindowStack``: features (windows,
+frames, F), and per dimension the gold (windows, frames), its validity
+(whether the window's gold varies) and, in acn mode, the annotations
+(windows, frames, annotators).  A step gathers its batch's rows of these
+arrays, one gather each, in the order the epoch's shuffle draws, and
+scores every (term, dimension) pair of the objective in one call of the
+CCC kernel, whose term axis holds the pairs.
+
 Precision: the training loop runs the predictor's forward and backward
 passes in float32 over float64 master weights.  It is the only place that
 picks float32: the weights, gradient accumulators, Adam state and clipping,
@@ -39,7 +47,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .annotations import DIMENSIONS, SourceData, WindowSpec, window_bounds
+from .annotations import DIMENSIONS, RATE_RTOL, SourceData, WindowSpec, window_bounds
 from .atomic import atomic_write, read_json, write_json
 from .ccc import POOLINGS, ccc_batch_loss
 from .codec import from_dict, to_dict
@@ -158,16 +166,74 @@ class TrainItem:
 
 
 @dataclass(eq=False)
+class WindowStack:
+    """Equal-length windows stacked into arrays, one row per window.
+
+    ``features`` is (windows, frames, F).  For each dimension of the first
+    window's gold and annotations, ``gold`` is (windows, frames) and
+    ``annotations`` (windows, frames, annotators), both float64, and
+    ``gold_valid`` marks the windows whose gold is not constant.
+    """
+
+    features: np.ndarray
+    gold: dict[str, np.ndarray]
+    gold_valid: dict[str, np.ndarray]
+    annotations: dict[str, np.ndarray]
+
+    @classmethod
+    def of(cls, items: Sequence[TrainItem], feature_dtype=None) -> WindowStack:
+        """Stack ``items``, their features in ``feature_dtype`` (default: theirs)."""
+        if not items:
+            raise ContractError("no windows to stack")
+        lengths = {np.shape(s.features)[0] for s in items}
+        if len(lengths) > 1:
+            raise ContractError(f"mixed window lengths in one batch: {sorted(lengths)}")
+        gold = {
+            dim: np.array([it.gold[dim] for it in items], dtype=np.float64)
+            for dim in items[0].gold
+        }
+        return cls(
+            features=np.stack([it.features for it in items], dtype=feature_dtype),
+            gold=gold,
+            gold_valid={dim: g.var(axis=1) >= DEGENERATE_VAR for dim, g in gold.items()},
+            annotations={
+                dim: np.array([it.annotations[dim] for it in items], dtype=np.float64)
+                for dim in items[0].annotations
+            },
+        )
+
+    def take(self, rows: np.ndarray) -> WindowStack:
+        """The stack of ``rows``, in that order: one gather per array."""
+        return WindowStack(
+            features=self.features[rows],
+            gold={dim: g[rows] for dim, g in self.gold.items()},
+            gold_valid={dim: v[rows] for dim, v in self.gold_valid.items()},
+            annotations={dim: a[rows] for dim, a in self.annotations.items()},
+        )
+
+
+@dataclass(eq=False)
 class Batch:
+    """The windows of one step, and the stack that holds their arrays.
+
+    ``rows`` are the windows' rows in ``stack``, or None when the stack is
+    theirs alone; ``Batch(segments=items)`` stacks the items.
+    """
+
     segments: tuple[TrainItem, ...]
+    stack: WindowStack | None = None
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         self.segments = tuple(self.segments)
         if not self.segments:
             raise ContractError("empty batch")
-        lengths = {np.shape(s.features)[0] for s in self.segments}
-        if len(lengths) > 1:
-            raise ContractError(f"mixed window lengths in one batch: {sorted(lengths)}")
+        if self.stack is None:
+            self.stack = WindowStack.of(self.segments)
+
+    def gather(self) -> WindowStack:
+        """The batch's own stack: its rows, gathered when it is scored."""
+        return self.stack if self.rows is None else self.stack.take(self.rows)
 
 
 @dataclass(eq=False)
@@ -201,9 +267,17 @@ def prepare_data(
     in scoring.  Annotation matrices are only carried along in acn mode, where
     the training sources must share each dimension's annotator ids (column j
     of a consensus net's input is one rater); validation sources are kept
-    whole (validation scores full traces).
+    whole (validation scores full traces).  The training sources must share
+    one feature rate, so that all their windows have one length.
     """
     dims = resolve_dimensions(cfg)
+    first = next(iter(train_sources), None)
+    for src in train_sources[1:]:
+        if not math.isclose(src.features.rate_hz, first.features.rate_hz, rel_tol=RATE_RTOL):
+            raise ContractError(
+                f"training sources differ in rate: {first.source_id!r} is sampled at "
+                f"{first.features.rate_hz} Hz, {src.source_id!r} at {src.features.rate_hz} Hz"
+            )
     items = []
     panels: dict[str, tuple[str, tuple[str, ...]]] = {}  # dim -> first source, its ids
     for src in train_sources:
@@ -238,17 +312,27 @@ def prepare_data(
     return TrainData(train=tuple(items), val=tuple(val_sources))
 
 
-def make_batches(segments, batch_size: int, seed: int) -> list[Batch]:
+def make_batches(
+    segments: Sequence[TrainItem],
+    batch_size: int,
+    seed: int,
+    stack: WindowStack | None = None,
+) -> list[Batch]:
     """Shuffle items by ``seed`` and split them into batches, keeping the
-    final partial batch."""
+    final partial batch.
+
+    ``stack`` holds the items' arrays, row i those of item i (stacked here
+    when not given); a batch gathers its rows from it when it is scored.
+    """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
-    items = list(segments)
+    items = tuple(segments)
+    if stack is None:
+        stack = WindowStack.of(items)
     order = np.random.default_rng(seed).permutation(len(items))
-    items = [items[i] for i in order]
     return [
-        Batch(segments=tuple(items[i : i + batch_size]))
-        for i in range(0, len(items), batch_size)
+        Batch(segments=tuple(items[i] for i in rows.tolist()), stack=stack, rows=rows)
+        for rows in (order[i : i + batch_size] for i in range(0, len(items), batch_size))
     ]
 
 
@@ -353,51 +437,54 @@ def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepReco
     fitted to a target per window, the gold trace in baseline mode and the
     consensus in acn mode, where the consensus is also fitted to the gold
     trace (term 1).  A window whose gold or consensus is constant is masked.
+    Every (term, dimension) pair is one term of a single ``ccc_batch_loss``
+    call: per dimension (target, prediction), then in acn mode (gold,
+    consensus) under the same mask.
     """
     dims = resolve_dimensions(cfg)
-    items = batch.segments
-    k = len(items)
-    w = items[0].features.shape[0]
-    x = np.concatenate([it.features for it in items])
-    preds = forward(model.predictor.net, x)
-    grad_pred = np.zeros_like(preds)
+    arrays = batch.gather()
+    k, w = arrays.features.shape[:2]
+    preds = forward(model.predictor.net, arrays.features.reshape(k * w, -1))
     joint = cfg.mode == "acn"
     beta = cfg.beta if joint else 1.0
     learn_cons_from_term2 = not cfg.detach_consensus_in_second_term
-    degenerate = 0
-    term1_parts, term2_parts = [], []
-    for dim in dims:
-        col = output_index(model.predictor.config, dim)
-        gold = np.array([it.gold[dim] for it in items], dtype=np.float64)
-        valid = gold.var(axis=1) >= DEGENERATE_VAR
-        target = gold
+    cols = [output_index(model.predictor.config, dim) for dim in dims]
+    terms = []  # (x, y, mask) per dimension: term 2, then in acn mode term 1
+    for dim, col in zip(dims, cols):
+        pred = preds[:, col].reshape(k, w)
+        valid = arrays.gold_valid[dim]
+        if not joint:
+            terms.append((arrays.gold[dim], pred, valid))
+            continue
+        m = arrays.annotations[dim].reshape(k * w, -1)
+        target = forward_consensus(model.acns[dim], m).reshape(k, w)
+        valid = valid & (target.var(axis=1) >= DEGENERATE_VAR)
+        terms += [(target, pred, valid), (arrays.gold[dim], target, valid)]
+    xs, ys, masks = zip(*terms)
+    losses, grad_x, grad_y = ccc_batch_loss(
+        np.stack(xs),
+        np.stack(ys),
+        np.stack(masks),
+        cfg.pooling,
+        want_grad_x=joint and learn_cons_from_term2,
+        want_grad_y=True,
+    )
+    per_dim = 2 if joint else 1
+    grad_pred = np.zeros_like(preds)
+    for d, (dim, col) in enumerate(zip(dims, cols)):
+        t = per_dim * d
+        grad_pred[:, col] += beta * grad_y[t].ravel()
         if joint:
-            m = np.concatenate([it.annotations[dim] for it in items], dtype=np.float64)
-            target = forward_consensus(model.acns[dim], m).reshape(k, w)
-            valid &= target.var(axis=1) >= DEGENERATE_VAR
-        degenerate += k - int(np.count_nonzero(valid))
-        t2, g2_target, g2_pred = ccc_batch_loss(
-            target,
-            preds[:, col].reshape(k, w),
-            valid,
-            cfg.pooling,
-            want_grad_x=joint and learn_cons_from_term2,
-            want_grad_y=True,
-        )
-        term2_parts.append(t2)
-        grad_pred[:, col] += beta * g2_pred.ravel()
-        if joint:
-            t1, _, g1_cons = ccc_batch_loss(gold, target, valid, cfg.pooling, want_grad_y=True)
-            term1_parts.append(t1)
-            grad_cons = cfg.alpha * g1_cons
+            grad_cons = cfg.alpha * grad_y[t + 1]
             if learn_cons_from_term2:
-                grad_cons = grad_cons + beta * g2_target
+                grad_cons = grad_cons + beta * grad_x[t]
             backward_consensus(model.acns[dim], grad_cons.ravel(), input_grad=False)
     backward(model.predictor.net, grad_pred, input_grad=False)
-    term2 = math.fsum(term2_parts)
+    degenerate = sum(k - int(np.count_nonzero(valid)) for valid in masks[::per_dim])
+    term2 = math.fsum(losses[::per_dim])
     if not joint:
         return StepRecord(term1=None, term2=None, total=term2, degenerate=degenerate)
-    term1 = math.fsum(term1_parts)
+    term1 = math.fsum(losses[1::per_dim])
     return StepRecord(
         term1=term1,
         term2=term2,
@@ -439,16 +526,13 @@ def _train_loop(data: TrainData, cfg: TrainConfig, model: JointModel) -> TrainRu
     dims = resolve_dimensions(cfg)
     started = time.perf_counter()
     # the predictor's passes run in float32 (see the module docstring)
-    train = [
-        dataclasses.replace(it, features=np.asarray(it.features, dtype=np.float32))
-        for it in data.train
-    ]
+    stack = WindowStack.of(data.train, feature_dtype=np.float32)
     nets: list[Network] = [model.predictor.net] + [model.acns[d].net for d in dims if d in model.acns]
     steps: list[StepRecord] = []
     epochs: list[EpochRecord] = []
     for epoch in range(1, cfg.epochs + 1):
         batches = make_batches(
-            train, cfg.batch_size, derive_seed(cfg.seed, f"shuffle/{epoch:03d}")
+            data.train, cfg.batch_size, derive_seed(cfg.seed, f"shuffle/{epoch:03d}"), stack
         )
         t1_acc, t2_acc, total_acc, weight_acc = [], [], [], 0
         for batch in batches:

@@ -343,3 +343,47 @@ def test_ccc_loss_is_the_batch_kernel(n, seed, mix, shift, strided, pooling):
     assert r.loss == 1.0 - r.ccc
     np.testing.assert_array_equal(r.grad_x, gx[0])
     np.testing.assert_array_equal(r.grad_y, gy[0])
+
+
+@given(
+    g=st.integers(1, 4),
+    k=st.integers(1, 6),
+    w=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    masks=st.sampled_from(["all valid", "all masked", "mixed"]),
+    pooling=st.sampled_from(["pooled", "per_window_mean"]),
+    grads=st.sampled_from([(True, True), (False, True), (True, False), (False, False)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_stacked_terms_equal_separate_calls_bitwise(g, k, w, seed, masks, pooling, grads):
+    # a training step scores all its terms in one call; each term must get the
+    # numbers a call on it alone gives, masked windows included
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (g, k, w)) * rng.uniform(0.01, 2, (g, 1, 1))
+    y = 0.6 * x + 0.4 * rng.uniform(-1, 1, (g, k, w)) + rng.uniform(-0.5, 0.5, (g, 1, 1))
+    if masks == "all valid":
+        valid = np.ones((g, k), bool)
+    elif masks == "all masked":
+        valid = np.zeros((g, k), bool)
+    else:
+        valid = rng.random((g, k)) < 0.6
+        valid.flat[0] = True
+        valid.flat[-1] = valid.size == 1
+    losses, gx, gy = ccc_batch_loss(x, y, valid, pooling, *grads)
+    assert len(losses) == g
+    for i in range(g):
+        loss, gx_i, gy_i = ccc_batch_loss(x[i], y[i], valid[i], pooling, *grads)
+        assert losses[i] == loss
+        for stacked, alone in ((gx, gx_i), (gy, gy_i)):
+            assert (stacked is None) == (alone is None)
+            if alone is not None:
+                assert stacked.shape == (g, k, w)
+                assert np.array_equal(stacked[i], alone)
+
+
+def test_stacked_terms_need_a_mask_per_term_and_window():
+    x = np.zeros((2, 3, 4))
+    with pytest.raises(ContractError, match=r"valid must have shape \(2, 3\)"):
+        ccc_batch_loss(x, x, np.ones(3, bool))
+    with pytest.raises(ContractError, match="equal"):
+        ccc_batch_loss(x, x[:, :, :3], np.ones((2, 3), bool))

@@ -70,6 +70,13 @@ def tiny_train_section(**over):
     return base
 
 
+def ab_train_section():
+    # ab sets each run's mode and seed, and refuses a file that sets them
+    section = tiny_train_section()
+    del section["mode"]
+    return section
+
+
 def write_config(tmp_path, name="c.json", **sections):
     payload = {"version": CLI_SCHEMA_VERSION}
     payload.update(sections)
@@ -915,7 +922,7 @@ class TestPipeline:
         monkeypatch.setenv("CER_LOG", "info")
         d = make_dataset(tmp_path, sources=3, frames=300)
         root = tmp_path / "ab"
-        c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        c = write_config(tmp_path, dataset_dir=str(d), train=ab_train_section())
         rc = parse_and_dispatch(
             ["ab", "--config", str(c), "--out", str(root), "--eval.seeds", "1,2,3"]
         )
@@ -933,7 +940,7 @@ class TestPipeline:
         # library writes for that plan
         d = make_dataset(tmp_path, sources=3, frames=300)
         root = tmp_path / "ab"
-        c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        c = write_config(tmp_path, dataset_dir=str(d), train=ab_train_section())
         rc = parse_and_dispatch(
             ["ab", "--config", str(c), "--out", str(root), "--eval.seeds", "1,2,3",
              "--eval.train_sources", "source_00,source_01", "--eval.test_sources", "source_02"]
@@ -949,7 +956,7 @@ class TestPipeline:
         lib = tmp_path / "lib"
         ab_compare(
             load_dataset(d),
-            from_dict(TrainConfig, tiny_train_section()),
+            from_dict(TrainConfig, ab_train_section()),
             (1, 2, 3),
             plan=make_fixed_split(("source_00", "source_01"), ("source_02",)),
             run_root=lib,
@@ -958,7 +965,7 @@ class TestPipeline:
 
     def test_ab_fixed_split_needs_train_sources(self, tmp_path, capsys):
         d = make_dataset(tmp_path, sources=3, frames=300)
-        c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        c = write_config(tmp_path, dataset_dir=str(d), train=ab_train_section())
         capsys.readouterr()
         rc = parse_and_dispatch(
             ["ab", "--config", str(c), "--eval.seeds", "1,2,3", "--eval.test_sources", "source_02"]
@@ -969,7 +976,7 @@ class TestPipeline:
     def test_ab_fixed_split_refuses_a_repeated_source(self, tmp_path, capsys):
         # a source named twice used to be cut into windows twice
         d = make_dataset(tmp_path, sources=3, frames=300)
-        c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        c = write_config(tmp_path, dataset_dir=str(d), train=ab_train_section())
         capsys.readouterr()
         rc = parse_and_dispatch(
             ["ab", "--config", str(c), "--eval.train_sources", "source_00,source_00,source_01",
@@ -983,7 +990,7 @@ class TestPipeline:
         # leave-one-source-out used to run, and exit 0, ignoring a list that
         # named a source outside the dataset; a list now selects the fixed split
         d = make_dataset(tmp_path, sources=2, frames=300)
-        c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        c = write_config(tmp_path, dataset_dir=str(d), train=ab_train_section())
         lists = {"train_sources": "source_00", "test_sources": "source_01", field: "nope"}
         capsys.readouterr()
         rc = parse_and_dispatch(
@@ -1000,12 +1007,43 @@ class TestPipeline:
         header, body = path.read_bytes().split(b"\n", 1)
         assert header == b"time,a00,a01,a02\r"
         path.write_bytes(b"time,b0,b1,b2\r\n" + body)
-        c = write_config(tmp_path, dataset_dir=str(d), train=tiny_train_section())
+        c = write_config(tmp_path, dataset_dir=str(d), train=ab_train_section())
         capsys.readouterr()
         assert parse_and_dispatch(["ab", "--config", str(c), "--eval.seeds", "1,2,3"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: arousal annotator panels differ: source 'source_0")
         assert "('b0', 'b1', 'b2')" in err
+
+    @pytest.mark.parametrize("leaf, value", [("mode", "acn"), ("seed", 77)])
+    def test_ab_refuses_mode_or_seed_from_a_config_file(self, tmp_path, capsys, leaf, value):
+        # ab used to exit 0 and record the file's mode and seed in cli_config.json,
+        # although every seed ran both modes
+        d = make_dataset(tmp_path, sources=3, frames=300)
+        train = {**ab_train_section(), leaf: value}
+        c = write_config(tmp_path, dataset_dir=str(d), train=train)
+        root = tmp_path / "ab"
+        capsys.readouterr()
+        rc = parse_and_dispatch(["ab", "--config", str(c), "--out", str(root), "--eval.seeds", "1,2,3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: train.{leaf} is {value!r}: ab sets train.mode and train.seed")
+        assert not root.exists()
+
+    def test_ab_runs_its_own_cli_config(self, tmp_path, capsys):
+        # the cli_config.json that ab writes gives both leaves at their defaults
+        d = make_dataset(tmp_path, sources=3, frames=300)
+        c = write_config(tmp_path, dataset_dir=str(d), train=ab_train_section())
+        first = tmp_path / "ab1"
+        argv = ["--eval.seeds", "1,2,3"]
+        assert parse_and_dispatch(["ab", "--config", str(c), "--out", str(first), *argv]) == 0
+        saved = json.loads((first / "cli_config.json").read_text())
+        assert (saved["train"]["mode"], saved["train"]["seed"]) == ("baseline", 0)
+        again = tmp_path / "ab2"
+        rc = parse_and_dispatch(
+            ["ab", "--config", str(first / "cli_config.json"), "--out", str(again), *argv]
+        )
+        assert rc == 0
+        assert (again / "report.json").read_bytes() == (first / "report.json").read_bytes()
 
     def test_config_holding_eval_scheme_is_refused(self, tmp_path, capsys):
         # the scheme follows from the source lists; a file written when it was

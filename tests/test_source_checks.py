@@ -638,3 +638,45 @@ def test_config_read_check_catches_what_it_looks_for():
     assert _under("eval.test_sources.count", ["eval.test_sources"])
     assert not _under("eval.test_sources_x", ["eval.test_sources"])
     assert not _under("", ["train"])
+
+
+# A training step scores every loss term in one call of the batch kernel:
+# trainer.py calls ccc_batch_loss at one site, and not from inside a loop.
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _kernel_calls(tree: ast.Module) -> list[tuple[int, bool]]:
+    """(line, inside a loop) of every call of ``ccc_batch_loss``."""
+
+    def walk(node, looped):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", getattr(f, "attr", None)) == "ccc_batch_loss":
+                    yield child.lineno, looped
+            yield from walk(child, looped or isinstance(child, LOOPS))
+
+    return list(walk(tree, False))
+
+
+def test_a_training_step_calls_the_ccc_kernel_once():
+    found = _kernel_calls(_parse(PACKAGE / "trainer.py"))
+    assert len(found) == 1 and not found[0][1], (
+        f"ccc_batch_loss is called at {found}; stack the terms on its term axis "
+        "and call it once per step"
+    )
+
+
+def test_kernel_call_check_catches_what_it_looks_for():
+    tree = ast.parse(
+        "from .ccc import ccc_batch_loss\n"
+        "def f(xs, ccc):\n"
+        "    a = ccc_batch_loss(xs)\n"
+        "    for x in xs:\n"
+        "        b = ccc.ccc_batch_loss(x)\n"
+        "    c = [ccc_batch_loss(x) for x in xs]\n"
+        "    while xs:\n"
+        "        xs = ccc_batch_loss\n"
+        "    return ccc.ccc_loss(xs), ccc_batch_loss(a, b)\n"
+    )
+    assert _kernel_calls(tree) == [(3, False), (5, True), (6, True), (9, False)]

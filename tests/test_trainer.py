@@ -29,7 +29,7 @@ from emocons.predictor import (
     forward_predictor,
     init_predictor,
 )
-from emocons.rng import substream
+from emocons.rng import derive_seed, substream
 from emocons.synth import (
     MILD_ANNOTATORS,
     SynthConfig,
@@ -233,7 +233,47 @@ class TestBatches:
             Batch(segments=(mk(10), mk(12)))
 
 
+def at_rate(src, rate_hz):
+    """``src`` with every stream relabelled to ``rate_hz``."""
+    relabel = lambda streams: {
+        dim: dataclasses.replace(s, rate_hz=rate_hz) for dim, s in streams.items()
+    }
+    return SourceData(
+        source_id=src.source_id,
+        features=dataclasses.replace(src.features, rate_hz=rate_hz),
+        gold=relabel(src.gold),
+        annotations=relabel(src.annotations),
+    )
+
+
+def with_flat_gold(src, a, b):
+    """``src`` with its gold traces constant over frames [a, b)."""
+    gold = {}
+    for dim, track in src.gold.items():
+        values = track.values.copy()
+        values[a:b] = values[a]
+        gold[dim] = dataclasses.replace(track, values=values)
+    return dataclasses.replace(src, gold=gold)
+
+
 class TestPrepareData:
+    def test_training_sources_of_different_rates_are_refused(self):
+        # two 25 Hz sources and one at 50 Hz used to be cut into windows of
+        # 50 and 100 frames, and training failed at the first batch that
+        # mixed them, naming no source
+        corpus = small_corpus()
+        sources = [*corpus.sources[:2], at_rate(corpus.sources[2], 50.0)]
+        for mode in TRAIN_MODES:
+            with pytest.raises(
+                ContractError,
+                match=r"training sources differ in rate: 'source_00' is sampled at 25.0 Hz, "
+                r"'source_02' at 50.0 Hz",
+            ):
+                prepare_data(sources, [], small_train_config(mode=mode))
+        # validation sources are scored whole, at their own rate
+        data = prepare_data(sources[:2], sources[2:], small_train_config())
+        assert {it.features.shape[0] for it in data.train} == {50}
+
     def test_window_arithmetic_and_alignment(self):
         corpus = small_corpus()
         train, val = split(corpus)
@@ -1017,3 +1057,98 @@ class TestAcnOrientation:
             model = init_models(data, small_train_config(seed=seed))
             cons = forward_consensus(model.acns["valence"], anns)
             assert ccc_loss(anns.mean(axis=1), cons).ccc >= 0.0
+
+
+class TestStackedWindows:
+    """A run stacks its windows once, and a step gathers its batch from the stack."""
+
+    def test_loop_batches_follow_the_seeded_shuffle(self, monkeypatch):
+        corpus = small_corpus()
+        cfg = small_train_config(epochs=2)
+        data = prepare_data(*split(corpus), cfg)
+        seen = []
+        real = trainer.make_batches
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(trainer, "make_batches", spy)
+        run_training(data, cfg)
+        assert len(seen) == cfg.epochs
+        for epoch, batches in enumerate(seen, 1):
+            # the permutation of the items, cut into runs of batch_size
+            seed = derive_seed(cfg.seed, f"shuffle/{epoch:03d}")
+            order = np.random.default_rng(seed).permutation(len(data.train))
+            items = [data.train[i] for i in order]
+            want = [items[i : i + cfg.batch_size] for i in range(0, len(items), cfg.batch_size)]
+            assert [list(b.segments) for b in batches] == want
+            for b in batches:
+                got = b.gather()
+                assert got.features.dtype == np.float32
+                assert np.array_equal(
+                    got.features, np.stack([it.features.astype(np.float32) for it in b.segments])
+                )
+                gold = np.stack([it.gold["valence"] for it in b.segments])
+                assert np.array_equal(got.gold["valence"], gold)
+                valid = gold.var(axis=1) >= trainer.DEGENERATE_VAR
+                assert np.array_equal(got.gold_valid["valence"], valid)
+                ann = np.stack([it.annotations["valence"] for it in b.segments])
+                assert np.array_equal(got.annotations["valence"], ann)
+        # pinned: the first windows of each epoch at this seed
+        firsts = [[(s.source_id, s.start_frame) for s in b[0].segments[:4]] for b in seen]
+        assert firsts == [
+            [("source_01", 475), ("source_01", 50), ("source_00", 350), ("source_00", 50)],
+            [("source_01", 375), ("source_00", 300), ("source_00", 125), ("source_00", 25)],
+        ]
+
+    @pytest.mark.parametrize(
+        "mode, dimensions, pooling, detach",
+        [
+            (mode, dims, pooling, detach)
+            for mode in TRAIN_MODES
+            for dims in ("valence", "both")
+            for pooling in ("per_window_mean", "pooled")
+            for detach in ((False,) if mode == "baseline" else (False, True))
+        ],
+    )
+    def test_gathered_batch_computes_like_a_batch_of_its_items(
+        self, monkeypatch, mode, dimensions, pooling, detach
+    ):
+        corpus = small_corpus()
+        # a flat stretch of gold masks some windows
+        sources = [with_flat_gold(corpus.sources[0], 100, 300), corpus.sources[1]]
+        cfg = small_train_config(
+            mode=mode,
+            dimensions=dimensions,
+            pooling=pooling,
+            detach_consensus_in_second_term=detach,
+            epochs=1,
+            predictor=PredictorConfig(encoder_dims=(8,), heads="dual"),
+        )
+        data = prepare_data(sources, [], cfg)
+        real = trainer.compute_batch
+        steps = []
+
+        def nets(model):
+            return [model.predictor.net] + [acn.net for acn in model.acns.values()]
+
+        def spy(model, batch, cfg):
+            twin = copy.deepcopy(model)
+            # the items of the gathered batch, in the dtype the loop casts them to
+            items = [
+                dataclasses.replace(it, features=it.features.astype(np.float32))
+                for it in batch.segments
+            ]
+            step = real(model, batch, cfg)
+            assert real(twin, Batch(segments=items), cfg) == step
+            for net, other in zip(nets(model), nets(twin), strict=True):
+                assert np.array_equal(net._grad, other._grad)
+            steps.append(step)
+            return step
+
+        monkeypatch.setattr(trainer, "compute_batch", spy)
+        run_training(data, cfg)
+        assert len(steps) == math.ceil(len(data.train) / cfg.batch_size)
+        windows = len(data.train) * len(trainer.resolve_dimensions(cfg))
+        assert 0 < sum(s.degenerate for s in steps) < windows
