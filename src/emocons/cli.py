@@ -421,6 +421,12 @@ def _cmd_aggregate(cfg: CliConfig, ns) -> int:
             raise ContractError(
                 f"{run_dir}: checkpoint has no consensus net for {ns.dimension!r}"
             )
+        trained_on = model.acn_annotator_ids.get(ns.dimension)
+        if trained_on is not None and matrix.annotator_ids != trained_on:
+            raise ContractError(
+                f"{ns.input} has {ns.dimension} annotators {matrix.annotator_ids}, "
+                f"the consensus net in {run_dir} was trained on {trained_on}"
+            )
         track = GoldStandardTrack(
             dimension=ns.dimension,
             rate_hz=matrix.rate_hz,

@@ -6,6 +6,11 @@ a small dense network applied per frame with shared weights: it reads all
 annotator values for a frame and emits one consensus value, learned jointly
 with the predictor.  It is deliberately not permutation-invariant over
 annotators; column order is fixed upstream at ingestion.
+
+The network reads float64 annotations, so its first product is float64;
+``forward_consensus``'s ``hidden_dtype`` sets the dtype of the hidden
+layers (see ``nn``).  A one-layer net such as ``make_mean_acn`` therefore
+stays float64 from end to end whatever the hidden dtype.
 """
 
 from __future__ import annotations
@@ -154,14 +159,17 @@ def make_mean_acn(annotators: int) -> Acn:
     return Acn(net=Network(layers=[layer]))
 
 
-def forward_consensus(acn: Acn, matrix: np.ndarray) -> np.ndarray:
-    """Consensus values for one window; caches for ``backward_consensus``."""
+def forward_consensus(acn: Acn, matrix: np.ndarray, *, hidden_dtype=None) -> np.ndarray:
+    """Consensus values for a (frames x annotators) matrix, one per row,
+    in the dtype of the net's last hidden layer (float64 for a one-layer
+    net); caches for ``backward_consensus``.  ``hidden_dtype`` is passed to
+    ``nn.forward``."""
     m = _as_matrix(matrix)
     if m.shape[1] != acn.annotators:
         raise ContractError(
             f"matrix has {m.shape[1]} annotator columns, network expects {acn.annotators}"
         )
-    return forward(acn.net, m).ravel()
+    return forward(acn.net, m, hidden_dtype=hidden_dtype).ravel()
 
 
 def backward_consensus(

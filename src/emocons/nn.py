@@ -1,8 +1,18 @@
 """Minimal dense-network stack: forward, backprop, Adam, checkpoints.
 
-``forward`` and ``backward`` compute in the dtype of their input, single
-or double precision, casting the parameters to it; ``backward`` adds the
-products into float64 gradient accumulators, so several loss terms can
+Precision: every layer takes its product in the dtype of its own input,
+single or double precision, with the parameters cast to it.  A hidden
+layer writes its output into a buffer of ``forward``'s ``hidden_dtype``
+(by default the dtype of the network's input), adding the bias and
+applying the activation there; the last layer's output keeps the dtype of
+its input.  So float64 input with float32 hidden layers takes the first
+product in float64 and the rest in float32, and a one-layer net stays in
+the dtype of its input.  No product mixes dtypes: where a layer's input
+and output dtypes differ, ``forward`` takes the product into a work buffer
+and casts it, and ``backward`` casts the cached input once before the
+weight gradient, since numpy's mixed-dtype products run several times
+slower.  ``backward`` computes each layer's gradients in the dtype of its
+output and adds them into float64 accumulators, so several loss terms can
 contribute to one optimizer step and a single-precision pass updates
 double-precision weights.  Caches from the most recent ``forward`` are
 stored on the layers, so forward/backward pairs must not be interleaved
@@ -26,7 +36,9 @@ dtype, grown to the largest size asked of them and reused from call to
 call, so a training step pages in no fresh memory.  Each hidden layer has
 its own output buffer, since the outputs are the caches ``backward``
 reads; a new ``forward`` overwrites them, which the forward/backward
-pairing above already assumes.  ``backward`` writes every layer's
+pairing above already assumes.  A layer whose input and output dtypes
+differ takes its product into one more buffer, and ``backward`` casts its
+cached input into another.  ``backward`` writes every layer's
 activation gradient into one shared buffer and every gradient passed down
 into another, as each is dead once the next layer down has used it, so a
 step touches less memory than with one buffer per layer; Adam keeps its
@@ -244,15 +256,24 @@ def init_network(
     return Network(layers=layers)
 
 
-def forward(net: Network, x: np.ndarray) -> np.ndarray:
+def _is_compute_dtype(dtype: np.dtype) -> bool:
+    return dtype.kind == "f" and dtype.itemsize in (4, 8)
+
+
+def forward(net: Network, x: np.ndarray, *, hidden_dtype=None) -> np.ndarray:
     """Run a batch of rows through the network, caching for ``backward``.
 
-    Single- or double-precision input is computed in its own dtype, with
-    each layer's parameters cast to it; any other input becomes float64.
+    Single- or double-precision input is taken as it is; any other input
+    becomes float64.  Hidden layers output ``hidden_dtype`` (default: the
+    input's dtype), the last layer the dtype of its own input; see the
+    module docstring.
     """
     x = np.asarray(x)
-    if not (x.dtype.kind == "f" and x.dtype.itemsize in (4, 8)):
+    if not _is_compute_dtype(x.dtype):
         x = x.astype(np.float64)
+    hidden = x.dtype if hidden_dtype is None else np.dtype(hidden_dtype)
+    if not _is_compute_dtype(hidden):
+        raise ContractError(f"hidden layers compute in single or double precision, not {hidden}")
     if x.ndim != 2:
         raise ContractError(f"input must be 2-D (rows x features), got shape {x.shape}")
     if x.shape[1] != net.in_dim:
@@ -261,9 +282,16 @@ def forward(net: Network, x: np.ndarray) -> np.ndarray:
     for i, layer in enumerate(net.layers):
         apply, _ = _ACTIVATIONS[layer.activation]
         w = layer.weights.astype(x.dtype, copy=False).T
-        out = None if i == last else net._buffer(("a", i), x.dtype, x.shape[0], w.shape[1])
-        a = np.matmul(x, w, out=out)
-        a += layer.bias.astype(x.dtype, copy=False)
+        if i == last:
+            a = np.matmul(x, w)
+        else:
+            a = net._buffer(("a", i), hidden, x.shape[0], w.shape[1])
+            if hidden == x.dtype:
+                np.matmul(x, w, out=a)
+            else:
+                z = net._buffer("z", x.dtype, x.shape[0], w.shape[1])
+                np.copyto(a, np.matmul(x, w, out=z), casting="same_kind")
+        a += layer.bias.astype(a.dtype, copy=False)
         apply(a)
         layer.cache_x = x
         layer.cache_a = a
@@ -275,11 +303,12 @@ def backward(net: Network, dy: np.ndarray, *, input_grad: bool = True) -> np.nda
     """Accumulate parameter gradients for the last forward pass.
 
     ``dy`` is the loss gradient at the network output; it is cast to the
-    dtype the forward pass ran in, and the products are added into the
-    float64 accumulators.  Returns the gradient at the network input, or
-    None without ``input_grad``, which saves the first layer's product for
-    callers that discard it.  Frozen layers accumulate nothing but still
-    pass the gradient through.
+    output's dtype, each layer's gradients are computed in the dtype of its
+    output, and the weight and bias products are added into the float64
+    accumulators.  Returns the gradient at the network input, in the first
+    layer's output dtype, or None without ``input_grad``, which saves the
+    first layer's product for callers that discard it.  Frozen layers
+    accumulate nothing but still pass the gradient through.
     """
     if any(l.cache_x is None or l.cache_a is None for l in net.layers):
         raise ContractError("backward called before forward")
@@ -296,9 +325,14 @@ def backward(net: Network, dy: np.ndarray, *, input_grad: bool = True) -> np.nda
         if grad is not None:
             dz = grad(layer.cache_a, dy, net._buffer("dz", dtype, *dy.shape))
         if layer.trainable:
+            x = layer.cache_x
+            if x.dtype != dtype:
+                # one cast, then a product in one dtype
+                x = net._buffer("x", dtype, *x.shape)
+                np.copyto(x, layer.cache_x, casting="same_kind")
             # the bias gradient is dz's column sum, taken as a BLAS product
             ones = net._buffer("ones", dtype, 1, len(dz), fill=1.0)[0]
-            layer.grad_w += dz.T @ layer.cache_x
+            layer.grad_w += dz.T @ x
             layer.grad_b += ones @ dz
         if i == 0 and not input_grad:
             return None

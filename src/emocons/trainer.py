@@ -24,12 +24,17 @@ arrays, one gather each, in the order the epoch's shuffle draws, and
 scores every (term, dimension) pair of the objective in one call of the
 CCC kernel, whose term axis holds the pairs.
 
-Precision: the training loop runs the predictor's forward and backward
-passes in float32 over float64 master weights.  It is the only place that
-picks float32: the weights, gradient accumulators, Adam state and clipping,
-the targets and the CCC loss, the consensus networks (whose output is the
-CCC target and is masked at DEGENERATE_VAR), validation and checkpoints
-all stay float64, as does everything ``prepare_data`` returns.
+Precision: a step computes in the dtype of its stack's features, which
+the training loop sets to float32, the one place that picks it.  Every
+network in a step runs its hidden layers in that dtype over float64 master
+weights, each layer taking its product in the dtype of its input (see
+``nn``): the predictor reads the float32 features, while the consensus
+nets read the float64 annotations, so their first product is float64 and a
+one-layer net such as ``make_mean_acn`` stays float64 throughout.  The
+consensus output is cast to float64 before the DEGENERATE_VAR variance
+test, so the mask, the targets and the CCC loss stay float64, as do the
+weights, gradient accumulators, Adam state and clipping, validation,
+checkpoints and everything ``prepare_data`` returns.
 """
 
 from __future__ import annotations
@@ -169,10 +174,11 @@ class TrainItem:
 class WindowStack:
     """Equal-length windows stacked into arrays, one row per window.
 
-    ``features`` is (windows, frames, F).  For each dimension of the first
-    window's gold and annotations, ``gold`` is (windows, frames) and
-    ``annotations`` (windows, frames, annotators), both float64, and
-    ``gold_valid`` marks the windows whose gold is not constant.
+    ``features`` is (windows, frames, F), in the dtype a step on these
+    windows computes in.  For each dimension of the first window's gold
+    and annotations, ``gold`` is (windows, frames) and ``annotations``
+    (windows, frames, annotators), both float64, and ``gold_valid`` marks
+    the windows whose gold is not constant.
     """
 
     features: np.ndarray
@@ -182,7 +188,8 @@ class WindowStack:
 
     @classmethod
     def of(cls, items: Sequence[TrainItem], feature_dtype=None) -> WindowStack:
-        """Stack ``items``, their features in ``feature_dtype`` (default: theirs)."""
+        """Stack ``items``, their features in ``feature_dtype``, the step's
+        compute dtype (default: the features' own)."""
         if not items:
             raise ContractError("no windows to stack")
         lengths = {np.shape(s.features)[0] for s in items}
@@ -238,10 +245,15 @@ class Batch:
 
 @dataclass(eq=False)
 class TrainData:
-    """Windowed training items plus full validation sources."""
+    """Windowed training items plus full validation sources.
+
+    ``panels`` holds, in acn mode, each dimension's annotator ids: the
+    columns of its windows' annotations, shared by every training source.
+    """
 
     train: tuple[TrainItem, ...]
     val: tuple[SourceData, ...] = ()
+    panels: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.train = tuple(self.train)
@@ -271,12 +283,12 @@ def prepare_data(
     one feature rate, so that all their windows have one length.
     """
     dims = resolve_dimensions(cfg)
-    first = next(iter(train_sources), None)
+    head = next(iter(train_sources), None)
     for src in train_sources[1:]:
-        if not math.isclose(src.features.rate_hz, first.features.rate_hz, rel_tol=RATE_RTOL):
+        if not math.isclose(src.features.rate_hz, head.features.rate_hz, rel_tol=RATE_RTOL):
             raise ContractError(
-                f"training sources differ in rate: {first.source_id!r} is sampled at "
-                f"{first.features.rate_hz} Hz, {src.source_id!r} at {src.features.rate_hz} Hz"
+                f"training sources differ in rate: {head.source_id!r} is sampled at "
+                f"{head.features.rate_hz} Hz, {src.source_id!r} at {src.features.rate_hz} Hz"
             )
     items = []
     panels: dict[str, tuple[str, tuple[str, ...]]] = {}  # dim -> first source, its ids
@@ -309,7 +321,11 @@ def prepare_data(
                     annotations=ann,
                 )
             )
-    return TrainData(train=tuple(items), val=tuple(val_sources))
+    return TrainData(
+        train=tuple(items),
+        val=tuple(val_sources),
+        panels={dim: ids for dim, (_, ids) in panels.items()},
+    )
 
 
 def make_batches(
@@ -346,6 +362,9 @@ class JointModel:
     acns: dict[str, Acn]
     # per dimension: whether orient_acn negated the freshly initialised net
     acn_flipped: dict[str, bool] = field(default_factory=dict)
+    # per dimension: the annotator ids the consensus net reads, column by
+    # column, where known (runs saved before they were recorded lack them)
+    acn_annotator_ids: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 def _predictor_config(cfg: TrainConfig, input_width: int) -> PredictorConfig:
@@ -412,7 +431,9 @@ def init_models(data: TrainData, cfg: TrainConfig) -> JointModel:
             probe = [it.annotations[dim] for it in data.train[:32]]
             flipped[dim] = orient_acn(acn, np.vstack(probe))
             acns[dim] = acn
-    return JointModel(predictor=predictor, acns=acns, acn_flipped=flipped)
+    return JointModel(
+        predictor=predictor, acns=acns, acn_flipped=flipped, acn_annotator_ids=dict(data.panels)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +465,8 @@ def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepReco
     dims = resolve_dimensions(cfg)
     arrays = batch.gather()
     k, w = arrays.features.shape[:2]
-    preds = forward(model.predictor.net, arrays.features.reshape(k * w, -1))
+    dtype = arrays.features.dtype  # the step's precision (see the module docstring)
+    preds = forward(model.predictor.net, arrays.features.reshape(k * w, -1), hidden_dtype=dtype)
     joint = cfg.mode == "acn"
     beta = cfg.beta if joint else 1.0
     learn_cons_from_term2 = not cfg.detach_consensus_in_second_term
@@ -457,7 +479,8 @@ def compute_batch(model: JointModel, batch: Batch, cfg: TrainConfig) -> StepReco
             terms.append((arrays.gold[dim], pred, valid))
             continue
         m = arrays.annotations[dim].reshape(k * w, -1)
-        target = forward_consensus(model.acns[dim], m).reshape(k, w)
+        cons = forward_consensus(model.acns[dim], m, hidden_dtype=dtype)
+        target = cons.astype(np.float64, copy=False).reshape(k, w)
         valid = valid & (target.var(axis=1) >= DEGENERATE_VAR)
         terms += [(target, pred, valid), (arrays.gold[dim], target, valid)]
     xs, ys, masks = zip(*terms)
@@ -525,7 +548,7 @@ class TrainRun:
 def _train_loop(data: TrainData, cfg: TrainConfig, model: JointModel) -> TrainRun:
     dims = resolve_dimensions(cfg)
     started = time.perf_counter()
-    # the predictor's passes run in float32 (see the module docstring)
+    # every step computes in float32 (see the module docstring)
     stack = WindowStack.of(data.train, feature_dtype=np.float32)
     nets: list[Network] = [model.predictor.net] + [model.acns[d].net for d in dims if d in model.acns]
     steps: list[StepRecord] = []
@@ -637,7 +660,8 @@ def save_run(run_dir, run: TrainRun) -> None:
     """Persist a run directory: config.json, epochs.csv, checkpoint.json.
 
     config.json is ``run.config``; the checkpoint holds the networks and
-    what training learned (masked windows, ACN flips, wall-clock time).
+    what training learned (masked windows, ACN flips, each consensus net's
+    annotator ids, wall-clock time).
     """
     run_dir = Path(run_dir)
     write_json(run_dir / "config.json", to_dict(run.config))
@@ -648,6 +672,7 @@ def save_run(run_dir, run: TrainRun) -> None:
     meta = {
         "degenerate_windows": run.degenerate_windows,
         "acn_flipped": run.model.acn_flipped,
+        "acn_annotator_ids": {dim: list(ids) for dim, ids in run.model.acn_annotator_ids.items()},
         "wall_clock_s": run.wall_clock_s,
     }
     save_checkpoint(run_dir / "checkpoint.json", nets, meta)
@@ -685,4 +710,17 @@ def load_run_model(run_dir) -> tuple[JointModel, TrainConfig]:
                 f"its config needs {n_in} -> {n_out}"
             )
     flipped = meta.get("acn_flipped", {})
-    return JointModel(predictor=predictor, acns=acns, acn_flipped=flipped), cfg
+    # absent from checkpoints saved before the ids were recorded
+    ids = meta.get("acn_annotator_ids", {})
+    if not (
+        isinstance(ids, dict)
+        and all(isinstance(v, list) and all(isinstance(i, str) for i in v) for v in ids.values())
+    ):
+        raise StructuralError(f"{path}: acn_annotator_ids must map dimensions to lists of ids")
+    model = JointModel(
+        predictor=predictor,
+        acns=acns,
+        acn_flipped=flipped,
+        acn_annotator_ids={dim: tuple(v) for dim, v in ids.items()},
+    )
+    return model, cfg

@@ -904,6 +904,52 @@ class TestPipeline:
         assert got.shape[0] == ds.sources[0].features.frames
         assert np.all(np.abs(got) <= 1.0)
 
+    def test_aggregate_acn_refuses_a_panel_it_was_not_trained_on(self, tmp_path, capsys):
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        trained = load_dataset(d).sources[0].annotations["arousal"]
+        panels = {
+            "same": trained,
+            # the loader sorts columns by id, so a permuted header reads the same
+            "permuted": dataclasses.replace(
+                trained, data=trained.data[:, ::-1], annotator_ids=trained.annotator_ids[::-1]
+            ),
+            "renamed": dataclasses.replace(trained, annotator_ids=("x0", "x1", "x2")),
+        }
+        outs = {}
+        for name, panel in panels.items():
+            a = tmp_path / f"{name}.csv"
+            write_annotation_csv(a, panel)
+            outs[name] = tmp_path / f"{name}_cons.csv"
+            capsys.readouterr()
+            rc = parse_and_dispatch(
+                ["aggregate", "--in", str(a), "--out", str(outs[name]),
+                 "--method", "acn", "--checkpoint", str(r), "--dimension", "arousal"]
+            )
+            assert rc == (1 if name == "renamed" else 0)
+        err = capsys.readouterr().err
+        assert "annotators ('x0', 'x1', 'x2')" in err
+        assert f"trained on {trained.annotator_ids}" in err
+        assert not outs["renamed"].exists()
+        assert outs["same"].read_text() == outs["permuted"].read_text()
+
+    def test_aggregate_acn_takes_a_checkpoint_without_recorded_ids(self, tmp_path):
+        # a run saved before the ids were recorded consumes any panel as before
+        d = make_dataset(tmp_path)
+        r = self._train(tmp_path, d)
+        doc = json.loads((r / "checkpoint.json").read_text())
+        assert doc["meta"].pop("acn_annotator_ids") == {"arousal": ["a00", "a01", "a02"]}
+        (r / "checkpoint.json").write_text(json.dumps(doc))
+        trained = load_dataset(d).sources[0].annotations["arousal"]
+        a = tmp_path / "renamed.csv"
+        write_annotation_csv(a, dataclasses.replace(trained, annotator_ids=("x0", "x1", "x2")))
+        rc = parse_and_dispatch(
+            ["aggregate", "--in", str(a), "--out", str(tmp_path / "cons.csv"),
+             "--method", "acn", "--checkpoint", str(r), "--dimension", "arousal"]
+        )
+        assert rc == 0
+        assert load_run_model(r)[0].acn_annotator_ids == {}
+
     def test_aggregate_acn_needs_checkpoint(self, tmp_path, capsys):
         a = tmp_path / "ann.csv"
         m = AnnotationMatrix(

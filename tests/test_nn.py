@@ -212,35 +212,48 @@ class TestBackward:
             np.testing.assert_array_equal(l.grad_b, gb)
 
 
-def naive_pass(net, x, dy):
-    """Forward and backward written out as the textbook formulas, in the
-    dtype of ``x`` with the parameters cast to it."""
+def naive_pass(net, x, dy, hidden_dtype=None):
+    """Forward and backward written out as the textbook formulas.
+
+    Each layer takes its product in the dtype of its input, with the
+    parameters cast to it, and adds the bias and applies the activation in
+    the dtype of its output: ``hidden_dtype`` (default: that of ``x``) for
+    hidden layers, the input's for the last.  Gradients are computed in the
+    dtype of each layer's output."""
+    hidden = x.dtype if hidden_dtype is None else np.dtype(hidden_dtype)
+    last = len(net.layers) - 1
     xs, acts = [x], []
-    for l in net.layers:
-        z = xs[-1] @ l.weights.astype(x.dtype).T + l.bias.astype(x.dtype)
+    for i, l in enumerate(net.layers):
+        xin = xs[-1]
+        out = xin.dtype if i == last else hidden
+        z = (xin @ l.weights.astype(xin.dtype).T).astype(out) + l.bias.astype(out)
         a = np.tanh(z) if l.activation == "tanh" else z
         acts.append(a)
         xs.append(a)
+    dy = dy.astype(acts[-1].dtype)
     grads = []
     for l, xin, a in reversed(list(zip(net.layers, xs, acts))):
         dz = dy * (1 - a * a) if l.activation == "tanh" else dy
         # the column sum as a product with ones, the order BLAS sums in
-        grads.append((dz.T @ xin, np.ones(len(dz), dz.dtype) @ dz))
-        dy = dz @ l.weights.astype(x.dtype)
+        grads.append((dz.T @ xin.astype(a.dtype), np.ones(len(dz), dz.dtype) @ dz))
+        dy = dz @ l.weights.astype(a.dtype)
     return acts[-1], grads[::-1], dy
 
 
-def assert_matches_naive_pass(acts, dims=(4, 6, 5, 2), dtype=np.float64):
+def assert_matches_naive_pass(acts, dims=(4, 6, 5, 2), dtype=np.float64, hidden_dtype=None):
     net = init_network(dims, acts, substream(15, "t"))
     x = substream(16, "x").normal(size=(7, dims[0])).astype(dtype)
     dy = substream(16, "dy").normal(size=(7, dims[-1])).astype(dtype)
-    y_ref, grads_ref, dx_ref = naive_pass(net, x, dy)
+    y_ref, grads_ref, dx_ref = naive_pass(net, x, dy, hidden_dtype)
     zero_grads(net)
-    np.testing.assert_array_equal(forward(net, x), y_ref)
+    y = forward(net, x, hidden_dtype=hidden_dtype)
+    assert y.dtype == y_ref.dtype
+    np.testing.assert_array_equal(y, y_ref)
     np.testing.assert_array_equal(backward(net, dy), dx_ref)
     for l, (gw, gb) in zip(net.layers, grads_ref):
         np.testing.assert_array_equal(l.grad_w, gw)
         np.testing.assert_array_equal(l.grad_b, gb)
+    return net
 
 
 class TestPrecision:
@@ -290,6 +303,54 @@ class TestPrecision:
             # relative accuracy of its own
             assert np.max(np.abs(l.grad_w - gw)) <= 1e-4 * np.max(np.abs(gw))
             assert np.max(np.abs(l.grad_b - gb)) <= 1e-4 * np.max(np.abs(gb))
+
+    @pytest.mark.parametrize("act", ["linear", "tanh"])
+    @pytest.mark.parametrize("out_dim", [1, 2])
+    def test_one_layer_net_ignores_the_hidden_dtype(self, act, out_dim):
+        # it has no hidden layer: float64 input is a float64 pass end to end,
+        # as criterion 5's frozen mean consensus needs
+        net = init_network((4, out_dim), (act,), substream(22, "t"))
+        x = substream(23, "x").normal(size=(9, 4))
+        dy = substream(23, "dy").normal(size=(9, out_dim))
+        passes = []
+        for hidden in (None, np.float32):
+            zero_grads(net)
+            y = forward(net, x, hidden_dtype=hidden)
+            dx = backward(net, dy)
+            passes.append((y, dx, net._grad.copy()))
+        (y64, dx64, g64), (y, dx, g) = passes
+        assert y.dtype == dx.dtype == np.float64
+        np.testing.assert_array_equal(y, y64)
+        np.testing.assert_array_equal(dx, dx64)
+        np.testing.assert_array_equal(g, g64)
+
+    @pytest.mark.parametrize("acts", [("tanh", "tanh", "linear"), ("tanh", "linear", "tanh")])
+    def test_float32_input_with_float32_hidden_layers_is_the_float32_pass(self, acts):
+        assert_matches_naive_pass(acts, dtype=np.float32, hidden_dtype=np.float32)
+
+    @pytest.mark.parametrize(
+        "dims, acts",
+        [
+            ((4, 6, 5, 2), ("tanh", "tanh", "linear")),
+            # the consensus net's shape
+            ((6, 16, 16, 1), ("tanh", "tanh", "tanh")),
+            ((4, 6, 1), ("linear", "tanh")),
+        ],
+    )
+    def test_float64_input_with_float32_hidden_layers(self, dims, acts):
+        # the first product in float64, everything after it in float32, each
+        # weight gradient in its layer's output dtype
+        net = assert_matches_naive_pass(acts, dims, np.float64, hidden_dtype=np.float32)
+        assert net.layers[0].cache_x.dtype == np.float64
+        assert [l.cache_a.dtype for l in net.layers] == [np.float32] * len(dims[1:])
+        assert net._grad.dtype == net._m.dtype == net._v.dtype == np.float64
+        for l in net.layers:
+            assert l.grad_w.dtype == l.grad_b.dtype == np.float64
+
+    def test_hidden_dtype_must_be_single_or_double(self):
+        net = small_net(24)
+        with pytest.raises(ContractError, match="single or double"):
+            forward(net, np.zeros((2, 3)), hidden_dtype=np.float16)
 
     def test_other_dtypes_compute_in_float64(self):
         net = small_net(19)

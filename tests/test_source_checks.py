@@ -104,6 +104,35 @@ def test_float32_is_named_only_in_the_training_loop():
     )
 
 
+# Every network in a training step runs in the step's precision: each pass
+# that compute_batch makes names the hidden dtype.
+STEP_FUNC = ("trainer.py", "compute_batch")
+NETWORK_PASSES = {"forward", "forward_consensus"}
+
+
+def _is_network_pass(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in NETWORK_PASSES
+
+
+def _pass_without_hidden_dtype(node: ast.AST) -> bool:
+    return _is_network_pass(node) and all(k.arg != "hidden_dtype" for k in node.keywords)
+
+
+def test_every_network_in_a_step_runs_in_the_step_dtype():
+    path, func = STEP_FUNC
+    tree = _parse(PACKAGE / path)
+    passes = [line for f, line in _located(tree, _is_network_pass) if f == func]
+    assert len(passes) >= 2, f"{path}:{func} no longer runs the predictor and the consensus"
+    missing = [line for f, line in _located(tree, _pass_without_hidden_dtype) if f == func]
+    assert missing == [], (
+        f"{path}:{func} runs a network without hidden_dtype= at lines {missing}; its "
+        "hidden layers would compute in the dtype of its input, not the step's"
+    )
+
+
 # The CCC ratio is written once: its denominator is the only reader of EPSILON.
 EPSILON_OWNER = "ccc.py"
 
@@ -236,6 +265,19 @@ def test_float32_check_catches_what_it_looks_for():
         "    return np.asarray(x, dtype='float32'), x.dtype.itemsize == 4, np.float64\n"
     )
     assert _located(tree, _names_float32) == [(None, 2)] + [("f", 4)] * 4 + [("g", 6)]
+
+
+def test_hidden_dtype_check_catches_what_it_looks_for():
+    tree = ast.parse(
+        "def compute_batch(net, acn, x, m, d):\n"
+        "    forward(net, x)\n"
+        "    nn.forward(net, x, input_grad=False)\n"
+        "    forward_consensus(acn, m)\n"
+        "    forward(net, x, hidden_dtype=d), forward_consensus(acn, m, hidden_dtype=d)\n"
+        "    backward(net, x), forwards(net, x)\n"
+    )
+    assert _located(tree, _is_network_pass) == [("compute_batch", n) for n in (2, 3, 4, 5, 5)]
+    assert _located(tree, _pass_without_hidden_dtype) == [("compute_batch", n) for n in (2, 3, 4)]
 
 
 def test_epsilon_check_catches_what_it_looks_for():

@@ -20,7 +20,7 @@ from emocons.consensus import (
     init_acn,
     make_mean_acn,
 )
-from emocons.errors import ConfigError, ContractError
+from emocons.errors import ConfigError, ContractError, StructuralError
 from emocons.nn import OptimConfig, load_checkpoint, optimizer_step, zero_grads
 from emocons.predictor import (
     PredictorConfig,
@@ -964,6 +964,17 @@ class TestArtifacts:
         )
         assert path.read_text() == expected
 
+    @pytest.mark.parametrize("ids", [["a00", "a01"], {"valence": "a00"}, {"valence": [0, 1]}])
+    def test_malformed_annotator_ids_are_refused(self, tmp_path, ids):
+        cfg = small_train_config(epochs=1)
+        save_run(tmp_path / "run", train_joint(prepare_data(*split(small_corpus()), cfg), cfg))
+        path = tmp_path / "run" / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["meta"]["acn_annotator_ids"] = ids
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StructuralError, match="acn_annotator_ids"):
+            load_run_model(tmp_path / "run")
+
     def test_save_and_reload_run(self, tmp_path):
         corpus = small_corpus()
         cfg = small_train_config()
@@ -978,7 +989,11 @@ class TestArtifacts:
         assert config_hash(saved) == config_hash(run.config)
         # the checkpoint holds only what training learned; config.json holds the config
         _, meta = load_checkpoint(tmp_path / "run" / "checkpoint.json")
-        assert set(meta) == {"degenerate_windows", "acn_flipped", "wall_clock_s"}
+        assert set(meta) == {
+            "degenerate_windows", "acn_flipped", "acn_annotator_ids", "wall_clock_s"
+        }
+        assert meta["acn_annotator_ids"] == {"valence": ["a00", "a01", "a02"]}
+        assert model.acn_annotator_ids == {"valence": ("a00", "a01", "a02")}
         assert_params_equal(model.predictor.net, net_params(run.model.predictor.net))
         assert_params_equal(
             model.acns["valence"].net, net_params(run.model.acns["valence"].net)
@@ -1023,6 +1038,10 @@ class TestArtifacts:
             for l in net.layers:
                 assert l.weights.dtype == l.bias.dtype == np.float64
                 assert l.m_w.dtype == l.v_w.dtype == l.grad_w.dtype == np.float64
+        # the consensus nets read float64 annotations into float32 hidden layers
+        for acn in run.model.acns.values():
+            assert acn.net.layers[0].cache_x.dtype == np.float64
+            assert {l.cache_a.dtype for l in acn.net.layers} == {np.dtype(np.float32)}
         save_run(tmp_path / "run", run)
         model, _ = load_run_model(tmp_path / "run")
         dims = trainer.resolve_dimensions(cfg)
@@ -1147,6 +1166,67 @@ class TestStackedWindows:
             steps.append(step)
             return step
 
+        monkeypatch.setattr(trainer, "compute_batch", spy)
+        run_training(data, cfg)
+        assert len(steps) == math.ceil(len(data.train) / cfg.batch_size)
+        windows = len(data.train) * len(trainer.resolve_dimensions(cfg))
+        assert 0 < sum(s.degenerate for s in steps) < windows
+
+    @pytest.mark.parametrize(
+        "dimensions, pooling, detach",
+        [
+            (dims, pooling, detach)
+            for dims in ("valence", "both")
+            for pooling in ("per_window_mean", "pooled")
+            for detach in (False, True)
+        ],
+    )
+    def test_float32_step_agrees_with_the_float64_step(
+        self, monkeypatch, dimensions, pooling, detach
+    ):
+        """The loop's float32 step and the gate's float64 ``Batch(segments=items)``
+        step give one mask and the same loss terms and gradients to float32
+        accuracy."""
+        corpus = small_corpus()
+        sources = [with_flat_gold(corpus.sources[0], 100, 300), corpus.sources[1]]
+        cfg = small_train_config(
+            dimensions=dimensions,
+            pooling=pooling,
+            detach_consensus_in_second_term=detach,
+            epochs=1,
+            predictor=PredictorConfig(encoder_dims=(8,), heads="dual"),
+            acn=AcnConfig(),
+        )
+        data = prepare_data(sources, [], cfg)
+        real, real_loss = trainer.compute_batch, trainer.ccc_batch_loss
+        masks = []
+
+        def loss_spy(x, y, mask, *args, **kwargs):
+            masks.append(mask)
+            return real_loss(x, y, mask, *args, **kwargs)
+
+        def nets(model):
+            return [model.predictor.net] + [acn.net for acn in model.acns.values()]
+
+        steps = []
+
+        def spy(model, batch, cfg):
+            twin = copy.deepcopy(model)
+            step = real(model, batch, cfg)
+            gate = real(twin, Batch(segments=batch.segments), cfg)
+            assert batch.gather().features.dtype == np.float32
+            assert twin.predictor.net.layers[0].cache_x.dtype == np.float64
+            mask32, mask64 = masks[-2:]
+            assert np.array_equal(mask32, mask64)
+            assert step.degenerate == gate.degenerate
+            for name in ("term1", "term2", "total"):
+                assert abs(getattr(step, name) - getattr(gate, name)) <= 1e-5
+            for net, other in zip(nets(model), nets(twin), strict=True):
+                assert np.max(np.abs(net._grad - other._grad)) <= 1e-4 * np.max(np.abs(other._grad))
+            steps.append(step)
+            return step
+
+        monkeypatch.setattr(trainer, "ccc_batch_loss", loss_spy)
         monkeypatch.setattr(trainer, "compute_batch", spy)
         run_training(data, cfg)
         assert len(steps) == math.ceil(len(data.train) / cfg.batch_size)
