@@ -11,12 +11,17 @@ the dtype of its input.  No product mixes dtypes: where a layer's input
 and output dtypes differ, ``forward`` takes the product into a work buffer
 and casts it, and ``backward`` casts the cached input once before the
 weight gradient, since numpy's mixed-dtype products run several times
-slower.  ``backward`` computes each layer's gradients in the dtype of its
-output and adds them into float64 accumulators, so several loss terms can
-contribute to one optimizer step and a single-precision pass updates
-double-precision weights.  Caches from the most recent ``forward`` are
-stored on the layers, so forward/backward pairs must not be interleaved
-across inputs.
+slower.  ``forward``'s weight operand is a C-contiguous copy of the
+layer's transposed weights in the compute dtype, made on every call since
+weights are written in place: BLAS takes a slow path for a transposed view
+with a narrow output.  ``backward`` computes each layer's gradients in the
+dtype of its output and adds them into float64 accumulators, so several
+loss terms can contribute to one optimizer step and a single-precision
+pass updates double-precision weights.  Caches from the most recent
+``forward`` are stored on the layers, so forward/backward pairs must not
+be interleaved across inputs, and ``backward`` consumes them (see Work
+buffers): each ``backward`` needs a ``forward`` of its own, which a flag
+set by ``forward`` and cleared by ``backward`` enforces.
 
 Parameter state: a ``Network`` keeps four flat float64 vectors, one each
 for its parameters, gradient accumulators (``grad_*``) and Adam moments
@@ -24,12 +29,13 @@ for its parameters, gradient accumulators (``grad_*``) and Adam moments
 and rebinds each layer's ``weights``, ``bias``, ``grad_*``, ``m_*`` and
 ``v_*`` to views of those vectors, layer by layer, weights before bias.
 ``optimizer_step`` then checks, clips, updates and zeroes each span of
-trainable layers with one vector operation apiece.  Never rebind a
-parameter field of an adopted layer: write into it (``w[:] = ...``,
-``w *= ...``, ``np.negative(w, out=w)``).  A rebound field is detached
-from the network's vectors, so the optimizer would update arrays that the
-passes no longer read.  A copy of a network, deep or shallow, and an
-unpickled one build vectors of their own.
+trainable layers with one vector operation apiece; the clipping norm is
+one dot product of the flat gradient vector.  Never rebind a parameter
+field of an adopted layer: write into it (``w[:] = ...``, ``w *= ...``,
+``np.negative(w, out=w)``).  A rebound field is detached from the
+network's vectors, so the optimizer would update arrays that the passes no
+longer read.  A copy of a network, deep or shallow, and an unpickled one
+build vectors of their own.
 
 Work buffers: the network keeps arrays that its passes write into, per
 dtype, grown to the largest size asked of them and reused from call to
@@ -38,17 +44,19 @@ its own output buffer, since the outputs are the caches ``backward``
 reads; a new ``forward`` overwrites them, which the forward/backward
 pairing above already assumes.  A layer whose input and output dtypes
 differ takes its product into one more buffer, and ``backward`` casts its
-cached input into another.  ``backward`` writes every layer's
-activation gradient into one shared buffer and every gradient passed down
-into another, as each is dead once the next layer down has used it, so a
-step touches less memory than with one buffer per layer; Adam keeps its
-temporaries in one more.  A vector of ones, filled when it grows, turns
-each bias gradient into one BLAS product (``ones @ dz``): numpy's
-``dz.sum(axis=0)`` runs one short loop per row, several times slower on
-the thousands of rows a training step has.  What is handed to a caller is
-always a fresh array: the output of ``forward`` and the input gradient of
-``backward``.  The buffers are neither copied, pickled nor saved in
-checkpoints.
+cached input into another.  ``backward`` writes a hidden layer's
+activation gradient over that layer's cached activation, which is spent
+once the layer above has taken its weight gradient from it, and the output
+layer's into a buffer of its own, since the output belongs to the caller.
+It writes every gradient passed down into one shared buffer, as each is
+dead once the next layer down has used it, so a step touches less memory
+than with one buffer per layer; Adam keeps its temporaries in one more.  A
+vector of ones, filled when it grows, turns each bias gradient into one
+BLAS product (``ones @ dz``): numpy's ``dz.sum(axis=0)`` runs one short
+loop per row, several times slower on the thousands of rows a training
+step has.  What is handed to a caller is always a fresh array: the output
+of ``forward`` and the input gradient of ``backward``.  The buffers are
+neither copied, pickled nor saved in checkpoints.
 
 Checkpoints are ``atomic`` envelopes; on load each layer is decoded with
 ``codec.from_dict``, so a wrong JSON type or an unknown key is refused, and
@@ -175,6 +183,8 @@ class Network:
     _extent: list = field(init=False, repr=False)
     # (key, dtype) -> flat work buffer; see the module docstring
     _work: dict = field(default_factory=dict, init=False, repr=False)
+    # set by ``forward``, cleared by the ``backward`` that consumes its caches
+    _primed: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -281,7 +291,9 @@ def forward(net: Network, x: np.ndarray, *, hidden_dtype=None) -> np.ndarray:
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
         apply, _ = _ACTIVATIONS[layer.activation]
-        w = layer.weights.astype(x.dtype, copy=False).T
+        # a C-contiguous (in, out) operand, built on every call: BLAS takes
+        # a slow path for a transposed view with a narrow output
+        w = np.array(layer.weights.T, dtype=x.dtype, order="C")
         if i == last:
             a = np.matmul(x, w)
         else:
@@ -296,6 +308,7 @@ def forward(net: Network, x: np.ndarray, *, hidden_dtype=None) -> np.ndarray:
         layer.cache_x = x
         layer.cache_a = a
         x = a
+    net._primed = True
     return x
 
 
@@ -308,22 +321,30 @@ def backward(net: Network, dy: np.ndarray, *, input_grad: bool = True) -> np.nda
     accumulators.  Returns the gradient at the network input, in the first
     layer's output dtype, or None without ``input_grad``, which saves the
     first layer's product for callers that discard it.  Frozen layers
-    accumulate nothing but still pass the gradient through.
+    accumulate nothing but still pass the gradient through.  The pass
+    consumes the forward's caches, so each ``backward`` needs a ``forward``
+    of its own.
     """
-    if any(l.cache_x is None or l.cache_a is None for l in net.layers):
-        raise ContractError("backward called before forward")
-    dy = np.asarray(dy, dtype=net.layers[-1].cache_a.dtype)
+    if not net._primed:
+        raise ContractError("backward needs a forward of its own since the last backward")
+    out_layer = net.layers[-1]
+    dy = np.asarray(dy, dtype=out_layer.cache_a.dtype)
+    if dy.shape != out_layer.cache_a.shape:
+        raise ContractError(
+            f"gradient shape {dy.shape} does not match output {out_layer.cache_a.shape}"
+        )
+    net._primed = False
+    last = len(net.layers) - 1
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
-        if dy.shape != layer.cache_a.shape:
-            raise ContractError(
-                f"gradient shape {dy.shape} does not match output {layer.cache_a.shape}"
-            )
         _, grad = _ACTIVATIONS[layer.activation]
         dtype = dy.dtype
         dz = dy
         if grad is not None:
-            dz = grad(layer.cache_a, dy, net._buffer("dz", dtype, *dy.shape))
+            # a hidden activation is spent once the layer above has taken
+            # its weight gradient from it; the output is the caller's
+            out = net._buffer("dz", dtype, *dy.shape) if i == last else layer.cache_a
+            dz = grad(layer.cache_a, dy, out)
         if layer.trainable:
             x = layer.cache_x
             if x.dtype != dtype:
@@ -357,17 +378,14 @@ def zero_grads(net: Network) -> None:
 def clip_gradients(net: Network, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the norm before clipping.  When the squares overflow, the norm
-    is taken of the gradients divided by their largest magnitude, so finite
-    gradients are clipped, never zeroed.
+    Returns the norm before clipping, taken as one dot product of the flat
+    gradient vector.  When the squares overflow, the norm is taken of the
+    gradients divided by their largest magnitude, so finite gradients are
+    clipped, never zeroed.
     """
-    if max_norm <= 0:
+    if not max_norm > 0:
         raise ContractError(f"max_norm must be positive, got {max_norm}")
-    total = math.fsum(
-        float(np.sum(l.grad_w * l.grad_w)) + float(np.sum(l.grad_b * l.grad_b))
-        for l in net.layers
-    )
-    norm = math.sqrt(total)
+    norm = math.sqrt(float(np.dot(net._grad, net._grad)))
     if math.isinf(norm):
         big = float(np.max(np.abs(net._grad)))
         if math.isfinite(big):

@@ -709,7 +709,16 @@ def load_run_model(run_dir) -> tuple[JointModel, TrainConfig]:
                 f"{path}: network {name!r} maps {net.in_dim} -> {net.out_dim} columns, "
                 f"its config needs {n_in} -> {n_out}"
             )
+    # absent from checkpoints saved before the flips were recorded
     flipped = meta.get("acn_flipped", {})
+    if "acn_flipped" in meta and not (
+        isinstance(flipped, dict)
+        and set(flipped) == set(acns)
+        and all(isinstance(v, bool) for v in flipped.values())
+    ):
+        raise StructuralError(
+            f"{path}: acn_flipped must map the dimensions {sorted(acns)} to booleans"
+        )
     # absent from checkpoints saved before the ids were recorded
     ids = meta.get("acn_annotator_ids", {})
     if not (

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from emocons.errors import ContractError, StructuralError
 from emocons.nn import (
+    ACTIVATIONS,
     CHECKPOINT_VERSION,
     DenseLayer,
     Network,
@@ -206,6 +207,7 @@ class TestBackward:
         assert backward(net, dy) is not None
         full = [(l.grad_w.copy(), l.grad_b.copy()) for l in net.layers]
         zero_grads(net)
+        forward(net, x)  # backward consumes its forward's caches
         assert backward(net, dy, input_grad=False) is None
         for l, (gw, gb) in zip(net.layers, full):
             np.testing.assert_array_equal(l.grad_w, gw)
@@ -226,14 +228,17 @@ def naive_pass(net, x, dy, hidden_dtype=None):
     for i, l in enumerate(net.layers):
         xin = xs[-1]
         out = xin.dtype if i == last else hidden
-        z = (xin @ l.weights.astype(xin.dtype).T).astype(out) + l.bias.astype(out)
-        a = np.tanh(z) if l.activation == "tanh" else z
+        # the transposed weights as a C-contiguous operand: BLAS sums a
+        # one-row product in another order for a transposed view
+        w = np.array(l.weights.T, dtype=xin.dtype, order="C")
+        z = (xin @ w).astype(out) + l.bias.astype(out)
+        a = {"tanh": np.tanh(z), "relu": np.maximum(z, 0), "linear": z}[l.activation]
         acts.append(a)
         xs.append(a)
     dy = dy.astype(acts[-1].dtype)
     grads = []
     for l, xin, a in reversed(list(zip(net.layers, xs, acts))):
-        dz = dy * (1 - a * a) if l.activation == "tanh" else dy
+        dz = {"tanh": dy * (1 - a * a), "relu": dy * (a > 0), "linear": dy}[l.activation]
         # the column sum as a product with ones, the order BLAS sums in
         grads.append((dz.T @ xin.astype(a.dtype), np.ones(len(dz), dz.dtype) @ dz))
         dy = dz @ l.weights.astype(a.dtype)
@@ -254,6 +259,92 @@ def assert_matches_naive_pass(acts, dims=(4, 6, 5, 2), dtype=np.float64, hidden_
         np.testing.assert_array_equal(l.grad_w, gw)
         np.testing.assert_array_equal(l.grad_b, gb)
     return net
+
+
+class TestConsumedCaches:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+        acts=st.lists(st.sampled_from(ACTIVATIONS), min_size=4, max_size=4),
+        frozen=st.integers(-1, 3),
+        input_grad=st.booleans(),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        hidden_dtype=st.sampled_from([None, np.float64, np.float32]),
+        rows=st.integers(1, 9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pass_equals_the_naive_formulas_bitwise(
+        self, seed, widths, acts, frozen, input_grad, dtype, hidden_dtype, rows
+    ):
+        # hidden gradients are written over the activations they are taken
+        # from; every number stays the textbook formulas' own
+        net = init_network(widths, acts[: len(widths) - 1], substream(seed, "t"))
+        if frozen < len(net.layers):
+            net.layers[frozen].trainable = False
+        rng = substream(seed, "x")
+        x = rng.normal(size=(rows, widths[0])).astype(dtype)
+        dy = rng.normal(size=(rows, widths[-1])).astype(dtype)
+        y_ref, grads_ref, dx_ref = naive_pass(net, x, dy, hidden_dtype)
+        zero_grads(net)
+        y = forward(net, x, hidden_dtype=hidden_dtype)
+        y_seen, dy_seen = y.copy(), dy.copy()
+        np.testing.assert_array_equal(y, y_ref)
+        dx = backward(net, dy, input_grad=input_grad)
+        if input_grad:
+            assert dx.dtype == dx_ref.dtype
+            np.testing.assert_array_equal(dx, dx_ref)
+        else:
+            assert dx is None
+        for l, (gw, gb) in zip(net.layers, grads_ref):
+            if not l.trainable:
+                gw, gb = np.zeros_like(gw), np.zeros_like(gb)
+            np.testing.assert_array_equal(l.grad_w, gw)
+            np.testing.assert_array_equal(l.grad_b, gb)
+        np.testing.assert_array_equal(y, y_seen)
+        np.testing.assert_array_equal(dy, dy_seen)
+
+    @pytest.mark.parametrize("hidden_dtype", [None, np.float32])
+    @pytest.mark.parametrize("acts", [("tanh", "tanh"), ("relu", "relu"), ("tanh", "linear")])
+    def test_backward_leaves_the_returned_output_alone(self, acts, hidden_dtype):
+        net = init_network((3, 8, 2), acts, substream(25, "t"))
+        rng = substream(25, "x")
+        y = forward(net, rng.normal(size=(12, 3)), hidden_dtype=hidden_dtype)
+        seen = y.copy()
+        backward(net, rng.normal(size=y.shape))
+        np.testing.assert_array_equal(y, seen)
+        assert np.shares_memory(y, net.layers[-1].cache_a)
+
+    def test_a_second_backward_needs_a_new_forward(self):
+        net = small_net(26, dims=(3, 5, 4, 2), acts=("tanh", "relu", "linear"))
+        x = substream(26, "x").normal(size=(4, 3))
+        _, dy = loss_and_grad(net, x)
+        backward(net, dy, input_grad=False)
+        with pytest.raises(ContractError, match="forward"):
+            backward(net, dy)
+        forward(net, x)
+        assert backward(net, dy) is not None
+
+    def test_a_refused_gradient_shape_consumes_nothing(self):
+        net = small_net(27)
+        x = substream(27, "x").normal(size=(4, 3))
+        _, dy = loss_and_grad(net, x)
+        with pytest.raises(ContractError, match="does not match output"):
+            backward(net, dy[:3])
+        zero_grads(net)
+        backward(net, dy)
+        fresh = rebuilt(net)
+        forward(fresh, x)
+        backward(fresh, dy)
+        np.testing.assert_array_equal(net._grad, fresh._grad)
+
+    def test_copies_and_checkpoints_start_without_a_forward(self, tmp_path):
+        net = small_net(28)
+        forward(net, substream(28, "x").normal(size=(4, 3)))
+        save_checkpoint(tmp_path / "c.json", {"n": net}, {})
+        loaded = load_checkpoint(tmp_path / "c.json")[0]["n"]
+        for other in (copy.deepcopy(net), copy.copy(net), loaded):
+            with pytest.raises(ContractError, match="forward"):
+                backward(other, np.zeros((4, 2)))
 
 
 class TestPrecision:
@@ -428,6 +519,15 @@ class TestWorkBuffers:
             for b in returned[i + 1 :] + buffers(net):
                 assert not np.shares_memory(a, b)
 
+    def test_hidden_gradients_take_no_buffer(self):
+        # each hidden layer's gradient is written over its spent activation;
+        # only the output layer's takes the "dz" buffer
+        net = self.make()
+        rng = substream(35, "x")
+        forward(net, rng.normal(size=(50, 10)))
+        backward(net, rng.normal(size=(50, 2)))
+        assert net._work["dz", np.dtype(np.float64)].size == 50 * 2
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bias_gradient_is_the_column_sum_to_summation_accuracy(self, dtype):
         # a linear layer's dz is dy itself; a large common offset makes the
@@ -466,12 +566,10 @@ def layer_state(net):
 
 def reference_optimizer_step(state, trainable, step, cfg):
     """The optimizer step written per layer and per array, on ``layer_state``
-    copies; returns the new step count."""
-    total = math.fsum(
-        float(np.sum(s["grad_w"] * s["grad_w"])) + float(np.sum(s["grad_b"] * s["grad_b"]))
-        for s in state
-    )
-    norm = math.sqrt(total)
+    copies; returns the new step count.  The norm is one dot product of the
+    gradients concatenated layer by layer, weights before bias."""
+    flat = np.concatenate([s[g].ravel() for s in state for g in ("grad_w", "grad_b")])
+    norm = math.sqrt(float(np.dot(flat, flat)))
     if norm > cfg.grad_clip_norm:
         for s in state:
             s["grad_w"] *= cfg.grad_clip_norm / norm
@@ -662,6 +760,15 @@ class TestOptimizer:
         assert norm == pytest.approx(math.sqrt(2.0) * 1e160, rel=1e-15)
         np.testing.assert_allclose(net.layers[0].grad_w, [[5.0 / math.sqrt(2.0)] * 2], rtol=1e-15)
         assert np.all(net.layers[0].grad_b == 0.0)
+
+    @pytest.mark.parametrize("max_norm", [float("nan"), 0.0, -1.0])
+    def test_clip_refuses_a_bound_that_is_not_positive(self, max_norm):
+        net = small_net(17)
+        zero_grads(net)
+        net._grad[:] = 100.0
+        with pytest.raises(ContractError, match="max_norm must be positive"):
+            clip_gradients(net, max_norm)
+        assert np.all(net._grad == 100.0)
 
     def test_clip_below_threshold_is_identity(self):
         net = small_net(16)

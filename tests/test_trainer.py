@@ -975,6 +975,25 @@ class TestArtifacts:
         with pytest.raises(StructuralError, match="acn_annotator_ids"):
             load_run_model(tmp_path / "run")
 
+    @pytest.mark.parametrize(
+        "flipped",
+        ["yes", ["valence"], {"valence": "yes"}, {"valence": 1}, {"arousal": True}, {},
+         {"valence": False, "arousal": False}],
+    )
+    def test_malformed_flips_are_refused(self, tmp_path, flipped):
+        cfg = small_train_config(epochs=1)
+        save_run(tmp_path / "run", train_joint(prepare_data(*split(small_corpus()), cfg), cfg))
+        path = tmp_path / "run" / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["meta"]["acn_flipped"] = flipped
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StructuralError, match="checkpoint.json: acn_flipped"):
+            load_run_model(tmp_path / "run")
+        # a checkpoint saved before the flips were recorded reads as none
+        del doc["meta"]["acn_flipped"]
+        path.write_text(json.dumps(doc))
+        assert load_run_model(tmp_path / "run")[0].acn_flipped == {}
+
     def test_save_and_reload_run(self, tmp_path):
         corpus = small_corpus()
         cfg = small_train_config()
